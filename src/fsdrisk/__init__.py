@@ -100,86 +100,3 @@ from .measures import (
 from .steps import DEC, INC, MonotoneStep
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ATOM_DROP_TOL",
-    "BenchmarkLossKernel",
-    "ContinuousCDF",
-    "DEC",
-    "DiscreteDist",
-    "DualBenchmarkKernel",
-    "DualGridKernel",
-    "DualLambdaKernel",
-    "DualPinnedKernel",
-    "DualVarKernel",
-    "GATE_SEED",
-    "GridKernel",
-    "INC",
-    "InputError",
-    "LambdaKernel",
-    "MASS_TOL",
-    "MonotoneStep",
-    "PairWitness",
-    "PhiKernel",
-    "PinnedKernel",
-    "PointWitness",
-    "ProbeWitness",
-    "PsiGrid",
-    "PsiKernel",
-    "RecoveredLambda",
-    "RegularizedKernel",
-    "RepresentationReport",
-    "RiskMeasure",
-    "SamplerConfig",
-    "StabilityGateError",
-    "StabilityReport",
-    "VarKernel",
-    "affine_benchmark",
-    "benchmark_loss_measure",
-    "benchmark_loss_var",
-    "check_fsd_consistency",
-    "check_max_stability",
-    "check_min_stability",
-    "check_nondegeneracy",
-    "check_semicontinuity_probe",
-    "construct_psi",
-    "discretize",
-    "discretize_from_above",
-    "dominating_variant",
-    "expected_shortfall",
-    "expected_shortfall_measure",
-    "ext_gap",
-    "find_stability_counterexample",
-    "fsd_join",
-    "fsd_leq",
-    "fsd_meet",
-    "h_threshold",
-    "inf_phi_eval",
-    "join_decomposition",
-    "lambda_quantile",
-    "lambda_quantile_dual",
-    "lambda_quantile_measure",
-    "merged_breakpoints",
-    "parse_distribution_file",
-    "parse_distribution_obj",
-    "parse_kernel_obj",
-    "parse_measure_obj",
-    "parse_psi_grid_obj",
-    "pinned_measure",
-    "point_mass",
-    "psi_grid_to_obj",
-    "recover_lambda",
-    "regularize_psi",
-    "report_to_json",
-    "sample_distribution",
-    "save_distribution_file",
-    "sup_psi_eval",
-    "superlevel_rows",
-    "transform_measure",
-    "two_point",
-    "two_point_eval",
-    "var",
-    "var_measure",
-    "verify_representation",
-    "write_superlevel_csv",
-]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .dist import DiscreteDist, point_mass, two_point
@@ -53,7 +53,9 @@ def h_threshold(
     so no epsilon belongs on the predicate.  Bisection is valid because
     the mixture value is non-decreasing in y for any measure consistent
     with the dominance order.  Returns +inf when even y_max does not
-    exceed the baseline.
+    exceed the baseline.  The search also stops once no float lies
+    strictly between the bracket ends, so it ends even where the float
+    spacing exceeds ``tol``.
     """
     if not y_max > x:
         raise ValueError(f"search bound must exceed x, got y_max={y_max} at x={x}")
@@ -65,6 +67,8 @@ def h_threshold(
     lo, hi = x, y_max
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
         if two_point_eval(rho, x, mid, p) > base:
             hi = mid
         else:
@@ -81,7 +85,8 @@ class PsiGrid:
     identically -inf, and the p = 0 row must be strictly increasing (it
     holds the measure's point-mass values, so a tie there means the
     measure cannot tell two grid points apart and the construction is
-    meaningless).
+    meaningless).  The table is validated by building the GridKernel
+    that ``as_kernel`` returns.
     """
 
     x_grid: tuple[float, ...]
@@ -89,9 +94,11 @@ class PsiGrid:
     table: tuple[tuple[float, ...], ...]
     y_max: float
     tol: float
+    _kernel: GridKernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         kern = GridKernel(self.x_grid, self.p_grid, self.table)
+        object.__setattr__(self, "_kernel", kern)
         object.__setattr__(self, "x_grid", kern.x_grid)
         object.__setattr__(self, "p_grid", kern.p_grid)
         object.__setattr__(self, "table", kern.table)
@@ -107,7 +114,8 @@ class PsiGrid:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
 
     def as_kernel(self) -> GridKernel:
-        return GridKernel(self.x_grid, self.p_grid, self.table)
+        """The table as a kernel, built once at construction."""
+        return self._kernel
 
 
 def construct_psi(

@@ -138,7 +138,13 @@ def _check_pairs(
     axiom: str,
     combine: Callable[[DiscreteDist, DiscreteDist], DiscreteDist],
     pick: Callable[[float, float], float],
+    stop_at_first: bool = False,
 ) -> StabilityReport:
+    """The pair loop behind both stability checks and the counterexample search.
+
+    The witness is the worst violating pair, or with ``stop_at_first``
+    the first one, at which sampling stops.
+    """
     violations = 0
     worst_gap = 0.0
     witness = None
@@ -150,9 +156,11 @@ def _check_pairs(
         gap = ext_gap(lhs, rhs)
         if gap > tol:
             violations += 1
-            if gap > worst_gap:
+            if stop_at_first or gap > worst_gap:
                 worst_gap = gap
                 witness = PairWitness(trial, F, G, lhs, rhs, gap)
+            if stop_at_first:
+                break
     verdict = "fail" if violations else "pass"
     return StabilityReport(axiom, cfg.seed, cfg.trials, violations, worst_gap, witness, verdict)
 
@@ -307,12 +315,4 @@ def find_stability_counterexample(
     if kind not in ("maxs", "mins"):
         raise ValueError(f"axiom must be 'maxs' or 'mins', got {axiom!r}")
     combine, pick = (fsd_join, max) if kind == "maxs" else (fsd_meet, min)
-    for trial in range(cfg.trials):
-        F = sample_distribution(cfg, trial, 0)
-        G = sample_distribution(cfg, trial, 1)
-        lhs = rho(combine(F, G))
-        rhs = pick(rho(F), rho(G))
-        gap = ext_gap(lhs, rhs)
-        if gap > tol:
-            return PairWitness(trial, F, G, lhs, rhs, gap)
-    return None
+    return _check_pairs(rho, cfg, tol, kind, combine, pick, stop_at_first=True).witness

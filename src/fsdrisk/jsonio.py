@@ -12,6 +12,12 @@ command line can map them to exit status and a terse message:
     BAD_SCHEMA  JSON is well-formed but not the expected shape
     NAN_VALUE   a NaN appeared where a value was expected
     MASS_SUM    atom masses do not sum to one
+
+Measure and kernel objects are {"kind": ..., <parameters>}, read and
+written generically off ``measures.FAMILIES``: each family's entry names
+its kind and its parameters' keys and types (number or step curve).
+Adding a family means adding its closed form, parameter check and
+psi-kernel class, and one entry to that table; nothing here changes.
 """
 
 from __future__ import annotations
@@ -19,29 +25,16 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import fields
 from math import fsum
 from pathlib import Path
 from typing import Any, TextIO, Union
 
 from .dist import MASS_TOL, ContinuousCDF, DiscreteDist
-from .engine import PsiGrid, RecoveredLambda, RepresentationReport
+from .engine import PsiGrid
 from .harness import PairWitness, PointWitness, ProbeWitness, StabilityReport, Witness
-from .kernels import (
-    BenchmarkLossKernel,
-    GridKernel,
-    LambdaKernel,
-    PinnedKernel,
-    PsiKernel,
-    VarKernel,
-)
-from .measures import (
-    RiskMeasure,
-    benchmark_loss_measure,
-    expected_shortfall_measure,
-    lambda_quantile_measure,
-    pinned_measure,
-    var_measure,
-)
+from .kernels import GridKernel, PsiKernel
+from .measures import FAMILIES, STEP, Family, RiskMeasure
 from .steps import DEC, INC, MonotoneStep
 
 INF = math.inf
@@ -196,55 +189,66 @@ def parse_step_obj(obj: Any, where: str = "step") -> MonotoneStep:
 # -- kernels and measures -------------------------------------------------
 
 
+def _family_to_obj(family: Family, values: list) -> dict:
+    obj: dict[str, Any] = {"kind": family.kind}
+    for (key, typ), value in zip(family.params, values):
+        if typ != STEP:
+            obj[key] = dump_num(value)
+        elif isinstance(value, MonotoneStep):
+            obj[key] = step_to_obj(value)
+        else:
+            raise ValueError(f"{family.kind} parameter {key!r} has no JSON form: not a step curve")
+    return obj
+
+
+def _parse_family_obj(obj: Any, what: str) -> Any:
+    """Parse {"kind": ..., <parameters>} into that family's ``what``.
+
+    ``what`` names the Family attribute that builds the value from the
+    parameters, "measure" or "kernel"; a family without one is unknown.
+    """
+    if not isinstance(obj, dict):
+        raise InputError("BAD_SCHEMA", f"{what} must be a JSON object")
+    kind = obj.get("kind")
+    family = FAMILIES.get(kind)
+    make = getattr(family, what, None)
+    if make is None:
+        raise InputError("BAD_SCHEMA", f"unknown {what} kind {kind!r}")
+    values = [
+        parse_step_obj(obj.get(key), key) if typ == STEP else parse_num(obj.get(key), f"{kind} {key}")
+        for key, typ in family.params
+    ]
+    try:
+        return make(*values)
+    except ValueError as exc:
+        raise InputError("BAD_SCHEMA", f"{what} {kind!r}: {exc}") from None
+
+
+def _grid_to_obj(grid: GridKernel | PsiGrid) -> dict:
+    return {
+        "x_grid": [dump_num(v) for v in grid.x_grid],
+        "p_grid": [dump_num(v) for v in grid.p_grid],
+        "table": [[dump_num(v) for v in row] for row in grid.table],
+    }
+
+
 def kernel_to_obj(kernel: PsiKernel) -> dict:
-    if isinstance(kernel, VarKernel):
-        return {"kind": "var", "alpha": dump_num(kernel.alpha)}
-    if isinstance(kernel, BenchmarkLossKernel):
-        if not isinstance(kernel.h, MonotoneStep):
-            raise ValueError("only step benchmark curves have a JSON form")
-        return {"kind": "benchmark_loss", "h": step_to_obj(kernel.h)}
-    if isinstance(kernel, LambdaKernel):
-        return {"kind": "lambda", "Lambda": step_to_obj(kernel.lam)}
-    if isinstance(kernel, PinnedKernel):
-        return {"kind": "pinned", "x0": dump_num(kernel.x0), "g": step_to_obj(kernel.g)}
     if isinstance(kernel, GridKernel):
-        return {
-            "x_grid": [dump_num(v) for v in kernel.x_grid],
-            "p_grid": [dump_num(v) for v in kernel.p_grid],
-            "table": [[dump_num(v) for v in row] for row in kernel.table],
-        }
+        return _grid_to_obj(kernel)
+    for family in FAMILIES.values():
+        if type(kernel) is family.kernel:
+            return _family_to_obj(family, [getattr(kernel, f.name) for f in fields(kernel)])
     raise ValueError(f"no JSON form for kernel type {type(kernel).__name__}")
 
 
 def parse_kernel_obj(obj: Any) -> PsiKernel:
-    if not isinstance(obj, dict):
-        raise InputError("BAD_SCHEMA", "kernel must be a JSON object")
-    if "kind" not in obj and "table" in obj:
-        return _parse_grid_kernel(obj)
-    kind = obj.get("kind")
-    try:
-        if kind == "var":
-            return VarKernel(parse_num(obj.get("alpha"), "var alpha"))
-        if kind == "benchmark_loss":
-            return BenchmarkLossKernel(parse_step_obj(obj.get("h"), "h"))
-        if kind == "lambda":
-            return LambdaKernel(parse_step_obj(obj.get("Lambda"), "Lambda"))
-        if kind == "pinned":
-            x0 = parse_num(obj.get("x0"), "pinned x0")
-            return PinnedKernel(x0, parse_step_obj(obj.get("g"), "g"))
-    except InputError:
-        raise
-    except ValueError as exc:
-        raise InputError("BAD_SCHEMA", f"kernel {kind!r}: {exc}") from None
-    raise InputError("BAD_SCHEMA", f"unknown kernel kind {kind!r}")
-
-
-def _parse_grid_kernel(obj: dict) -> GridKernel:
-    xg, pg, table = _parse_grid_fields(obj)
-    try:
-        return GridKernel(xg, pg, table)
-    except ValueError as exc:
-        raise InputError("BAD_SCHEMA", f"kernel grid: {exc}") from None
+    if isinstance(obj, dict) and "kind" not in obj and "table" in obj:
+        xg, pg, table = _parse_grid_fields(obj)
+        try:
+            return GridKernel(xg, pg, table)
+        except ValueError as exc:
+            raise InputError("BAD_SCHEMA", f"kernel grid: {exc}") from None
+    return _parse_family_obj(obj, "kernel")
 
 
 def _parse_grid_fields(obj: dict) -> tuple[tuple, tuple, tuple]:
@@ -262,67 +266,21 @@ def _parse_grid_fields(obj: dict) -> tuple[tuple, tuple, tuple]:
 
 
 def parse_measure_obj(obj: Any) -> RiskMeasure:
-    if not isinstance(obj, dict):
-        raise InputError("BAD_SCHEMA", "measure must be a JSON object")
-    kind = obj.get("kind")
-    try:
-        if kind == "var":
-            return var_measure(parse_num(obj.get("alpha"), "var alpha"))
-        if kind == "benchmark_loss":
-            return benchmark_loss_measure(parse_step_obj(obj.get("h"), "h"))
-        if kind == "lambda":
-            return lambda_quantile_measure(parse_step_obj(obj.get("Lambda"), "Lambda"))
-        if kind == "pinned":
-            x0 = parse_num(obj.get("x0"), "pinned x0")
-            return pinned_measure(x0, parse_step_obj(obj.get("g"), "g"))
-        if kind == "expected_shortfall":
-            return expected_shortfall_measure(parse_num(obj.get("alpha"), "shortfall alpha"))
-    except InputError:
-        raise
-    except ValueError as exc:
-        raise InputError("BAD_SCHEMA", f"measure {kind!r}: {exc}") from None
-    raise InputError("BAD_SCHEMA", f"unknown measure kind {kind!r}")
-
-
-# emitted objects must parse back, so factory names map onto the file
-# kinds and parameter keys parse_measure_obj knows
-_MEASURE_KIND = {
-    "var": "var",
-    "benchmark_loss_var": "benchmark_loss",
-    "lambda_quantile": "lambda",
-    "expected_shortfall": "expected_shortfall",
-    "pinned": "pinned",
-}
-_MEASURE_KEY = {"level_curve": "Lambda"}
+    return _parse_family_obj(obj, "measure")
 
 
 def measure_to_obj(measure: RiskMeasure) -> dict:
-    kind = _MEASURE_KIND.get(measure.name)
-    if kind is None:
-        raise ValueError(f"no JSON form for measure {measure.name!r}")
-    obj: dict[str, Any] = {"kind": kind}
-    for key, value in measure.params:
-        key = _MEASURE_KEY.get(key, key)
-        if isinstance(value, MonotoneStep):
-            obj[key] = step_to_obj(value)
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            obj[key] = dump_num(float(value))
-        else:
-            raise ValueError(f"measure parameter {key!r} has no JSON form")
-    return obj
+    for family in FAMILIES.values():
+        if measure.name == family.name:
+            return _family_to_obj(family, [value for _, value in measure.params])
+    raise ValueError(f"no JSON form for measure {measure.name!r}")
 
 
 # -- kernel grids from the constructive engine ----------------------------
 
 
 def psi_grid_to_obj(grid: PsiGrid) -> dict:
-    return {
-        "x_grid": [dump_num(v) for v in grid.x_grid],
-        "p_grid": [dump_num(v) for v in grid.p_grid],
-        "table": [[dump_num(v) for v in row] for row in grid.table],
-        "y_max": dump_num(grid.y_max),
-        "tol": grid.tol,
-    }
+    return {**_grid_to_obj(grid), "y_max": dump_num(grid.y_max), "tol": grid.tol}
 
 
 def parse_psi_grid_obj(obj: Any) -> PsiGrid:
@@ -389,32 +347,6 @@ def report_to_obj(report: StabilityReport) -> dict:
 
 def report_to_json(report: StabilityReport) -> str:
     return dump_json(report_to_obj(report))
-
-
-def representation_report_to_obj(report: RepresentationReport) -> dict:
-    return {
-        "count": report.count,
-        "tol": report.tol,
-        "max_error": dump_num(report.max_error),
-        "worst_index": report.worst_index,
-        "failures": [
-            {"index": i, "direct": dump_num(d), "recovered": dump_num(r), "error": dump_num(e)}
-            for i, d, r, e in report.failures
-        ],
-    }
-
-
-def recovered_lambda_to_obj(rec: RecoveredLambda) -> dict:
-    return {
-        "x_grid": [dump_num(v) for v in rec.x_grid],
-        "lambda_hat": [dump_num(v) for v in rec.lam_hat],
-        "f_hat": [dump_num(v) for v in rec.f_hat],
-        "lambda_violations": list(rec.lam_violations),
-        "f_violations": list(rec.f_violations),
-        "tol": rec.tol,
-        "probe_count": rec.probe_count,
-        "cross_max_error": dump_num(rec.cross_max_error),
-    }
 
 
 # -- superlevel boundaries ------------------------------------------------

@@ -20,7 +20,13 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .dist import DiscreteDist
-from .steps import DEC, MonotoneStep
+from .steps import (
+    MonotoneStep,
+    check_benchmark_curve,
+    check_level,
+    check_level_curve,
+    check_pinned,
+)
 
 INF = math.inf
 
@@ -42,6 +48,18 @@ class PsiKernel(ABC):
         return ()
 
 
+def _probe_increasing(curve: Callable[[float], float], label: str, excluded: float) -> None:
+    """Probe on a coarse grid over [0, 1] that ``curve`` increases and avoids ``excluded``."""
+    vals = [float(curve(k / 32)) for k in range(33)]
+    for v in vals:
+        if math.isnan(v):
+            raise ValueError(f"{label} evaluated to NaN")
+        if v == excluded:
+            raise ValueError(f"{label} must not take {excluded:+}")
+    if any(vals[i] > vals[i + 1] for i in range(32)):
+        raise ValueError(f"{label} is not increasing")
+
+
 @dataclass(frozen=True)
 class VarKernel(PsiKernel):
     """psi(x, p) = x while p stays below the fixed level alpha, else -inf.
@@ -52,8 +70,7 @@ class VarKernel(PsiKernel):
     alpha: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"level must lie strictly in (0, 1), got {self.alpha}")
+        check_level(self.alpha)
 
     def eval(self, x: float, p: float) -> float:
         return x if p < self.alpha else -INF
@@ -78,16 +95,8 @@ class BenchmarkLossKernel(PsiKernel):
     h: Callable[[float], float]
 
     def __post_init__(self):
-        if self.h(1.0) != INF:
-            raise ValueError("benchmark curve must be +inf at 1")
-        vals = [float(self.h(k / 32)) for k in range(33)]
-        for v in vals:
-            if math.isnan(v):
-                raise ValueError("benchmark curve evaluated to NaN")
-            if v == -INF:
-                raise ValueError("benchmark curve must not take -inf")
-        if any(vals[i] > vals[i + 1] for i in range(32)):
-            raise ValueError("benchmark curve is not increasing")
+        check_benchmark_curve(self.h)
+        _probe_increasing(self.h, "benchmark curve", -INF)
 
     def eval(self, x: float, p: float) -> float:
         hp = self.h(p)
@@ -113,12 +122,7 @@ class LambdaKernel(PsiKernel):
     lam: MonotoneStep
 
     def __post_init__(self):
-        if self.lam.direction != DEC:
-            raise ValueError("level curve must be decreasing")
-        if self.lam.at_one is not None:
-            raise ValueError("level curve takes real arguments, at_one does not apply")
-        if any(not 0.0 <= v <= 1.0 for v in self.lam.values):
-            raise ValueError("level curve values must lie in [0, 1]")
+        check_level_curve(self.lam)
 
     def eval(self, x: float, p: float) -> float:
         return x if p < self.lam(x) else -INF
@@ -148,10 +152,7 @@ class PinnedKernel(PsiKernel):
     g: MonotoneStep
 
     def __post_init__(self):
-        if not math.isfinite(self.x0):
-            raise ValueError(f"pin location must be finite, got {self.x0}")
-        if self.g.direction != DEC:
-            raise ValueError("pinned value curve must be decreasing")
+        check_pinned(self.x0, self.g)
 
     def eval(self, x: float, p: float) -> float:
         return self.g(p) if x == self.x0 else -INF
@@ -166,22 +167,19 @@ class PinnedKernel(PsiKernel):
         return self.g.breakpoints
 
 
-@dataclass(frozen=True)
-class GridKernel(PsiKernel):
-    """Tabulated kernel on an x-grid times p-grid.
+class _Tabulated:
+    """Float coercion, validation and p lookup shared by the grid kernels.
 
-    Lookups floor x to the grid (-inf to the left of it) and take the
-    nearest p node, ties resolved downward.  Each row must be decreasing
-    along p and the p = 1 column identically -inf; both are checked at
-    construction, matching what the constructive engine produces.
+    Subclasses are frozen dataclasses with ``x_grid``, ``p_grid`` and
+    ``table`` fields.
     """
 
-    x_grid: tuple[float, ...]
-    p_grid: tuple[float, ...]
-    table: tuple[tuple[float, ...], ...]
-    _runmax: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    def _check_grid(self, edge: int, edge_value: float) -> None:
+        """Coerce the fields to floats and validate them.
 
-    def __post_init__(self):
+        Rows must decrease along p and the p column at index ``edge``
+        must be identically ``edge_value``.
+        """
         xg = tuple(float(v) for v in self.x_grid)
         pg = tuple(float(v) for v in self.p_grid)
         tab = tuple(tuple(float(v) for v in row) for row in self.table)
@@ -201,14 +199,8 @@ class GridKernel(PsiKernel):
                 raise ValueError("table must not contain NaN")
             if any(row[j] < row[j + 1] for j in range(len(row) - 1)):
                 raise ValueError("table rows must be decreasing along p")
-            if row[-1] != -INF:
-                raise ValueError("table column at p = 1 must be -inf")
-        run = []
-        best = [-INF] * len(pg)
-        for row in tab:
-            best = [b if b >= v else v for b, v in zip(best, row)]
-            run.append(tuple(best))
-        object.__setattr__(self, "_runmax", tuple(run))
+            if row[edge] != edge_value:
+                raise ValueError(f"table column at p = {pg[edge]:g} must be {edge_value:+}")
 
     def nearest_p_index(self, p: float) -> int:
         j = bisect_left(self.p_grid, p)
@@ -218,6 +210,31 @@ class GridKernel(PsiKernel):
             return j - 1
         # exact midpoints go to the lower node
         return j if self.p_grid[j] - p < p - self.p_grid[j - 1] else j - 1
+
+
+@dataclass(frozen=True)
+class GridKernel(_Tabulated, PsiKernel):
+    """Tabulated kernel on an x-grid times p-grid.
+
+    Lookups floor x to the grid (-inf to the left of it) and take the
+    nearest p node, ties resolved downward.  Each row must be decreasing
+    along p and the p = 1 column identically -inf; both are checked at
+    construction, matching what the constructive engine produces.
+    """
+
+    x_grid: tuple[float, ...]
+    p_grid: tuple[float, ...]
+    table: tuple[tuple[float, ...], ...]
+    _runmax: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._check_grid(-1, -INF)
+        run = []
+        best = [-INF] * len(self.p_grid)
+        for row in self.table:
+            best = [b if b >= v else v for b, v in zip(best, row)]
+            run.append(tuple(best))
+        object.__setattr__(self, "_runmax", tuple(run))
 
     def eval(self, x: float, p: float) -> float:
         i = bisect_right(self.x_grid, x) - 1
@@ -358,14 +375,7 @@ class DualBenchmarkKernel(PhiKernel):
     def __post_init__(self):
         if self.g(0.0) != -INF:
             raise ValueError("dual benchmark curve must be -inf at 0")
-        vals = [float(self.g(k / 32)) for k in range(33)]
-        for v in vals:
-            if math.isnan(v):
-                raise ValueError("dual benchmark curve evaluated to NaN")
-            if v == INF:
-                raise ValueError("dual benchmark curve must not take +inf")
-        if any(vals[i] > vals[i + 1] for i in range(32)):
-            raise ValueError("dual benchmark curve is not increasing")
+        _probe_increasing(self.g, "dual benchmark curve", INF)
 
     def eval(self, x: float, p: float) -> float:
         gp = self.g(p)
@@ -385,12 +395,7 @@ class DualLambdaKernel(PhiKernel):
     lam: MonotoneStep
 
     def __post_init__(self):
-        if self.lam.direction != DEC:
-            raise ValueError("level curve must be decreasing")
-        if self.lam.at_one is not None:
-            raise ValueError("level curve takes real arguments, at_one does not apply")
-        if any(not 0.0 < v <= 1.0 for v in self.lam.values):
-            raise ValueError("level curve values must lie in (0, 1]")
+        check_level_curve(self.lam, positive=True)
 
     def eval(self, x: float, p: float) -> float:
         return x if p >= self.lam(x) else INF
@@ -411,10 +416,7 @@ class DualPinnedKernel(PhiKernel):
     g: MonotoneStep
 
     def __post_init__(self):
-        if not math.isfinite(self.x0):
-            raise ValueError(f"pin location must be finite, got {self.x0}")
-        if self.g.direction != DEC:
-            raise ValueError("pinned value curve must be decreasing")
+        check_pinned(self.x0, self.g)
         if self.g(0.0) != INF:
             raise ValueError("pinned value curve must be +inf at 0")
 
@@ -429,7 +431,7 @@ class DualPinnedKernel(PhiKernel):
 
 
 @dataclass(frozen=True)
-class DualGridKernel(PhiKernel):
+class DualGridKernel(_Tabulated, PhiKernel):
     """Tabulated inf-form kernel.
 
     Mirror of GridKernel: lookups ceil x to the grid (+inf to the right
@@ -443,41 +445,13 @@ class DualGridKernel(PhiKernel):
     _runmin: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        xg = tuple(float(v) for v in self.x_grid)
-        pg = tuple(float(v) for v in self.p_grid)
-        tab = tuple(tuple(float(v) for v in row) for row in self.table)
-        object.__setattr__(self, "x_grid", xg)
-        object.__setattr__(self, "p_grid", pg)
-        object.__setattr__(self, "table", tab)
-        if not xg or any(xg[i] >= xg[i + 1] for i in range(len(xg) - 1)):
-            raise ValueError("x-grid must be non-empty and strictly increasing")
-        if len(pg) < 2 or pg[0] != 0.0 or pg[-1] != 1.0:
-            raise ValueError("p-grid must start at 0.0 and end at 1.0")
-        if any(pg[i] >= pg[i + 1] for i in range(len(pg) - 1)):
-            raise ValueError("p-grid must be strictly increasing")
-        if len(tab) != len(xg) or any(len(row) != len(pg) for row in tab):
-            raise ValueError("table shape must be len(x_grid) by len(p_grid)")
-        for row in tab:
-            if any(math.isnan(v) for v in row):
-                raise ValueError("table must not contain NaN")
-            if any(row[j] < row[j + 1] for j in range(len(row) - 1)):
-                raise ValueError("table rows must be decreasing along p")
-            if row[0] != INF:
-                raise ValueError("table column at p = 0 must be +inf")
+        self._check_grid(0, INF)
         run: list[tuple[float, ...]] = []
-        best = [INF] * len(pg)
-        for row in reversed(tab):
+        best = [INF] * len(self.p_grid)
+        for row in reversed(self.table):
             best = [b if b <= v else v for b, v in zip(best, row)]
             run.append(tuple(best))
         object.__setattr__(self, "_runmin", tuple(reversed(run)))
-
-    def nearest_p_index(self, p: float) -> int:
-        j = bisect_left(self.p_grid, p)
-        if j == 0:
-            return 0
-        if j == len(self.p_grid):
-            return j - 1
-        return j if self.p_grid[j] - p < p - self.p_grid[j - 1] else j - 1
 
     def eval(self, x: float, p: float) -> float:
         i = bisect_left(self.x_grid, x)

@@ -6,16 +6,28 @@ measures (var, benchmark_loss_var, lambda_quantile) are the ones stable
 under the dominance lattice; expected_shortfall is included as the
 standard functional that is consistent with the dominance order but not
 max- or min-stable, which the axiom harness demonstrates by witness.
+
+Each family is declared once, in ``FAMILIES``: its file kind, measure
+name, ordered parameters, closed form, parameter check and psi-kernel
+class.  The ``*_measure`` factories and the JSON formats in jsonio read
+that table and nothing else.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .dist import DiscreteDist
-from .steps import DEC, MonotoneStep
+from .kernels import BenchmarkLossKernel, LambdaKernel, PinnedKernel, VarKernel
+from .steps import (
+    MonotoneStep,
+    check_benchmark_curve,
+    check_level,
+    check_level_curve,
+    check_pinned,
+)
 
 INF = math.inf
 
@@ -26,11 +38,12 @@ class RiskMeasure:
 
     ``fn`` maps a DiscreteDist to an extended real and must be pure;
     ``params`` carries the defining parameters as ordered pairs so that
-    measures remain immutable, printable values.
+    measures remain immutable, printable values.  Equality goes by name
+    and params alone: for a family measure they determine ``fn``.
     """
 
     name: str
-    fn: Callable[[DiscreteDist], float]
+    fn: Callable[[DiscreteDist], float] = field(compare=False)
     params: tuple[tuple[str, object], ...] = ()
 
     def __call__(self, F: DiscreteDist) -> float:
@@ -41,24 +54,12 @@ class RiskMeasure:
         return f"RiskMeasure({self.name}, {inner})" if inner else f"RiskMeasure({self.name})"
 
 
-def _check_level_curve(lam: MonotoneStep, positive: bool) -> None:
-    if lam.direction != DEC:
-        raise ValueError("level curve must be decreasing")
-    if lam.at_one is not None:
-        raise ValueError("level curve takes real arguments, at_one does not apply")
-    for v in lam.values:
-        if not 0.0 <= v <= 1.0 or (positive and v <= 0.0):
-            band = "(0, 1]" if positive else "[0, 1]"
-            raise ValueError(f"level curve values must lie in {band}, got {v}")
-
-
 def var(F: DiscreteDist, a: float) -> float:
     """Left quantile of F at level a, a in (0, 1) strictly.
 
     Equals sup{x : F(x) < a} for step CDFs.
     """
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"level must lie strictly in (0, 1), got {a}")
+    check_level(a)
     return F.left_quantile(a)
 
 
@@ -72,8 +73,7 @@ def benchmark_loss_var(F: DiscreteDist, h: Callable[[float], float]) -> float:
     the quantile sits at x_i exactly on the level interval left of P_i
     and h is evaluated at that interval's lower end.
     """
-    if h(1.0) != INF:
-        raise ValueError("benchmark curve must be +inf at 1")
+    check_benchmark_curve(h)
     best = -INF
     prev = 0.0
     for x, lev in zip(F.xs, F.cum):
@@ -93,7 +93,7 @@ def lambda_quantile(F: DiscreteDist, lam: MonotoneStep) -> float:
     a left ray; the scan below finds its endpoint among the merged
     breakpoints.  Returns -inf when the set is empty.
     """
-    _check_level_curve(lam, positive=False)
+    check_level_curve(lam)
     bs = sorted(set(F.xs).union(lam.breakpoints))
     best = bs[0] if lam.values[0] > 0.0 else -INF
     for i, b in enumerate(bs):
@@ -112,7 +112,7 @@ def lambda_quantile_dual(F: DiscreteDist, lam: MonotoneStep) -> tuple[float, flo
     piecewise: on an interval where the curve is constant the inner
     expression is monotone in x, so only interval endpoints matter.
     """
-    _check_level_curve(lam, positive=True)
+    check_level_curve(lam, positive=True)
     qs = [F.left_quantile(v) for v in lam.values]
     ends = list(lam.breakpoints) + [INF]
     lefts = [-INF] + list(lam.breakpoints)
@@ -123,8 +123,7 @@ def lambda_quantile_dual(F: DiscreteDist, lam: MonotoneStep) -> tuple[float, flo
 
 def expected_shortfall(F: DiscreteDist, a: float) -> float:
     """Average of the left quantile over levels above a, a in (0, 1)."""
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"level must lie strictly in (0, 1), got {a}")
+    check_level(a)
     terms = []
     lo = 0.0
     for x, hi in zip(F.xs, F.cum):
@@ -132,6 +131,12 @@ def expected_shortfall(F: DiscreteDist, a: float) -> float:
             terms.append(x * (hi - max(lo, a)))
         lo = hi
     return math.fsum(terms) / (1.0 - a)
+
+
+def pinned_value(F: DiscreteDist, x0: float, g: MonotoneStep) -> float:
+    """g(F(x0)): constant on point masses away from x0, hence degenerate."""
+    check_pinned(x0, g)
+    return g(F.cdf(x0))
 
 
 def transform_measure(rho: RiskMeasure, f: Callable[[float], float]) -> RiskMeasure:
@@ -157,7 +162,7 @@ def transform_measure(rho: RiskMeasure, f: Callable[[float], float]) -> RiskMeas
     return RiskMeasure(
         name=f"transformed({rho.name})",
         fn=evaluate,
-        params=rho.params + (("transformed", True),),
+        params=rho.params + (("transformed", f),),
     )
 
 
@@ -172,36 +177,74 @@ def affine_benchmark(slope: float, intercept: float = 0.0) -> Callable[[float], 
     return h
 
 
-# -- measure values for the harness, engine and CLI ----------------------
+# -- the measure families ------------------------------------------------
+
+NUMBER = "number"
+STEP = "step"
+
+
+@dataclass(frozen=True)
+class Family:
+    """One measure family, declared once.
+
+    ``kind`` is the JSON kind, ``name`` the RiskMeasure name.  ``params``
+    lists (JSON key, NUMBER or STEP) in the order that ``closed_form``
+    (after the distribution), ``check`` and ``kernel`` take them.
+    ``kernel`` is the psi-kernel class, None for a family without one.
+    """
+
+    kind: str
+    name: str
+    params: tuple[tuple[str, str], ...]
+    closed_form: Callable[..., float]
+    check: Callable[..., None]
+    kernel: type | None
+
+    def measure(self, *values: object) -> RiskMeasure:
+        """The family's measure at ``values``, checked once here."""
+        self.check(*values)
+        closed = self.closed_form
+        keys = [key for key, _ in self.params]
+        if len(values) == 1:
+            # binding the lone parameter directly keeps a tuple unpack
+            # off every evaluation; construct_psi makes about a million
+            (v,) = values
+            return RiskMeasure(self.name, lambda F: closed(F, v), ((keys[0], v),))
+        return RiskMeasure(self.name, lambda F: closed(F, *values), tuple(zip(keys, values)))
+
+
+FAMILIES = {
+    f.kind: f
+    for f in (
+        Family("var", "var", (("alpha", NUMBER),), var, check_level, VarKernel),
+        Family("benchmark_loss", "benchmark_loss_var", (("h", STEP),), benchmark_loss_var,
+               check_benchmark_curve, BenchmarkLossKernel),
+        Family("lambda", "lambda_quantile", (("Lambda", STEP),), lambda_quantile,
+               check_level_curve, LambdaKernel),
+        Family("pinned", "pinned", (("x0", NUMBER), ("g", STEP)), pinned_value, check_pinned,
+               PinnedKernel),
+        Family("expected_shortfall", "expected_shortfall", (("alpha", NUMBER),),
+               expected_shortfall, check_level, None),
+    )
+}
 
 
 def var_measure(a: float) -> RiskMeasure:
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"level must lie strictly in (0, 1), got {a}")
-    return RiskMeasure("var", lambda F, _a=a: var(F, _a), (("alpha", a),))
+    return FAMILIES["var"].measure(a)
 
 
 def benchmark_loss_measure(h: Callable[[float], float]) -> RiskMeasure:
-    if h(1.0) != INF:
-        raise ValueError("benchmark curve must be +inf at 1")
-    return RiskMeasure("benchmark_loss_var", lambda F, _h=h: benchmark_loss_var(F, _h), (("h", h),))
+    return FAMILIES["benchmark_loss"].measure(h)
 
 
 def lambda_quantile_measure(lam: MonotoneStep) -> RiskMeasure:
-    _check_level_curve(lam, positive=False)
-    return RiskMeasure("lambda_quantile", lambda F, _l=lam: lambda_quantile(F, _l), (("level_curve", lam),))
+    return FAMILIES["lambda"].measure(lam)
 
 
 def expected_shortfall_measure(a: float) -> RiskMeasure:
-    if not 0.0 < a < 1.0:
-        raise ValueError(f"level must lie strictly in (0, 1), got {a}")
-    return RiskMeasure("expected_shortfall", lambda F, _a=a: expected_shortfall(F, _a), (("alpha", a),))
+    return FAMILIES["expected_shortfall"].measure(a)
 
 
 def pinned_measure(x0: float, g: MonotoneStep) -> RiskMeasure:
     """g(F(x0)): constant on point masses away from x0, hence degenerate."""
-    if not math.isfinite(x0):
-        raise ValueError(f"pin location must be finite, got {x0}")
-    if g.direction != DEC:
-        raise ValueError("pinned value curve must be decreasing")
-    return RiskMeasure("pinned", lambda F, _x=x0, _g=g: _g(F.cdf(_x)), (("x0", x0), ("g", g)))
+    return FAMILIES["pinned"].measure(x0, g)

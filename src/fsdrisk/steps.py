@@ -7,6 +7,9 @@ way, as a finite list of jump points plus one value per piece, with the
 value at a jump taken from the piece starting there (right-continuous).
 For an increasing step that stored value is also the upper one-sided limit
 at the jump, which is the evaluation convention the supremum formulas need.
+
+The parameter checks at the bottom are the only copies: closed forms,
+measure families and kernels all validate through them.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Callable
 
 INC = "inc"
 DEC = "dec"
@@ -95,3 +99,35 @@ class MonotoneStep:
         if above == len(self.values):
             return math.inf
         return self.breakpoints[above - 1]
+
+
+# -- parameter checks shared by closed forms, measure families and kernels --
+
+
+def check_level(a: float) -> None:
+    if not 0.0 < a < 1.0:
+        raise ValueError(f"level must lie strictly in (0, 1), got {a}")
+
+
+def check_benchmark_curve(h: Callable[[float], float]) -> None:
+    if h(1.0) != math.inf:
+        raise ValueError("benchmark curve must be +inf at 1")
+
+
+def check_level_curve(lam: MonotoneStep, positive: bool = False) -> None:
+    """A decreasing level curve into [0, 1], or into (0, 1] when ``positive``."""
+    if lam.direction != DEC:
+        raise ValueError("level curve must be decreasing")
+    if lam.at_one is not None:
+        raise ValueError("level curve takes real arguments, at_one does not apply")
+    for v in lam.values:
+        if not 0.0 <= v <= 1.0 or (positive and v <= 0.0):
+            band = "(0, 1]" if positive else "[0, 1]"
+            raise ValueError(f"level curve values must lie in {band}, got {v}")
+
+
+def check_pinned(x0: float, g: MonotoneStep) -> None:
+    if not math.isfinite(x0):
+        raise ValueError(f"pin location must be finite, got {x0}")
+    if g.direction != DEC:
+        raise ValueError("pinned value curve must be decreasing")

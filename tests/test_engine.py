@@ -71,6 +71,21 @@ class TestHThreshold:
             for j in range(len(ps) - 1):
                 assert hs[(x, ps[j])] <= hs[(x, ps[j + 1])] + 1e-9
 
+    def test_ends_where_float_spacing_exceeds_tol(self):
+        # adjacent floats near 1e8 lie 1.5e-8 apart, farther than tol, so
+        # only the collapse of the midpoint onto an endpoint can stop it
+        var03 = var_measure(0.3).fn
+        calls = 0
+
+        def rho(F):
+            nonlocal calls
+            calls += 1
+            if calls > 66:
+                raise AssertionError("bisection did not stop within 64 steps")
+            return var03(F)
+
+        assert h_threshold(rho, 1e8, 0.2, 3e8, 1e-9) == math.nextafter(1e8, INF)
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             h_threshold(VAR05, 0.0, 0.3, 0.0, 1e-9)
@@ -101,6 +116,7 @@ class TestPsiGrid:
         k = grid.as_kernel()
         assert k.table == grid.table
         assert k.eval(0.5, 0.0) == 0.0
+        assert grid.as_kernel() is k
 
 
 def quantile_table_value(x, p, lam):

@@ -32,11 +32,20 @@ from fsdrisk.jsonio import (
     superlevel_rows,
     write_superlevel_csv,
 )
-from fsdrisk.kernels import GridKernel, LambdaKernel, VarKernel
-from fsdrisk.measures import expected_shortfall_measure, var_measure
+from fsdrisk.kernels import GridKernel, VarKernel
+from fsdrisk.measures import FAMILIES, expected_shortfall_measure, var_measure
 from fsdrisk.steps import DEC, MonotoneStep
 
 INF = math.inf
+
+# parameters for every entry of the family table, in its order
+FAMILY_PARAMS = {
+    "var": (0.3,),
+    "benchmark_loss": (MonotoneStep((0.25, 0.5), (-1.0, 0.0, 2.0), at_one=INF),),
+    "lambda": (MonotoneStep((1.0,), (0.8, 0.4), direction=DEC),),
+    "pinned": (0.5, MonotoneStep((0.5,), (3.0, -1.0), direction=DEC)),
+    "expected_shortfall": (0.5,),
+}
 
 
 def atoms(*pairs):
@@ -136,12 +145,17 @@ class TestStepAndKernelFormat:
         assert e.value.code == "BAD_SCHEMA"
 
     def test_named_kernel_round_trips(self):
-        ks = [
-            VarKernel(0.3),
-            LambdaKernel(MonotoneStep((1.0,), (0.8, 0.4), direction=DEC)),
-        ]
-        for k in ks:
-            assert parse_kernel_obj(kernel_to_obj(k)) == k
+        assert FAMILY_PARAMS.keys() == FAMILIES.keys()
+        for kind, family in FAMILIES.items():
+            obj = measure_to_obj(family.measure(*FAMILY_PARAMS[kind]))
+            if family.kernel is None:
+                with pytest.raises(InputError) as e:
+                    parse_kernel_obj(obj)
+                assert e.value.code == "BAD_SCHEMA"
+                continue
+            k = family.kernel(*FAMILY_PARAMS[kind])
+            assert kernel_to_obj(k) == obj
+            assert parse_kernel_obj(obj) == k
 
     def test_bare_grid_object_is_a_grid_kernel(self):
         k = GridKernel((0.0, 1.0), (0.0, 1.0), ((0.0, -INF), (1.0, -INF)))
@@ -159,21 +173,16 @@ class TestStepAndKernelFormat:
 
 class TestMeasureFormat:
     def test_round_trips(self):
-        objs = [
-            {"kind": "var", "alpha": 0.3},
-            {
-                "kind": "lambda",
-                "Lambda": {
-                    "breakpoints": [1.0],
-                    "values": [0.8, 0.4],
-                    "direction": "dec",
-                },
-            },
-            {"kind": "expected_shortfall", "alpha": 0.5},
-        ]
-        for obj in objs:
-            m = parse_measure_obj(obj)
-            assert parse_measure_obj(measure_to_obj(m)).name == m.name
+        assert FAMILY_PARAMS.keys() == FAMILIES.keys()
+        F = atoms((-1.0, 0.2), (0.5, 0.3), (2.0, 0.5))
+        for kind, family in FAMILIES.items():
+            m = family.measure(*FAMILY_PARAMS[kind])
+            obj = measure_to_obj(m)
+            assert obj["kind"] == kind
+            back = parse_measure_obj(obj)
+            assert back == m
+            assert back(F) == m(F)
+            assert measure_to_obj(back) == obj
 
     def test_benchmark_needs_divergence(self):
         obj = {"kind": "benchmark_loss", "h": {"breakpoints": [], "values": [0.0]}}
