@@ -129,14 +129,6 @@ class DiscreteDist:
     def atoms(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self.xs, self.ps))
 
-    @property
-    def support_min(self) -> float:
-        return self.xs[0]
-
-    @property
-    def support_max(self) -> float:
-        return self.xs[-1]
-
     def cdf(self, x: float) -> float:
         """P(X <= x), the right-continuous step value."""
         i = bisect_right(self.xs, x)
@@ -303,7 +295,9 @@ def discretize_from_above(f: ContinuousCDF, n: int) -> DiscreteDist:
 
     Mirror of :func:`discretize`: each cell carries the CDF value at its
     left end and the remaining mass lands on the right support endpoint,
-    so the result dominates ``f``.  Used by the upper-semicontinuity probe.
+    so the result dominates ``f``; with :func:`discretize` it brackets
+    ``f`` in the dominance order.  The semicontinuity probe approaches
+    from below and uses only :func:`discretize`.
     """
     if n < 1:
         raise ValueError(f"need at least one cell, got n={n}")

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .dist import DiscreteDist, point_mass, two_point
+from .harness import ext_gap
 from .kernels import GridKernel
 
 INF = math.inf
@@ -77,32 +78,22 @@ def h_threshold(
 
 
 @dataclass(frozen=True)
-class PsiGrid:
-    """Kernel values tabulated on an x-grid times p-grid.
+class PsiGrid(GridKernel):
+    """The kernel table that ``construct_psi`` builds, with its search settings.
 
     ``y_max`` and ``tol`` record how the thresholds behind the table
-    were searched.  Rows must decrease along p, the p = 1 column must be
-    identically -inf, and the p = 0 row must be strictly increasing (it
-    holds the measure's point-mass values, so a tie there means the
-    measure cannot tell two grid points apart and the construction is
-    meaningless).  The table is validated by building the GridKernel
-    that ``as_kernel`` returns.
+    were searched.  On top of the GridKernel checks, the p = 0 row must
+    be strictly increasing: it holds the measure's point-mass values, so
+    a tie there means the measure cannot tell two grid points apart and
+    the construction is meaningless.
     """
 
-    x_grid: tuple[float, ...]
-    p_grid: tuple[float, ...]
-    table: tuple[tuple[float, ...], ...]
     y_max: float
     tol: float
-    _kernel: GridKernel = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kern = GridKernel(self.x_grid, self.p_grid, self.table)
-        object.__setattr__(self, "_kernel", kern)
-        object.__setattr__(self, "x_grid", kern.x_grid)
-        object.__setattr__(self, "p_grid", kern.p_grid)
-        object.__setattr__(self, "table", kern.table)
-        col0 = [row[0] for row in kern.table]
+        super().__post_init__()
+        col0 = [row[0] for row in self.table]
         if any(col0[i] >= col0[i + 1] for i in range(len(col0) - 1)):
             raise ValueError(
                 "value row at p = 0 must be strictly increasing; "
@@ -114,8 +105,8 @@ class PsiGrid:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
 
     def as_kernel(self) -> GridKernel:
-        """The table as a kernel, built once at construction."""
-        return self._kernel
+        """The grid itself: it is a GridKernel."""
+        return self
 
 
 def construct_psi(
@@ -154,6 +145,8 @@ def construct_psi(
     y_max = float(y_max)
     if not y_max > xg[-1]:
         raise ValueError(f"search bound must exceed the grid, got y_max={y_max}")
+    if stability_trials < 0:
+        raise ValueError(f"stability trials must be non-negative, got {stability_trials}")
 
     if stability_trials > 0:
         cfg = SamplerConfig(
@@ -212,7 +205,6 @@ def verify_representation(
     on an x node, every CDF level within one p spacing of a p node;
     off-grid atoms are rejected by name rather than silently snapped.
     """
-    kern = psi.as_kernel()
     on_grid = set(psi.x_grid)
     spacing = max(psi.p_grid[j + 1] - psi.p_grid[j] for j in range(len(psi.p_grid) - 1))
     for idx, F in enumerate(dists):
@@ -220,7 +212,7 @@ def verify_representation(
             if x not in on_grid:
                 raise ValueError(f"distribution {idx} has an atom at {x!r} off the x-grid")
         for c in F.cum:
-            if abs(c - psi.p_grid[kern.nearest_p_index(c)]) > spacing:
+            if abs(c - psi.p_grid[psi.nearest_p_index(c)]) > spacing:
                 raise ValueError(
                     f"distribution {idx} has CDF level {c!r} farther than one spacing from the p-grid"
                 )
@@ -234,13 +226,13 @@ def verify_representation(
             # the left-limit term mirrors the exact evaluator: without
             # it the sup misses nodes where an atom jumps the CDF past
             # the kernel's live range and lands one x cell low
-            v = psi.table[i][kern.nearest_p_index(F.cdf(x))]
-            w = psi.table[i][kern.nearest_p_index(F.cdf_left_limit(x))]
+            v = psi.table[i][psi.nearest_p_index(F.cdf(x))]
+            w = psi.table[i][psi.nearest_p_index(F.cdf_left_limit(x))]
             if w > v:
                 v = w
             if v > recovered:
                 recovered = v
-        err = 0.0 if direct == recovered else abs(direct - recovered)
+        err = ext_gap(direct, recovered)
         if err > max_error:
             max_error = err
             worst = idx
@@ -272,14 +264,6 @@ class RecoveredLambda:
     probe_count: int
     cross_errors: tuple[float, ...]
     cross_max_error: float
-
-
-def _ext_equal(a: float, b: float, tol: float) -> bool:
-    if a == b:
-        return True
-    if math.isinf(a) or math.isinf(b):
-        return False
-    return abs(a - b) <= tol
 
 
 def _default_probes(
@@ -337,7 +321,7 @@ def recover_lambda(
         ref = psi.table[i][0]
         best = psi.p_grid[0]
         for j in range(len(psi.p_grid)):
-            if _ext_equal(psi.table[i][j], ref, tol):
+            if ext_gap(psi.table[i][j], ref) <= tol:
                 best = psi.p_grid[j]
         lam_hat.append(best)
     lam_hat = tuple(lam_hat)
@@ -358,7 +342,7 @@ def recover_lambda(
             # the CDF over the curve; points just below remain under it
             if F.cdf_left_limit(x) < lam_val and f_val > rebuilt:
                 rebuilt = f_val
-        errors.append(0.0 if direct == rebuilt else abs(direct - rebuilt))
+        errors.append(ext_gap(direct, rebuilt))
     return RecoveredLambda(
         x_grid=psi.x_grid,
         lam_hat=lam_hat,

@@ -76,6 +76,12 @@ def ext_gap(a: float, b: float) -> float:
     return abs(a - b)
 
 
+def _check_tol(tol: float) -> None:
+    # a NaN or infinite tolerance would pass every trial, a negative one fail every trial
+    if not 0.0 <= tol < INF:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
+
+
 @dataclass(frozen=True)
 class PairWitness:
     """A two-distribution counterexample with both side evaluations."""
@@ -145,6 +151,7 @@ def _check_pairs(
     The witness is the worst violating pair, or with ``stop_at_first``
     the first one, at which sampling stops.
     """
+    _check_tol(tol)
     violations = 0
     worst_gap = 0.0
     witness = None
@@ -188,6 +195,7 @@ def check_nondegeneracy(
     grid must gain more than tol.  The reported gap of a violation is
     the shortfall below that margin.
     """
+    _check_tol(tol)
     xs = [float(x) for x in grid]
     if len(xs) < 2 or any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
         raise ValueError("grid must be strictly increasing with at least two points")
@@ -220,6 +228,7 @@ def check_fsd_consistency(
     trials move a slice of mass from a lower atom onto a higher one;
     both constructions dominate the original by direct CDF comparison.
     """
+    _check_tol(tol)
     violations = 0
     worst = 0.0
     witness = None
@@ -276,6 +285,7 @@ def check_semicontinuity_probe(
     reference is the supplied limit, or the measure at a 4 * n_max
     discretization when none is given.
     """
+    _check_tol(tol)
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
     ref = rho(discretize(F, 4 * n_max)) if rho_limit is None else float(rho_limit)

@@ -28,7 +28,7 @@ import math
 from dataclasses import fields
 from math import fsum
 from pathlib import Path
-from typing import Any, TextIO, Union
+from typing import Any, TextIO, Union, get_type_hints
 
 from .dist import MASS_TOL, ContinuousCDF, DiscreteDist
 from .engine import PsiGrid
@@ -224,7 +224,7 @@ def _parse_family_obj(obj: Any, what: str) -> Any:
         raise InputError("BAD_SCHEMA", f"{what} {kind!r}: {exc}") from None
 
 
-def _grid_to_obj(grid: GridKernel | PsiGrid) -> dict:
+def _grid_to_obj(grid: GridKernel) -> dict:
     return {
         "x_grid": [dump_num(v) for v in grid.x_grid],
         "p_grid": [dump_num(v) for v in grid.p_grid],
@@ -298,36 +298,22 @@ def parse_psi_grid_obj(obj: Any) -> PsiGrid:
 # -- reports --------------------------------------------------------------
 
 
+_WITNESS_TYPES = {PairWitness: "pair", PointWitness: "point", ProbeWitness: "probe"}
+_DUMP_BY_TYPE = {float: dump_num, DiscreteDist: distribution_to_obj}
+
+
 def witness_to_obj(w: Witness) -> dict:
-    if isinstance(w, PairWitness):
-        return {
-            "type": "pair",
-            "trial": w.trial,
-            "f": distribution_to_obj(w.f),
-            "g": distribution_to_obj(w.g),
-            "lhs": dump_num(w.lhs),
-            "rhs": dump_num(w.rhs),
-            "gap": dump_num(w.gap),
-        }
-    if isinstance(w, PointWitness):
-        return {
-            "type": "point",
-            "x": dump_num(w.x),
-            "y": dump_num(w.y),
-            "value_x": dump_num(w.value_x),
-            "value_y": dump_num(w.value_y),
-            "gap": dump_num(w.gap),
-        }
-    if isinstance(w, ProbeWitness):
-        return {
-            "type": "probe",
-            "n": w.n,
-            "value": dump_num(w.value),
-            "reference": dump_num(w.reference),
-            "gap": dump_num(w.gap),
-            "reason": w.reason,
-        }
-    raise ValueError(f"no JSON form for witness type {type(w).__name__}")
+    """The witness's type tag plus its fields, each dumped by its declared type."""
+    tag = _WITNESS_TYPES.get(type(w))
+    if tag is None:
+        raise ValueError(f"no JSON form for witness type {type(w).__name__}")
+    hints = get_type_hints(type(w))
+    obj: dict[str, Any] = {"type": tag}
+    for f in fields(w):
+        value = getattr(w, f.name)
+        dump = _DUMP_BY_TYPE.get(hints[f.name])
+        obj[f.name] = value if dump is None else dump(value)
+    return obj
 
 
 def report_to_obj(report: StabilityReport) -> dict:

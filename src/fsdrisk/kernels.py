@@ -44,9 +44,6 @@ class PsiKernel(ABC):
     def x_breakpoints(self) -> tuple[float, ...]:
         return ()
 
-    def p_breakpoints(self) -> tuple[float, ...]:
-        return ()
-
 
 def _probe_increasing(curve: Callable[[float], float], label: str, excluded: float) -> None:
     """Probe on a coarse grid over [0, 1] that ``curve`` increases and avoids ``excluded``."""
@@ -79,9 +76,6 @@ class VarKernel(PsiKernel):
         # the sup over the open ray below x still reaches x
         return x if p < self.alpha else -INF
 
-    def p_breakpoints(self) -> tuple[float, ...]:
-        return (self.alpha,)
-
 
 @dataclass(frozen=True)
 class BenchmarkLossKernel(PsiKernel):
@@ -104,11 +98,6 @@ class BenchmarkLossKernel(PsiKernel):
 
     def left_sup(self, x: float, p: float) -> float:
         return self.eval(x, p)
-
-    def p_breakpoints(self) -> tuple[float, ...]:
-        if isinstance(self.h, MonotoneStep):
-            return self.h.breakpoints
-        return ()
 
 
 @dataclass(frozen=True)
@@ -135,9 +124,6 @@ class LambdaKernel(PsiKernel):
     def x_breakpoints(self) -> tuple[float, ...]:
         return self.lam.breakpoints
 
-    def p_breakpoints(self) -> tuple[float, ...]:
-        return tuple(sorted(set(self.lam.values)))
-
 
 @dataclass(frozen=True)
 class PinnedKernel(PsiKernel):
@@ -162,9 +148,6 @@ class PinnedKernel(PsiKernel):
 
     def x_breakpoints(self) -> tuple[float, ...]:
         return (self.x0,)
-
-    def p_breakpoints(self) -> tuple[float, ...]:
-        return self.g.breakpoints
 
 
 class _Tabulated:
@@ -251,9 +234,6 @@ class GridKernel(_Tabulated, PsiKernel):
     def x_breakpoints(self) -> tuple[float, ...]:
         return self.x_grid
 
-    def p_breakpoints(self) -> tuple[float, ...]:
-        return self.p_grid
-
 
 @dataclass(frozen=True)
 class RegularizedKernel(PsiKernel):
@@ -275,9 +255,6 @@ class RegularizedKernel(PsiKernel):
 
     def x_breakpoints(self) -> tuple[float, ...]:
         return self.base.x_breakpoints()
-
-    def p_breakpoints(self) -> tuple[float, ...]:
-        return self.base.p_breakpoints()
 
 
 def regularize_psi(psi: PsiKernel) -> PsiKernel:

@@ -1,5 +1,6 @@
 """End-to-end runs of the console entry point via main(argv)."""
 
+import hashlib
 import json
 
 import pytest
@@ -92,6 +93,12 @@ class TestCheck:
         assert code == 0
         assert "axiom: ls" in capsys.readouterr().out
 
+    def test_nan_tolerance_is_an_input_error(self, capsys):
+        code = main(["check", "--measure", VAR03, "--axiom", "maxs", "--trials", "10",
+                     "--tol", "nan"])
+        assert code == 2
+        assert "tolerance must be finite" in capsys.readouterr().err
+
     def test_limit_probe_needs_a_continuous_distribution(self, capsys):
         code = main(["check", "--measure", VAR03, "--axiom", "ls", "--dist", F3])
         assert code == 2
@@ -166,3 +173,61 @@ class TestErrorReporting:
         code = main(["eval", "--measure", VAR03, "--dist", dist])
         assert code == 2
         assert f"error [{code_word}]:" in capsys.readouterr().err
+
+
+LAM3 = (
+    '{"kind": "lambda", "Lambda": {"breakpoints": [-2.0, 2.0],'
+    ' "values": [0.8, 0.5, 0.2], "direction": "dec"}}'
+)
+GRID_ARGS = ["--x-range", "-2", "2", "--x-step", "0.25", "--p-step", "0.05"]
+SHORTFALL = '{"kind": "expected_shortfall", "alpha": 0.5}'
+F2 = '{"atoms": [{"x": -1.5, "p": 0.6}, {"x": 2.5, "p": 0.4}]}'
+
+# argv, exit code, SHA-256 of stdout, SHA-256 of the --out file (None:
+# no --out); "{grid}" stands for a var(0.3) table built on GRID_ARGS
+GOLDEN = {
+    "construct_var": (
+        ["construct-psi", "--measure", VAR03, *GRID_ARGS], 0,
+        "e08c784463591ec61723c053047bca889374c6bb55e30b8f1eeb0fba0e7e5e7f", None),
+    "construct_lam3": (
+        ["construct-psi", "--measure", LAM3, *GRID_ARGS], 0,
+        "dc89cf92269e97c7f01ad44fd65eebf507b2142b810b7220bb1799411708a56f", None),
+    "check_pair_witness": (
+        ["check", "--measure", SHORTFALL, "--axiom", "maxs", "--trials", "200"], 1,
+        "e4a28e898fab25a864cbc2ca75090188d5b58f2c7db78bf24f030a94332aa4bc",
+        "6a8a9d90c287b4da9bd0a9d1d6fb59ebdeccefb2afed01c3ec2bbae8cedf522a"),
+    "check_point_witness": (
+        ["check", "--measure", PINNED, "--axiom", "nd"], 1,
+        "c93af59a6e76c9e44162083611294a5b3a10bdde1714a414291a808d6ac4c756",
+        "236deeaba26327fde204df8f97422d35690e78a9a784d68c86a62aafbe4ddf5b"),
+    "check_probe_witness": (
+        ["check", "--measure", VAR03, "--axiom", "ls", "--trials", "300"], 1,
+        "ad499661224b5886ed9070dc943795e7054b2ec517b62fc7ca3597b75b6d9e5c",
+        "2a92ec78aa6dc22fba1a871532aeaec4f16ca50af0482cd0abb52f90cc9fc3ad"),
+    "superlevel_var_grid": (
+        ["superlevel", "--kernel", "{grid}", "--threshold", "0.0",
+         "--x-range", "-2", "2", "--resolution", "41"], 0,
+        "c7722372cac2d9a11094d8a491a23231eb0cf95e6617a57eeb3cd7847a00a583", None),
+    "eval": (
+        ["eval", "--measure", LAM3, "--dist", F3, "--dist", F2], 0,
+        "b480393bdaeb4d3c3b80e3863a5e83c58fb044ccc99f70c0ba208754d507c1cc",
+        "fa0bef05a7fce3f8a9b494e55f94461f1b48d930b3a1d1e9574163eb6b38056b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_output_bytes(name, tmp_path, capsys):
+    """Command line output is a file format: its bytes must not drift."""
+    argv, want_code, want_out, want_file = GOLDEN[name]
+    if "{grid}" in argv:
+        gpath = tmp_path / "grid.json"
+        assert main(["construct-psi", "--measure", VAR03, *GRID_ARGS, "--out", str(gpath)]) == 0
+        capsys.readouterr()
+        argv = [str(gpath) if a == "{grid}" else a for a in argv]
+    opath = tmp_path / "out.json"
+    if want_file is not None:
+        argv = [*argv, "--out", str(opath)]
+    assert main(argv) == want_code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want_out
+    if want_file is not None:
+        assert hashlib.sha256(opath.read_bytes()).hexdigest() == want_file

@@ -15,6 +15,7 @@ from fsdrisk.engine import (
     two_point_eval,
     verify_representation,
 )
+from fsdrisk.kernels import GridKernel
 from fsdrisk.measures import (
     affine_benchmark,
     benchmark_loss_measure,
@@ -113,10 +114,11 @@ class TestPsiGrid:
 
     def test_as_kernel_round_trips_the_table(self):
         grid = PsiGrid((0.0, 1.0), (0.0, 1.0), ((0.0, -INF), (1.0, -INF)), 3.0, 1e-9)
+        assert isinstance(grid, GridKernel)
         k = grid.as_kernel()
+        assert k is grid
         assert k.table == grid.table
         assert k.eval(0.5, 0.0) == 0.0
-        assert grid.as_kernel() is k
 
 
 def quantile_table_value(x, p, lam):
@@ -178,6 +180,9 @@ class TestConstructPsi:
             construct_psi(va.fn, [0.0, 1.0], [0.1, 1.0], stability_trials=0)
         with pytest.raises(ValueError):
             construct_psi(va.fn, [0.0, 1.0], [0.0, 1.0], y_max=0.5, stability_trials=0)
+        # zero trials skip the gate; a negative count must not do so silently
+        with pytest.raises(ValueError, match="stability trials"):
+            construct_psi(va.fn, [0.0, 1.0], [0.0, 1.0], stability_trials=-1)
 
     def test_gate_rejects_a_join_breaker(self):
         es = expected_shortfall_measure(0.5)

@@ -80,6 +80,24 @@ def test_ext_gap_treats_matching_infinities_as_zero():
     assert ext_gap(2.0, 5.0) == 3.0
 
 
+VA03 = var_measure(0.3).fn
+CHECKS_WITH_TOL = {
+    "maxs": lambda tol: check_max_stability(VA03, SamplerConfig(trials=5), tol),
+    "mins": lambda tol: check_min_stability(VA03, SamplerConfig(trials=5), tol),
+    "fsd": lambda tol: check_fsd_consistency(VA03, SamplerConfig(trials=5), tol),
+    "nd": lambda tol: check_nondegeneracy(VA03, ND_GRID, tol),
+    "ls": lambda tol: check_semicontinuity_probe(VA03, ContinuousCDF.uniform(0.0, 1.0), 8, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [math.nan, INF, -1e-9])
+@pytest.mark.parametrize("axiom", sorted(CHECKS_WITH_TOL))
+def test_unusable_tolerance_is_rejected(axiom, tol):
+    # a NaN or infinite tolerance passes every trial, a negative one fails every trial
+    with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+        CHECKS_WITH_TOL[axiom](tol)
+
+
 class TestPairSuites:
     def test_var_passes_both(self):
         cfg = SamplerConfig(seed=12345, trials=2000)

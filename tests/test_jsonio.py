@@ -199,8 +199,12 @@ class TestPsiGridFormat:
             [0.0, 0.25, 0.5, 1.0],
             stability_trials=10,
         )
-        back = parse_psi_grid_obj(psi_grid_to_obj(psi))
+        obj = psi_grid_to_obj(psi)
+        back = parse_psi_grid_obj(obj)
         assert back == psi
+        # the grid is a kernel: its kernel form is the grid form less the search settings
+        del obj["y_max"], obj["tol"]
+        assert kernel_to_obj(psi) == obj
 
     def test_defaults_fill_in(self):
         obj = {
