@@ -153,7 +153,7 @@ def _cmd_construct_psi(args: argparse.Namespace) -> int:
         raise InputError("BAD_SCHEMA", f"x range needs lo < hi, got {lo} {hi}")
     x_grid = _regular_grid(lo, hi, args.x_step, "x")
     p_grid = _regular_grid(0.0, 1.0, args.p_step, "p")
-    print(f"stability gate: seed {GATE_SEED}, {args.trials} trials")
+    gate_line = f"stability gate: seed {GATE_SEED}, {args.trials} trials"
     try:
         grid = construct_psi(
             measure,
@@ -164,8 +164,11 @@ def _cmd_construct_psi(args: argparse.Namespace) -> int:
             stability_trials=args.trials,
         )
     except StabilityGateError as exc:
+        print(gate_line)
         print(f"error [AXIOM]: {exc}", file=sys.stderr)
         return 1
+    # printed only once the gate has run, so an input error leaves stdout empty
+    print(gate_line)
     _emit(dump_json(psi_grid_to_obj(grid)), args.out)
     return 0
 
@@ -219,8 +222,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-step", type=float, required=True)
     p.add_argument("--p-step", type=float, required=True)
     p.add_argument("--y-max", type=float, default=None,
-                   help="threshold search bound (default: grid max plus one span)")
-    p.add_argument("--tol", type=float, default=1e-9)
+                   help="threshold search bound, recorded in the grid JSON only "
+                   "(default: grid max plus one span)")
+    p.add_argument("--tol", type=float, default=1e-9,
+                   help="threshold tolerance, recorded in the grid JSON only (default 1e-9)")
     p.add_argument("--trials", type=int, default=150, help="stability gate trials")
     p.add_argument("--out", metavar="PATH", help="write the grid JSON here")
     p.set_defaults(func=_cmd_construct_psi)

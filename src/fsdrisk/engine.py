@@ -3,11 +3,12 @@
 Any max-stable measure with strictly increasing values on point masses
 is determined by what it does on two-point distributions.  The engine
 exploits that: evaluate the measure on mixtures p at x plus (1 - p) at
-y, locate per anchor x the threshold where the mixture value first
-leaves the point-mass baseline, and tabulate the resulting kernel on a
-grid.  The tabulated kernel can then be checked against the measure on
-arbitrary grid-snapped distributions, and its level curve read back off
-the table.
+y, keep at each grid node (y, p) the value at the largest anchor x whose
+mixture strictly exceeds its point-mass baseline, and tabulate that
+kernel.  The table can then be checked against the measure on arbitrary
+grid-snapped distributions, and its level curve read back off it.
+``h_threshold`` is a standalone threshold search that the table does
+not use, so a ``PsiGrid``'s ``y_max`` and ``tol`` are recorded only.
 
 Everything here treats the measure as an opaque callable; only the
 harness-style probe at the start of construct_psi assumes anything
@@ -81,11 +82,11 @@ def h_threshold(
 class PsiGrid(GridKernel):
     """The kernel table that ``construct_psi`` builds, with its search settings.
 
-    ``y_max`` and ``tol`` record how the thresholds behind the table
-    were searched.  On top of the GridKernel checks, the p = 0 row must
-    be strictly increasing: it holds the measure's point-mass values, so
-    a tie there means the measure cannot tell two grid points apart and
-    the construction is meaningless.
+    ``y_max`` and ``tol`` are validated and recorded; the table does
+    not depend on them.  On top of the GridKernel checks, the p = 0 row
+    must be strictly increasing: it holds the measure's point-mass
+    values, so a tie there means the measure cannot tell two grid points
+    apart and the construction is meaningless.
     """
 
     y_max: float
@@ -101,8 +102,8 @@ class PsiGrid(GridKernel):
             )
         if not math.isfinite(self.y_max):
             raise ValueError(f"search bound must be finite, got {self.y_max}")
-        if not self.tol > 0.0:
-            raise ValueError(f"tolerance must be positive, got {self.tol}")
+        if not 0.0 < self.tol < INF:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
 
     def as_kernel(self) -> GridKernel:
         """The grid itself: it is a GridKernel."""
@@ -119,10 +120,12 @@ def construct_psi(
 ) -> PsiGrid:
     """Rebuild the sup-form kernel of a max-stable measure on a grid.
 
-    Each node (y, p) gets the largest mixture value over anchors whose
-    threshold lies strictly below y, -inf when no anchor qualifies.  The
-    anchor set is the x-grid extended by one node below its left edge so
-    the leftmost grid point still has an anchor underneath it; that is
+    Each node (y, p) gets the mixture value at the largest anchor below
+    y where it strictly exceeds the measure on the point mass at that
+    anchor, -inf when no anchor qualifies.  The test is exact, so
+    ``y_max`` and ``tol`` are only validated and recorded.  The anchor
+    set is the x-grid extended by one node below its left edge so the
+    leftmost grid point still has an anchor underneath it; that is
     what makes the p = 0 row reproduce the measure on point masses
     across the whole grid.
 
@@ -162,19 +165,23 @@ def construct_psi(
                 "the two-point construction does not apply"
             )
 
+    # max-stability gives FSD monotonicity (F <= G makes F v G = G), so
+    # the mixture value is nondecreasing in the anchor: the largest
+    # qualifying anchor holds the maximum.  Raising p moves mass down to
+    # the anchor, so an anchor that fails at p fails at every larger p;
+    # the scan therefore carries k across p and only ever moves it down.
     anchors = (xg[0] - (xg[1] - xg[0]),) + xg
-    hmat = [[h_threshold(rho, a, p, y_max, tol) for p in pg] for a in anchors]
+    base = [rho(point_mass(a)) for a in anchors]
     rows = []
-    for y in xg:
-        row = []
-        for j, p in enumerate(pg):
-            best = -INF
-            for k, a in enumerate(anchors):
-                if hmat[k][j] < y:
-                    v = two_point_eval(rho, a, y, p)
-                    if v > best:
-                        best = v
-            row.append(best)
+    for i, y in enumerate(xg):
+        k, row = i, []
+        for p in pg:
+            while k >= 0:
+                v = two_point_eval(rho, anchors[k], y, p)
+                if v > base[k]:
+                    break
+                k -= 1
+            row.append(v if k >= 0 else -INF)
         rows.append(tuple(row))
     return PsiGrid(xg, pg, tuple(rows), y_max, tol)
 

@@ -111,6 +111,10 @@ class TestPsiGrid:
             PsiGrid((0.0, 1.0), (0.0, 1.0), table, y_max=INF, tol=1e-9)
         with pytest.raises(ValueError):
             PsiGrid((0.0, 1.0), (0.0, 1.0), table, y_max=3.0, tol=0.0)
+        # tol drives no search, so only this check keeps "tol": Infinity,
+        # which is not JSON, out of the grid file
+        with pytest.raises(ValueError, match="tolerance"):
+            PsiGrid((0.0, 1.0), (0.0, 1.0), table, y_max=3.0, tol=INF)
 
     def test_as_kernel_round_trips_the_table(self):
         grid = PsiGrid((0.0, 1.0), (0.0, 1.0), ((0.0, -INF), (1.0, -INF)), 3.0, 1e-9)
@@ -195,6 +199,64 @@ class TestConstructPsi:
         pm = pinned_measure(0.0, g)
         with pytest.raises(ValueError, match="separate point masses"):
             construct_psi(pm.fn, [1.0, 2.0, 3.0], [0.0, 0.5, 1.0], stability_trials=25)
+
+    def test_grid_finer_than_tol_is_exact(self):
+        # nodes 1e-10 apart lie closer than the default tol; every node
+        # is still decided by the exact strict test
+        xg = [k * 1e-10 for k in range(6)]
+        pg = [0.0, 0.1, 0.2, 0.3, 0.4, 1.0]
+        psi = construct_psi(var_measure(0.3).fn, xg, pg, stability_trials=25)
+        for i, x in enumerate(psi.x_grid):
+            for j, p in enumerate(psi.p_grid):
+                assert psi.table[i][j] == (x if p < 0.3 else -INF)
+
+    @pytest.mark.parametrize(
+        "measure",
+        [var_measure(0.3), lambda_quantile_measure(LAM3), benchmark_loss_measure(affine_benchmark(2.0))],
+        ids=["var", "lambda", "affine"],
+    )
+    def test_table_does_not_depend_on_search_settings(self, measure):
+        xg = [-2.0 + 0.25 * k for k in range(17)]
+        pg = [0.05 * k for k in range(21)]
+        ref = construct_psi(measure, xg, pg, tol=1e-9, stability_trials=25)
+        for settings in ({"tol": 0.5}, {"y_max": 1e6}):
+            psi = construct_psi(measure, xg, pg, stability_trials=25, **settings)
+            assert psi.table == ref.table
+
+
+README_X = [-5.0 + k * 0.05 for k in range(200)] + [5.0]
+README_P = [k * 0.01 for k in range(100)] + [1.0]
+
+
+class TestConstructPsiCallCounts:
+    """Measure calls for the README tables (201 x 101), gate included.
+
+    Call counts do not depend on the machine, so they gate regressions.
+    Each total includes the 450 calls of the default 150-trial gate.
+    ``before`` is what a threshold search per (anchor, p) pair followed
+    by a scan over all anchors at each node costs on the same tables.
+    """
+
+    @pytest.mark.parametrize(
+        "measure,calls,before",
+        [
+            (var_measure(0.3), 26_983, 858_064),
+            (lambda_quantile_measure(LAM3), 37_033, 1_662_374),
+            (benchmark_loss_measure(affine_benchmark(2.0)), 39_113, 2_398_524),
+        ],
+        ids=["var", "lambda", "affine"],
+    )
+    def test_exact_call_count(self, measure, calls, before):
+        count = 0
+
+        def rho(F):
+            nonlocal count
+            count += 1
+            return measure(F)
+
+        construct_psi(rho, README_X, README_P)
+        assert count == calls
+        assert 20 * count <= before
 
 
 class TestVerifyRepresentation:
