@@ -159,8 +159,6 @@ def _cmd_construct_psi(args: argparse.Namespace) -> int:
             measure,
             x_grid,
             p_grid,
-            y_max=args.y_max,
-            tol=args.tol,
             stability_trials=args.trials,
         )
     except StabilityGateError as exc:
@@ -221,11 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
     p.add_argument("--x-step", type=float, required=True)
     p.add_argument("--p-step", type=float, required=True)
-    p.add_argument("--y-max", type=float, default=None,
-                   help="threshold search bound, recorded in the grid JSON only "
-                   "(default: grid max plus one span)")
-    p.add_argument("--tol", type=float, default=1e-9,
-                   help="threshold tolerance, recorded in the grid JSON only (default 1e-9)")
     p.add_argument("--trials", type=int, default=150, help="stability gate trials")
     p.add_argument("--out", metavar="PATH", help="write the grid JSON here")
     p.set_defaults(func=_cmd_construct_psi)

@@ -8,7 +8,8 @@ mixture strictly exceeds its point-mass baseline, and tabulate that
 kernel.  The table can then be checked against the measure on arbitrary
 grid-snapped distributions, and its level curve read back off it.
 ``h_threshold`` is a standalone threshold search that the table does
-not use, so a ``PsiGrid``'s ``y_max`` and ``tol`` are recorded only.
+not use; a ``PsiGrid``'s ``y_max`` and ``tol`` record its default
+search settings for the grid file only.
 
 Everything here treats the measure as an opaque callable; only the
 harness-style probe at the start of construct_psi assumes anything
@@ -80,13 +81,14 @@ def h_threshold(
 
 @dataclass(frozen=True)
 class PsiGrid(GridKernel):
-    """The kernel table that ``construct_psi`` builds, with its search settings.
+    """The kernel table that ``construct_psi`` builds, with search metadata.
 
-    ``y_max`` and ``tol`` are validated and recorded; the table does
-    not depend on them.  On top of the GridKernel checks, the p = 0 row
-    must be strictly increasing: it holds the measure's point-mass
-    values, so a tie there means the measure cannot tell two grid points
-    apart and the construction is meaningless.
+    ``y_max`` and ``tol`` are carried in the grid file and validated
+    when read back; the table does not depend on them.  On top of the
+    GridKernel checks, the p = 0 row must be strictly increasing: it
+    holds the measure's point-mass values, so a tie there means the
+    measure cannot tell two grid points apart and the construction is
+    meaningless.
     """
 
     y_max: float
@@ -114,16 +116,15 @@ def construct_psi(
     rho: Callable[[DiscreteDist], float],
     x_grid: Sequence[float],
     p_grid: Sequence[float],
-    y_max: float | None = None,
-    tol: float = 1e-9,
     stability_trials: int = 150,
 ) -> PsiGrid:
     """Rebuild the sup-form kernel of a max-stable measure on a grid.
 
     Each node (y, p) gets the mixture value at the largest anchor below
     y where it strictly exceeds the measure on the point mass at that
-    anchor, -inf when no anchor qualifies.  The test is exact, so
-    ``y_max`` and ``tol`` are only validated and recorded.  The anchor
+    anchor, -inf when no anchor qualifies.  The test is exact, so no
+    search bound or tolerance enters; the grid records the defaults
+    (grid max plus one span, 1e-9) for its file format.  The anchor
     set is the x-grid extended by one node below its left edge so the
     leftmost grid point still has an anchor underneath it; that is
     what makes the p = 0 row reproduce the measure on point masses
@@ -143,11 +144,6 @@ def construct_psi(
         pg[i] >= pg[i + 1] for i in range(len(pg) - 1)
     ):
         raise ValueError("p-grid must be strictly increasing from 0.0 to 1.0")
-    if y_max is None:
-        y_max = xg[-1] + (xg[-1] - xg[0])
-    y_max = float(y_max)
-    if not y_max > xg[-1]:
-        raise ValueError(f"search bound must exceed the grid, got y_max={y_max}")
     if stability_trials < 0:
         raise ValueError(f"stability trials must be non-negative, got {stability_trials}")
 
@@ -183,7 +179,7 @@ def construct_psi(
                 k -= 1
             row.append(v if k >= 0 else -INF)
         rows.append(tuple(row))
-    return PsiGrid(xg, pg, tuple(rows), y_max, tol)
+    return PsiGrid(xg, pg, tuple(rows), xg[-1] + (xg[-1] - xg[0]), 1e-9)
 
 
 @dataclass(frozen=True)

@@ -131,21 +131,10 @@ class TestConstructPsi:
         assert code == 2
         assert "not a whole number of steps" in capsys.readouterr().err
 
-
-    @pytest.mark.parametrize(
-        "extra",
-        [
-            ["--trials", "-1"],
-            ["--tol", "0"],
-            ["--tol", "inf"],
-            ["--y-max", "0.5"],
-        ],
-        ids=["negative-trials", "zero-tol", "infinite-tol", "y-max-inside-grid"],
-    )
-    def test_input_error_leaves_stdout_empty(self, extra, capsys):
+    def test_input_error_leaves_stdout_empty(self, capsys):
         code = main(["construct-psi", "--measure", VAR03,
                      "--x-range", "0", "1", "--x-step", "0.5", "--p-step", "0.25",
-                     "--trials", "10", *extra])
+                     "--trials", "-1"])
         assert code == 2
         assert capsys.readouterr().out == ""
 

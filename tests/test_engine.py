@@ -111,8 +111,8 @@ class TestPsiGrid:
             PsiGrid((0.0, 1.0), (0.0, 1.0), table, y_max=INF, tol=1e-9)
         with pytest.raises(ValueError):
             PsiGrid((0.0, 1.0), (0.0, 1.0), table, y_max=3.0, tol=0.0)
-        # tol drives no search, so only this check keeps "tol": Infinity,
-        # which is not JSON, out of the grid file
+        # a grid file may spell tol as "inf"; it must not be written back
+        # out as Infinity, which is not JSON
         with pytest.raises(ValueError, match="tolerance"):
             PsiGrid((0.0, 1.0), (0.0, 1.0), table, y_max=3.0, tol=INF)
 
@@ -182,8 +182,6 @@ class TestConstructPsi:
             construct_psi(va.fn, [0.0], [0.0, 1.0], stability_trials=0)
         with pytest.raises(ValueError):
             construct_psi(va.fn, [0.0, 1.0], [0.1, 1.0], stability_trials=0)
-        with pytest.raises(ValueError):
-            construct_psi(va.fn, [0.0, 1.0], [0.0, 1.0], y_max=0.5, stability_trials=0)
         # zero trials skip the gate; a negative count must not do so silently
         with pytest.raises(ValueError, match="stability trials"):
             construct_psi(va.fn, [0.0, 1.0], [0.0, 1.0], stability_trials=-1)
@@ -209,19 +207,6 @@ class TestConstructPsi:
         for i, x in enumerate(psi.x_grid):
             for j, p in enumerate(psi.p_grid):
                 assert psi.table[i][j] == (x if p < 0.3 else -INF)
-
-    @pytest.mark.parametrize(
-        "measure",
-        [var_measure(0.3), lambda_quantile_measure(LAM3), benchmark_loss_measure(affine_benchmark(2.0))],
-        ids=["var", "lambda", "affine"],
-    )
-    def test_table_does_not_depend_on_search_settings(self, measure):
-        xg = [-2.0 + 0.25 * k for k in range(17)]
-        pg = [0.05 * k for k in range(21)]
-        ref = construct_psi(measure, xg, pg, tol=1e-9, stability_trials=25)
-        for settings in ({"tol": 0.5}, {"y_max": 1e6}):
-            psi = construct_psi(measure, xg, pg, stability_trials=25, **settings)
-            assert psi.table == ref.table
 
 
 README_X = [-5.0 + k * 0.05 for k in range(200)] + [5.0]
