@@ -43,6 +43,7 @@ from .jsonio import (
     parse_kernel_obj,
     parse_measure_obj,
     psi_grid_to_obj,
+    report_to_json,
     superlevel_rows,
     write_superlevel_csv,
 )
@@ -102,8 +103,6 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    from .jsonio import report_to_json
-
     measure = parse_measure_obj(_load_obj(args.measure))
     if args.axiom in ("maxs", "mins", "fsd"):
         cfg = SamplerConfig(seed=args.seed, trials=args.trials)

@@ -8,8 +8,7 @@ mixture strictly exceeds its point-mass baseline, and tabulate that
 kernel.  The table can then be checked against the measure on arbitrary
 grid-snapped distributions, and its level curve read back off it.
 ``h_threshold`` is a standalone threshold search that the table does
-not use; a ``PsiGrid``'s ``y_max`` and ``tol`` record its default
-search settings for the grid file only.
+not use.
 
 Everything here treats the measure as an opaque callable; only the
 harness-style probe at the start of construct_psi assumes anything
@@ -81,18 +80,13 @@ def h_threshold(
 
 @dataclass(frozen=True)
 class PsiGrid(GridKernel):
-    """The kernel table that ``construct_psi`` builds, with search metadata.
+    """The kernel table that ``construct_psi`` builds.
 
-    ``y_max`` and ``tol`` are carried in the grid file and validated
-    when read back; the table does not depend on them.  On top of the
-    GridKernel checks, the p = 0 row must be strictly increasing: it
-    holds the measure's point-mass values, so a tie there means the
-    measure cannot tell two grid points apart and the construction is
-    meaningless.
+    On top of the GridKernel checks, the p = 0 row must be strictly
+    increasing: it holds the measure's point-mass values, so a tie there
+    means the measure cannot tell two grid points apart and the
+    construction is meaningless.
     """
-
-    y_max: float
-    tol: float
 
     def __post_init__(self):
         super().__post_init__()
@@ -102,10 +96,6 @@ class PsiGrid(GridKernel):
                 "value row at p = 0 must be strictly increasing; "
                 "the measure does not separate point masses"
             )
-        if not math.isfinite(self.y_max):
-            raise ValueError(f"search bound must be finite, got {self.y_max}")
-        if not 0.0 < self.tol < INF:
-            raise ValueError(f"tolerance must be positive and finite, got {self.tol}")
 
     def as_kernel(self) -> GridKernel:
         """The grid itself: it is a GridKernel."""
@@ -123,12 +113,10 @@ def construct_psi(
     Each node (y, p) gets the mixture value at the largest anchor below
     y where it strictly exceeds the measure on the point mass at that
     anchor, -inf when no anchor qualifies.  The test is exact, so no
-    search bound or tolerance enters; the grid records the defaults
-    (grid max plus one span, 1e-9) for its file format.  The anchor
-    set is the x-grid extended by one node below its left edge so the
-    leftmost grid point still has an anchor underneath it; that is
-    what makes the p = 0 row reproduce the measure on point masses
-    across the whole grid.
+    search bound or tolerance enters.  The anchor set is the x-grid
+    extended by one node below its left edge so the leftmost grid point
+    still has an anchor underneath it; that is what makes the p = 0 row
+    reproduce the measure on point masses across the whole grid.
 
     Max-stability is a precondition, not an afterthought: without it the
     two-point values do not determine the measure.  A short seeded probe
@@ -179,7 +167,7 @@ def construct_psi(
                 k -= 1
             row.append(v if k >= 0 else -INF)
         rows.append(tuple(row))
-    return PsiGrid(xg, pg, tuple(rows), xg[-1] + (xg[-1] - xg[0]), 1e-9)
+    return PsiGrid(xg, pg, tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,7 @@ Witness = Union[PairWitness, PointWitness, ProbeWitness]
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Outcome of one axiom check; fail verdicts carry the worst witness."""
+    """Outcome of one axiom check; a failing one carries the worst witness."""
 
     axiom: str
     seed: int
@@ -129,12 +129,35 @@ class StabilityReport:
     violations: int
     worst_gap: float
     witness: Witness | None
-    verdict: str
     tail_gap: float | None = None
 
     @property
+    def verdict(self) -> str:
+        return "fail" if self.violations else "pass"
+
+    @property
     def passed(self) -> bool:
-        return self.verdict == "pass"
+        return not self.violations
+
+
+@dataclass
+class _Tally:
+    """Violations seen by one axiom check, and the worst of them."""
+
+    violations: int = 0
+    worst_gap: float = 0.0
+    witness: Witness | None = None
+
+    def add(self, gap: float, witness: Witness) -> None:
+        self.violations += 1
+        if self.witness is None or gap > self.worst_gap:
+            self.worst_gap = gap
+            self.witness = witness
+
+    def report(self, axiom: str, seed: int, trials: int, tail_gap: float | None = None) -> StabilityReport:
+        return StabilityReport(
+            axiom, seed, trials, self.violations, self.worst_gap, self.witness, tail_gap
+        )
 
 
 def _check_pairs(
@@ -152,9 +175,7 @@ def _check_pairs(
     the first one, at which sampling stops.
     """
     _check_tol(tol)
-    violations = 0
-    worst_gap = 0.0
-    witness = None
+    tally = _Tally()
     for trial in range(cfg.trials):
         F = sample_distribution(cfg, trial, 0)
         G = sample_distribution(cfg, trial, 1)
@@ -162,14 +183,10 @@ def _check_pairs(
         rhs = pick(rho(F), rho(G))
         gap = ext_gap(lhs, rhs)
         if gap > tol:
-            violations += 1
-            if stop_at_first or gap > worst_gap:
-                worst_gap = gap
-                witness = PairWitness(trial, F, G, lhs, rhs, gap)
+            tally.add(gap, PairWitness(trial, F, G, lhs, rhs, gap))
             if stop_at_first:
                 break
-    verdict = "fail" if violations else "pass"
-    return StabilityReport(axiom, cfg.seed, cfg.trials, violations, worst_gap, witness, verdict)
+    return tally.report(axiom, cfg.seed, cfg.trials)
 
 
 def check_max_stability(
@@ -200,23 +217,17 @@ def check_nondegeneracy(
     if len(xs) < 2 or any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
         raise ValueError("grid must be strictly increasing with at least two points")
     vals = [rho(point_mass(x)) for x in xs]
-    violations = 0
-    worst = 0.0
-    witness = None
+    tally = _Tally()
     for i in range(len(xs) - 1):
         vx, vy = vals[i], vals[i + 1]
         if vy > vx + tol:
             continue
-        violations += 1
         if vx == vy and math.isinf(vx):
             shortfall = INF
         else:
             shortfall = (vx + tol) - vy
-        if witness is None or shortfall > worst:
-            worst = shortfall
-            witness = PointWitness(xs[i], xs[i + 1], vx, vy, shortfall)
-    verdict = "fail" if violations else "pass"
-    return StabilityReport("nd", 0, len(xs) - 1, violations, worst, witness, verdict)
+        tally.add(shortfall, PointWitness(xs[i], xs[i + 1], vx, vy, shortfall))
+    return tally.report("nd", 0, len(xs) - 1)
 
 
 def check_fsd_consistency(
@@ -229,22 +240,16 @@ def check_fsd_consistency(
     both constructions dominate the original by direct CDF comparison.
     """
     _check_tol(tol)
-    violations = 0
-    worst = 0.0
-    witness = None
+    tally = _Tally()
     for trial in range(cfg.trials):
         F = sample_distribution(cfg, trial, 0)
         G = dominating_variant(F, cfg, trial)
         lhs = rho(F)
         rhs = rho(G)
         if lhs > rhs + tol:
-            violations += 1
             gap = lhs - rhs
-            if gap > worst:
-                worst = gap
-                witness = PairWitness(trial, F, G, lhs, rhs, gap)
-    verdict = "fail" if violations else "pass"
-    return StabilityReport("fsd", cfg.seed, cfg.trials, violations, worst, witness, verdict)
+            tally.add(gap, PairWitness(trial, F, G, lhs, rhs, gap))
+    return tally.report("fsd", cfg.seed, cfg.trials)
 
 
 def dominating_variant(F: DiscreteDist, cfg: SamplerConfig, trial: int) -> DiscreteDist:
@@ -290,28 +295,19 @@ def check_semicontinuity_probe(
         raise ValueError(f"need n_max >= 2, got {n_max}")
     ref = rho(discretize(F, 4 * n_max)) if rho_limit is None else float(rho_limit)
     values = [rho(discretize(F, n)) for n in range(1, n_max + 1)]
-    violations = 0
-    worst = 0.0
-    witness = None
+    tally = _Tally()
     for n, v in enumerate(values, start=1):
         if v > ref + tol:
-            violations += 1
             gap = v - ref
-            if witness is None or gap > worst:
-                worst = gap
-                witness = ProbeWitness(n, v, ref, gap, "value exceeds the reference")
+            tally.add(gap, ProbeWitness(n, v, ref, gap, "value exceeds the reference"))
     for n in range(1, n_max // 2 + 1):
         v_coarse = values[n - 1]
         v_fine = values[2 * n - 1]
         if v_coarse > v_fine + tol:
-            violations += 1
             gap = v_coarse - v_fine
-            if witness is None or gap > worst:
-                worst = gap
-                witness = ProbeWitness(2 * n, v_fine, ref, gap, "value fell on doubling refinement")
+            tally.add(gap, ProbeWitness(2 * n, v_fine, ref, gap, "value fell on doubling refinement"))
     tail = 0.0 if ref == values[-1] else ref - values[-1]
-    verdict = "fail" if violations else "pass"
-    return StabilityReport("ls", 0, n_max, violations, worst, witness, verdict, tail_gap=tail)
+    return tally.report("ls", 0, n_max, tail_gap=tail)
 
 
 def find_stability_counterexample(

@@ -280,17 +280,21 @@ def measure_to_obj(measure: RiskMeasure) -> dict:
 
 
 def psi_grid_to_obj(grid: PsiGrid) -> dict:
-    return {**_grid_to_obj(grid), "y_max": dump_num(grid.y_max), "tol": grid.tol}
+    """The grid form plus ``y_max`` and ``tol``, which the format keeps.
+
+    The table depends on neither: they are written as the grid max plus
+    one span and 1e-9, and reading a grid file ignores them.
+    """
+    xg = grid.x_grid
+    return {**_grid_to_obj(grid), "y_max": dump_num(xg[-1] + (xg[-1] - xg[0])), "tol": 1e-9}
 
 
 def parse_psi_grid_obj(obj: Any) -> PsiGrid:
     if not isinstance(obj, dict):
         raise InputError("BAD_SCHEMA", "kernel grid must be a JSON object")
     xg, pg, table = _parse_grid_fields(obj)
-    y_max = parse_num(obj["y_max"], "y_max") if "y_max" in obj else xg[-1] + (xg[-1] - xg[0])
-    tol = parse_num(obj["tol"], "tol") if "tol" in obj else 1e-9
     try:
-        return PsiGrid(xg, pg, table, y_max, tol)
+        return PsiGrid(xg, pg, table)
     except ValueError as exc:
         raise InputError("BAD_SCHEMA", f"kernel grid: {exc}") from None
 

@@ -205,11 +205,6 @@ class Family:
         self.check(*values)
         closed = self.closed_form
         keys = [key for key, _ in self.params]
-        if len(values) == 1:
-            # binding the lone parameter directly keeps a tuple unpack
-            # off every evaluation; construct_psi makes about a million
-            (v,) = values
-            return RiskMeasure(self.name, lambda F: closed(F, v), ((keys[0], v),))
         return RiskMeasure(self.name, lambda F: closed(F, *values), tuple(zip(keys, values)))
 
 

@@ -97,27 +97,10 @@ class TestHThreshold:
 class TestPsiGrid:
     def test_point_mass_row_must_separate(self):
         with pytest.raises(ValueError, match="strictly increasing"):
-            PsiGrid(
-                (0.0, 1.0),
-                (0.0, 1.0),
-                ((0.5, -INF), (0.5, -INF)),
-                y_max=3.0,
-                tol=1e-9,
-            )
-
-    def test_metadata_validation(self):
-        table = ((0.0, -INF), (1.0, -INF))
-        with pytest.raises(ValueError):
-            PsiGrid((0.0, 1.0), (0.0, 1.0), table, y_max=INF, tol=1e-9)
-        with pytest.raises(ValueError):
-            PsiGrid((0.0, 1.0), (0.0, 1.0), table, y_max=3.0, tol=0.0)
-        # a grid file may spell tol as "inf"; it must not be written back
-        # out as Infinity, which is not JSON
-        with pytest.raises(ValueError, match="tolerance"):
-            PsiGrid((0.0, 1.0), (0.0, 1.0), table, y_max=3.0, tol=INF)
+            PsiGrid((0.0, 1.0), (0.0, 1.0), ((0.5, -INF), (0.5, -INF)))
 
     def test_as_kernel_round_trips_the_table(self):
-        grid = PsiGrid((0.0, 1.0), (0.0, 1.0), ((0.0, -INF), (1.0, -INF)), 3.0, 1e-9)
+        grid = PsiGrid((0.0, 1.0), (0.0, 1.0), ((0.0, -INF), (1.0, -INF)))
         assert isinstance(grid, GridKernel)
         k = grid.as_kernel()
         assert k is grid
@@ -285,8 +268,6 @@ class TestVerifyRepresentation:
             tuple(
                 tuple(v + 1.0 if v != -INF else v for v in row) for row in psi.table
             ),
-            psi.y_max,
-            psi.tol,
         )
         rep = verify_representation(rho, wrong, [point_mass(0.0)], tol=1e-9)
         assert rep.max_error == 1.0

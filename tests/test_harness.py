@@ -231,6 +231,7 @@ class TestCounterexampleSearch:
 
 
 def test_report_passed_property():
-    rep = StabilityReport("maxs", 1, 10, 0, 0.0, None, "pass")
-    assert rep.passed
-    assert not StabilityReport("maxs", 1, 10, 2, 0.5, None, "fail").passed
+    rep = StabilityReport("maxs", 1, 10, 0, 0.0, None)
+    assert rep.passed and rep.verdict == "pass"
+    rep = StabilityReport("maxs", 1, 10, 2, 0.5, None)
+    assert not rep.passed and rep.verdict == "fail"

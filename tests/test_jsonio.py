@@ -1,5 +1,6 @@
 """File formats: JSON objects, error codes, CSV region dumps."""
 
+import dataclasses
 import io
 import math
 
@@ -212,10 +213,25 @@ class TestPsiGridFormat:
             "p_grid": [0.0, 1.0],
             "table": [[0.0, "-inf"], [1.0, "-inf"]],
         }
-        grid = parse_psi_grid_obj(obj)
-        assert isinstance(grid, PsiGrid)
-        assert grid.y_max == 2.0  # one grid span past the right edge
-        assert grid.tol == 1e-9
+        # a file's own y_max and tol are ignored, "inf" included
+        for extra in ({}, {"y_max": 100, "tol": "inf"}):
+            grid = parse_psi_grid_obj({**obj, **extra})
+            assert isinstance(grid, PsiGrid)
+            # one grid span past the right edge, and the fixed tolerance
+            assert psi_grid_to_obj(grid) == {**obj, "y_max": 2.0, "tol": 1e-9}
+
+    def test_bad_grid_files_keep_their_codes(self):
+        obj = {"x_grid": [0.0, 1.0], "p_grid": [0.0, 1.0], "table": [[0.0, "nan"], [1.0, "-inf"]]}
+        with pytest.raises(InputError) as e:
+            parse_psi_grid_obj(obj)
+        assert e.value.code == "NAN_VALUE"
+        obj["table"] = [[1.0, "-inf"], [1.0, "-inf"]]
+        with pytest.raises(InputError, match="kernel grid: value row at p = 0") as e:
+            parse_psi_grid_obj(obj)
+        assert e.value.code == "BAD_SCHEMA"
+
+    def test_psi_grid_declares_only_grid_fields(self):
+        assert dataclasses.fields(PsiGrid) == dataclasses.fields(GridKernel)
 
 
 class TestReportFormat:
