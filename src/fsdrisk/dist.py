@@ -1,8 +1,8 @@
 """Compactly supported distributions and the stochastic dominance lattice.
 
 A :class:`DiscreteDist` is a finitely supported probability distribution
-stored in canonical step-CDF form: strictly increasing support points,
-positive masses and precomputed cumulative levels ending exactly at 1.0.
+stored once, as its step CDF: strictly increasing support points and
+cumulative levels rising strictly to exactly 1.0; masses are derived.
 First-order stochastic dominance compares CDFs pointwise (``F`` is
 dominated by ``G`` when ``F >= G`` everywhere, i.e. ``G`` puts its mass
 further right), and the induced join and meet are the pointwise min and
@@ -32,14 +32,12 @@ into the next surviving cumulative level."""
 class DiscreteDist:
     """Finitely supported distribution in canonical form.
 
-    ``xs`` are the strictly increasing support points, ``ps`` the positive
-    atom masses and ``cum`` the cumulative levels, with ``cum[-1] == 1.0``
-    exactly and ``ps`` always equal to consecutive differences of ``cum``
-    so that structurally equal distributions compare equal.
+    ``xs`` are the strictly increasing support points and ``cum`` the
+    strictly increasing cumulative levels in (0, 1], with
+    ``cum[-1] == 1.0`` exactly.
     """
 
     xs: tuple[float, ...]
-    ps: tuple[float, ...]
     cum: tuple[float, ...]
 
     # -- construction ---------------------------------------------------
@@ -56,8 +54,6 @@ class DiscreteDist:
         for x, p in atoms:
             x = float(x)
             p = float(p)
-            if not math.isfinite(x):
-                raise ValueError(f"support point must be finite, got {x}")
             if math.isnan(p):
                 raise ValueError("atom mass must not be NaN")
             if p <= 0.0:
@@ -88,7 +84,8 @@ class DiscreteDist:
 
         Breakpoints whose level gain is at most ``drop_tol`` are skipped,
         so their (tiny or zero) mass rides along to the next kept point.
-        The last level must be 1, modulo a float-noise backstop.
+        A level at most ``MASS_TOL`` above 1 is read as 1.0, a higher one is
+        rejected; the last kept level, 1 up to ``MASS_TOL``, becomes 1.0.
         """
         if len(xs) != len(levels):
             raise ValueError("need one cumulative level per breakpoint")
@@ -105,25 +102,31 @@ class DiscreteDist:
                 raise ValueError("cumulative levels must not be NaN")
             if lev < prev - MASS_TOL:
                 raise ValueError("cumulative levels must be non-decreasing")
+            if lev > 1.0:
+                if lev > 1.0 + MASS_TOL:
+                    raise ValueError(f"cumulative level {lev!r} is above 1")
+                lev = 1.0
             if lev - prev > drop_tol:
                 kept_x.append(float(x))
                 kept_c.append(float(lev))
                 prev = lev
         if not kept_x:
             raise ValueError("no atom carries positive mass")
-        if kept_c[-1] != 1.0:
-            if abs(1.0 - kept_c[-1]) <= MASS_TOL:
-                kept_c[-1] = 1.0
-            else:
-                raise ValueError(f"cumulative levels end at {kept_c[-1]!r}, not 1.0")
-        ps = [kept_c[0]] + [kept_c[i] - kept_c[i - 1] for i in range(1, len(kept_c))]
-        return cls(tuple(kept_x), tuple(ps), tuple(kept_c))
+        if 1.0 - kept_c[-1] > MASS_TOL:
+            raise ValueError(f"cumulative levels end at {kept_c[-1]!r}, not 1.0")
+        kept_c[-1] = 1.0
+        return cls(tuple(kept_x), tuple(kept_c))
 
     # -- queries ---------------------------------------------------------
 
     @property
     def n_atoms(self) -> int:
         return len(self.xs)
+
+    @property
+    def ps(self) -> tuple[float, ...]:
+        """Atom masses: the steps of ``cum``."""
+        return (self.cum[0],) + tuple(b - a for a, b in zip(self.cum, self.cum[1:]))
 
     @property
     def atoms(self) -> tuple[tuple[float, float], ...]:
@@ -161,7 +164,7 @@ def point_mass(x: float) -> DiscreteDist:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"support point must be finite, got {x}")
-    return DiscreteDist((x,), (1.0,), (1.0,))
+    return DiscreteDist((x,), (1.0,))
 
 
 def two_point(x: float, y: float, p: float) -> DiscreteDist:
@@ -178,7 +181,7 @@ def two_point(x: float, y: float, p: float) -> DiscreteDist:
         return point_mass(x)
     if p <= 0.0:
         return point_mass(y)
-    return DiscreteDist((float(x), float(y)), (float(p), 1.0 - p), (float(p), 1.0))
+    return DiscreteDist((float(x), float(y)), (float(p), 1.0))
 
 
 # -- the dominance lattice ----------------------------------------------

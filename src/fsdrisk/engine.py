@@ -191,10 +191,11 @@ def verify_representation(
     """Compare the measure against the grid supremum of its kernel.
 
     The grid supremum of F is max over grid nodes x of the tabulated
-    value at (x, F(x)) and at (x, F(x-)), each level snapped to the
-    nearest p node.  Inputs must live on the grid: every atom exactly
-    on an x node, every CDF level within one p spacing of a p node;
-    off-grid atoms are rejected by name rather than silently snapped.
+    value at (x, F(x-)), the level snapped to the nearest p node; rows
+    fall along p, so the value at (x, F(x)) never exceeds it.  Inputs
+    must live on the grid: every atom exactly on an x node, every CDF
+    level within one p spacing of a p node; off-grid atoms are rejected
+    by name rather than silently snapped.
     """
     on_grid = set(psi.x_grid)
     spacing = max(psi.p_grid[j + 1] - psi.p_grid[j] for j in range(len(psi.p_grid) - 1))
@@ -214,13 +215,10 @@ def verify_representation(
         direct = rho(F)
         recovered = -INF
         for i, x in enumerate(psi.x_grid):
-            # the left-limit term mirrors the exact evaluator: without
-            # it the sup misses nodes where an atom jumps the CDF past
-            # the kernel's live range and lands one x cell low
-            v = psi.table[i][psi.nearest_p_index(F.cdf(x))]
-            w = psi.table[i][psi.nearest_p_index(F.cdf_left_limit(x))]
-            if w > v:
-                v = w
+            # the left limit, as in the exact evaluator: rows fall along p
+            # and F(x-) <= F(x), so it bounds the node at F(x), and it
+            # catches atoms that jump the CDF past the kernel's live range
+            v = psi.table[i][psi.nearest_p_index(F.cdf_left_limit(x))]
             if v > recovered:
                 recovered = v
         err = ext_gap(direct, recovered)

@@ -33,7 +33,6 @@ class SamplerConfig:
     seed: int = 12345
     max_atoms: int = 6
     support_range: tuple[float, float] = (-10.0, 10.0)
-    grid_snap: float | None = None
     trials: int = 1000
 
     def __post_init__(self):
@@ -45,8 +44,6 @@ class SamplerConfig:
         object.__setattr__(self, "support_range", (lo, hi))
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
-        if self.grid_snap is not None and not self.grid_snap > 0.0:
-            raise ValueError(f"grid snap spacing must be positive, got {self.grid_snap}")
 
 
 def sample_distribution(cfg: SamplerConfig, trial: int = 0, role: int = 0) -> DiscreteDist:
@@ -60,8 +57,6 @@ def sample_distribution(cfg: SamplerConfig, trial: int = 0, role: int = 0) -> Di
     while True:
         n = int(rng.integers(1, cfg.max_atoms + 1))
         xs = rng.uniform(lo, hi, n)
-        if cfg.grid_snap is not None:
-            xs = np.round(xs / cfg.grid_snap) * cfg.grid_snap
         ps = rng.dirichlet(np.ones(n))
         # an exactly zero component is astronomically rare but would be
         # rejected downstream; redraw from the same stream

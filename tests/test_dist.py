@@ -1,11 +1,14 @@
 """Discrete distributions, the dominance lattice, and discretization."""
 
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsdrisk.dist import (
+    ATOM_DROP_TOL,
+    MASS_TOL,
     ContinuousCDF,
     DiscreteDist,
     discretize,
@@ -47,10 +50,12 @@ class TestConstruction:
             [(0.0, 0.0), (1.0, 1.0)],
             [(0.0, -0.1), (1.0, 1.1)],
             [(0.0, 0.5), (1.0, 0.4)],  # mass clearly short of 1
+            [(math.nan, 1.0)],
         ],
     )
     def test_bad_atoms_rejected(self, pairs):
-        with pytest.raises(ValueError):
+        finite = all(math.isfinite(x) for x, _ in pairs)
+        with pytest.raises(ValueError, match=None if finite else "support point must be finite"):
             DiscreteDist.from_atoms(pairs)
 
     def test_from_levels_rejects_decreasing_and_nan(self):
@@ -60,6 +65,28 @@ class TestConstruction:
             DiscreteDist.from_levels([0.0, 1.0], [math.nan, 1.0])
         with pytest.raises(ValueError):
             DiscreteDist.from_levels([1.0, 0.0], [0.5, 1.0])
+
+    def test_only_the_cdf_is_stored(self):
+        assert [f.name for f in dataclasses.fields(DiscreteDist)] == ["xs", "cum"]
+
+    def test_float_noise_leaves_no_empty_atom(self):
+        # the running mass sum passes 1.0 before the last atom
+        d = DiscreteDist.from_atoms([(0, 0.3), (1, 0.7), (2, 1e-15), (3, 1.2e-16), (4, 1.2e-16)])
+        assert d.xs == (0.0, 1.0, 2.0)
+        assert all(p > 0.0 for p in d.ps)
+        assert d.cum[-1] == 1.0
+
+    def test_levels_above_one(self):
+        d = DiscreteDist.from_levels([0.0, 1.0], [1 + 5e-13, 1 + 6e-13])
+        assert d == point_mass(0.0)
+        assert d.ps == (1.0,)
+        with pytest.raises(ValueError, match="above 1"):
+            DiscreteDist.from_levels([0.0, 1.0], [0.5, 1.0 + 2 * MASS_TOL])
+
+    @given(st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True))
+    def test_two_point_masses_are_bit_exact(self, p):
+        ps = two_point(-1.0, 2.0, p).ps
+        assert [m.hex() for m in ps] == [p.hex(), (1.0 - p).hex()]
 
     def test_two_point_collapses_degenerate_cases(self):
         assert two_point(1.0, 1.0, 0.3) == point_mass(1.0)
@@ -152,6 +179,62 @@ def dists(draw):
         levels.append(acc / total)
     levels[-1] = 1.0
     return DiscreteDist.from_levels(sorted(xs), levels)
+
+
+def near_one(ulps):
+    """1.0 moved by ``ulps`` representable steps (down when negative)."""
+    x = 1.0
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, 2.0 if ulps > 0 else 0.0)
+    return x
+
+
+@st.composite
+def noisy_atoms(draw):
+    """Ordinary masses mixed with masses of 1e-16 to 1e-15.
+
+    A run of equal tiny masses sits above the ordinary atoms: each step of
+    the running mass sum can round up, so it may pass 1.0 before the last
+    atom.  A few more tiny masses land anywhere.
+    """
+    tiny = st.floats(min_value=1e-16, max_value=1e-15)
+    weights = draw(st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=5))
+    pairs = [(draw(st.integers(min_value=-5, max_value=5)), w / sum(weights)) for w in weights]
+    run_mass = draw(tiny)
+    pairs += [(6 + k, run_mass) for k in range(draw(st.integers(min_value=0, max_value=6)))]
+    return pairs + draw(st.lists(st.tuples(st.integers(min_value=-5, max_value=12), tiny), max_size=2))
+
+
+@st.composite
+def noisy_levels(draw):
+    """Rising levels, then a tail a few ulps either side of 1."""
+    head = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4)))
+    tail = draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=4))
+    levels = head + [near_one(k) for k in tail]
+    drop_tol = draw(st.sampled_from([0.0, ATOM_DROP_TOL]))
+    return list(range(len(levels))), levels, drop_tol
+
+
+def assert_canonical(d):
+    assert len(d.xs) == len(d.cum)
+    assert all(0.0 < c <= 1.0 for c in d.cum)
+    assert all(a < b for a, b in zip(d.cum, d.cum[1:]))
+    assert d.cum[-1] == 1.0
+    assert all(p > 0.0 for p in d.ps)
+
+
+@given(noisy_atoms())
+@settings(max_examples=300, deadline=None)
+def test_from_atoms_is_canonical_under_float_noise(pairs):
+    assert abs(math.fsum(p for _, p in pairs) - 1.0) <= MASS_TOL
+    assert_canonical(DiscreteDist.from_atoms(pairs))
+
+
+@given(noisy_levels())
+@settings(max_examples=300, deadline=None)
+def test_from_levels_is_canonical_near_one(xs_levels_tol):
+    xs, levels, drop_tol = xs_levels_tol
+    assert_canonical(DiscreteDist.from_levels(xs, levels, drop_tol=drop_tol))
 
 
 @given(dists(), dists(), dists())

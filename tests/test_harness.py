@@ -51,20 +51,12 @@ class TestSampler:
             assert all(p > 0.0 for p in F.ps)
             assert F.cum[-1] == 1.0
 
-    def test_grid_snap_lands_on_multiples(self):
-        cfg = SamplerConfig(seed=7, grid_snap=0.5)
-        for t in range(200):
-            F = sample_distribution(cfg, trial=t)
-            for x in F.xs:
-                assert abs(x / 0.5 - round(x / 0.5)) < 1e-9
-
     @pytest.mark.parametrize(
         "kwargs",
         [
             dict(trials=0),
             dict(max_atoms=0),
             dict(support_range=(2.0, 2.0)),
-            dict(grid_snap=0.0),
         ],
     )
     def test_config_validation(self, kwargs):
