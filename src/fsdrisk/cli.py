@@ -74,7 +74,14 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     measure = parse_measure_obj(_load_obj(args.measure))
-    values = [measure(_load_discrete(spec, i)) for i, spec in enumerate(args.dist)]
+    # a measure is pure, so each distinct spec is read and evaluated once;
+    # the cache keeps values, not distributions, so memory stays flat
+    seen: dict[str, float] = {}
+    values = []
+    for i, spec in enumerate(args.dist):
+        if spec not in seen:
+            seen[spec] = measure(_load_discrete(spec, i))
+        values.append(seen[spec])
     for v in values:
         print(csv_num(v))
     if args.out:
@@ -189,15 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("eval", help="evaluate a measure on distributions")
-    p.add_argument("--dist", action="append", required=True, metavar="JSON|PATH",
-                   help="distribution, repeatable")
+    p.add_argument("--dist", action="extend", nargs="+", required=True, metavar="JSON|PATH",
+                   help="one or more distributions, repeatable; a repeated spec is read "
+                   "and evaluated once")
     p.add_argument("--measure", required=True, metavar="JSON|PATH")
     p.add_argument("--out", metavar="PATH", help="also write a JSON result file")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("lattice", help="order tests, join and meet, decomposition")
-    p.add_argument("--dist", action="append", required=True, metavar="JSON|PATH",
-                   help="one distribution decomposes, two compare")
+    p.add_argument("--dist", action="extend", nargs="+", required=True, metavar="JSON|PATH",
+                   help="one or two distributions: one decomposes, two compare")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(func=_cmd_lattice)
 
@@ -208,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sampled pairs, or the cell-count limit for ls (default 1000)")
     p.add_argument("--seed", type=int, default=12345)
     p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--dist", action="append", metavar="JSON|PATH",
+    p.add_argument("--dist", action="extend", nargs="+", metavar="JSON|PATH",
                    help="continuous limit for ls (default: uniform on [0, 1])")
     p.add_argument("--out", metavar="PATH", help="write the JSON report here")
     p.set_defaults(func=_cmd_check)
@@ -233,8 +241,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def fold_dist_flags(argv: list[str]) -> list[str]:
+    """Fold each run of ``--dist V1 --dist V2 ...`` into ``--dist V1 V2 ...``.
+
+    Before Python 3.13, argparse rescans every option index for each
+    option it consumes, so a batch of n ``--dist`` flags parses in O(n^2);
+    one flag with n values parses in O(n).  Only a value that cannot read
+    as an option (it does not start with "-") is folded.  Everything else,
+    ``--dist=V``, abbreviations, a trailing ``--dist``, and all tokens from
+    "--" on, is passed through untouched, so argparse sees the same
+    values in the same order and rejects the same inputs.
+    """
+    out: list[str] = []
+    in_run = False
+    i, n = 0, len(argv)
+    while i < n:
+        tok = argv[i]
+        if tok == "--":
+            out.extend(argv[i:])
+            break
+        if tok == "--dist" and i + 1 < n and not argv[i + 1].startswith("-"):
+            if not in_run:
+                out.append(tok)
+            out.append(argv[i + 1])
+            in_run = True
+            i += 2
+        else:
+            out.append(tok)
+            in_run = False
+            i += 1
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(fold_dist_flags(argv))
     try:
         return args.func(args)
     except InputError as exc:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, Iterable, Sequence
 
 MASS_TOL = 1e-12
@@ -54,22 +55,19 @@ class DiscreteDist:
         for x, p in atoms:
             x = float(x)
             p = float(p)
-            if math.isnan(p):
-                raise ValueError("atom mass must not be NaN")
-            if p <= 0.0:
+            if not p > 0.0:
+                if math.isnan(p):
+                    raise ValueError("atom mass must not be NaN")
                 raise ValueError(f"atom mass must be positive, got {p}")
             merged[x] = merged.get(x, 0.0) + p
         if not merged:
             raise ValueError("a distribution needs at least one atom")
         xs = sorted(merged)
-        total = math.fsum(merged[x] for x in xs)
+        ps = [merged[x] for x in xs]
+        total = math.fsum(ps)
         if abs(total - 1.0) > MASS_TOL:
             raise ValueError(f"atom masses sum to {total!r}, outside 1 +/- {MASS_TOL}")
-        levels = []
-        acc = 0.0
-        for x in xs:
-            acc += merged[x]
-            levels.append(acc / total)
+        levels = [acc / total for acc in accumulate(ps)]
         levels[-1] = 1.0
         return cls.from_levels(xs, levels, drop_tol=0.0)
 

@@ -122,21 +122,17 @@ def parse_distribution_obj(obj: Any) -> Distribution:
         raw = obj["atoms"]
         if not isinstance(raw, list) or not raw:
             raise InputError("BAD_SCHEMA", "atoms must be a non-empty list")
-        atoms = []
-        for i, entry in enumerate(raw):
-            if not isinstance(entry, dict) or "x" not in entry or "p" not in entry:
-                raise InputError("BAD_SCHEMA", f"atom {i} must be an object with keys x and p")
-            x = parse_num(entry["x"], f"atom {i} x")
-            p = parse_num(entry["p"], f"atom {i} p")
-            if not math.isfinite(x):
-                raise InputError("BAD_SCHEMA", f"atom {i}: position must be finite, got {x}")
-            if not 0.0 < p <= 1.0:
-                raise InputError("BAD_SCHEMA", f"atom {i}: mass must lie in (0, 1], got {p}")
-            atoms.append((x, p))
-        total = fsum(p for _, p in atoms)
-        if abs(total - 1.0) > MASS_TOL:
-            raise InputError("MASS_SUM", f"atom masses sum to {total!r}, need 1 within {MASS_TOL}")
-        return DiscreteDist.from_atoms(atoms)
+        atoms = [_parse_atom(i, entry) for i, entry in enumerate(raw)]
+        # from_atoms checks the sum of the merged masses: unless atoms were
+        # merged, that is the input's own sum, which a MASS_SUM error reports
+        try:
+            dist = DiscreteDist.from_atoms(atoms)
+        except ValueError:
+            _check_mass_sum(atoms)
+            raise
+        if dist.n_atoms < len(atoms):
+            _check_mass_sum(atoms)
+        return dist
     if obj.get("family") == "uniform":
         a = parse_num(obj.get("a"), "uniform bound a")
         b = parse_num(obj.get("b"), "uniform bound b")
@@ -144,6 +140,30 @@ def parse_distribution_obj(obj: Any) -> Distribution:
             raise InputError("BAD_SCHEMA", f"uniform needs finite bounds a < b, got {a}, {b}")
         return ContinuousCDF.uniform(a, b)
     raise InputError("BAD_SCHEMA", "distribution needs an atoms list or family: uniform")
+
+
+def _parse_atom(i: int, entry: Any) -> tuple[float, float]:
+    """Atom ``i`` as ``(x, p)``: x finite, p in (0, 1]."""
+    if not isinstance(entry, dict) or "x" not in entry or "p" not in entry:
+        raise InputError("BAD_SCHEMA", f"atom {i} must be an object with keys x and p")
+    x, p = entry["x"], entry["p"]
+    # plain floats in range are done; anything else (an int, a sentinel
+    # string, NaN, an out-of-range value) takes the full checks and messages
+    if type(x) is float and type(p) is float and -INF < x < INF and 0.0 < p <= 1.0:
+        return x, p
+    x = parse_num(x, f"atom {i} x")
+    p = parse_num(p, f"atom {i} p")
+    if not math.isfinite(x):
+        raise InputError("BAD_SCHEMA", f"atom {i}: position must be finite, got {x}")
+    if not 0.0 < p <= 1.0:
+        raise InputError("BAD_SCHEMA", f"atom {i}: mass must lie in (0, 1], got {p}")
+    return x, p
+
+
+def _check_mass_sum(atoms: list[tuple[float, float]]) -> None:
+    total = fsum(p for _, p in atoms)
+    if abs(total - 1.0) > MASS_TOL:
+        raise InputError("MASS_SUM", f"atom masses sum to {total!r}, need 1 within {MASS_TOL}")
 
 
 def parse_distribution_file(path: str | Path) -> Distribution:

@@ -8,15 +8,17 @@ standard functional that is consistent with the dominance order but not
 max- or min-stable, which the axiom harness demonstrates by witness.
 
 Each family is declared once, in ``FAMILIES``: its file kind, measure
-name, ordered parameters, closed form, parameter check and psi-kernel
-class.  The ``*_measure`` factories and the JSON formats in jsonio read
-that table and nothing else.
+name, ordered parameters, closed form without its parameter check,
+the check and psi-kernel class.  The ``*_measure`` factories and the
+JSON formats in jsonio read that table and nothing else.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 from .dist import DiscreteDist
@@ -60,7 +62,11 @@ def var(F: DiscreteDist, a: float) -> float:
     Equals sup{x : F(x) < a} for step CDFs.
     """
     check_level(a)
-    return F.left_quantile(a)
+    return _var(a, F)
+
+
+def _var(a: float, F: DiscreteDist) -> float:
+    return F.xs[bisect_left(F.cum, a)]
 
 
 def benchmark_loss_var(F: DiscreteDist, h: Callable[[float], float]) -> float:
@@ -74,6 +80,10 @@ def benchmark_loss_var(F: DiscreteDist, h: Callable[[float], float]) -> float:
     and h is evaluated at that interval's lower end.
     """
     check_benchmark_curve(h)
+    return _benchmark_loss_var(h, F)
+
+
+def _benchmark_loss_var(h: Callable[[float], float], F: DiscreteDist) -> float:
     best = -INF
     prev = 0.0
     for x, lev in zip(F.xs, F.cum):
@@ -94,6 +104,10 @@ def lambda_quantile(F: DiscreteDist, lam: MonotoneStep) -> float:
     breakpoints.  Returns -inf when the set is empty.
     """
     check_level_curve(lam)
+    return _lambda_quantile(lam, F)
+
+
+def _lambda_quantile(lam: MonotoneStep, F: DiscreteDist) -> float:
     bs = sorted(set(F.xs).union(lam.breakpoints))
     best = bs[0] if lam.values[0] > 0.0 else -INF
     for i, b in enumerate(bs):
@@ -124,6 +138,10 @@ def lambda_quantile_dual(F: DiscreteDist, lam: MonotoneStep) -> tuple[float, flo
 def expected_shortfall(F: DiscreteDist, a: float) -> float:
     """Average of the left quantile over levels above a, a in (0, 1)."""
     check_level(a)
+    return _expected_shortfall(a, F)
+
+
+def _expected_shortfall(a: float, F: DiscreteDist) -> float:
     terms = []
     lo = 0.0
     for x, hi in zip(F.xs, F.cum):
@@ -136,6 +154,10 @@ def expected_shortfall(F: DiscreteDist, a: float) -> float:
 def pinned_value(F: DiscreteDist, x0: float, g: MonotoneStep) -> float:
     """g(F(x0)): constant on point masses away from x0, hence degenerate."""
     check_pinned(x0, g)
+    return _pinned_value(x0, g, F)
+
+
+def _pinned_value(x0: float, g: MonotoneStep, F: DiscreteDist) -> float:
     return g(F.cdf(x0))
 
 
@@ -188,38 +210,39 @@ class Family:
     """One measure family, declared once.
 
     ``kind`` is the JSON kind, ``name`` the RiskMeasure name.  ``params``
-    lists (JSON key, NUMBER or STEP) in the order that ``closed_form``
-    (after the distribution), ``check`` and ``kernel`` take them.
-    ``kernel`` is the psi-kernel class, None for a family without one.
+    lists (JSON key, NUMBER or STEP) in the order that ``core`` (before
+    the distribution), ``check`` and ``kernel`` take them.  ``core`` is
+    the closed form without its parameter check, which ``measure`` runs
+    once.  ``kernel`` is the psi-kernel class, None for a family without
+    one.
     """
 
     kind: str
     name: str
     params: tuple[tuple[str, str], ...]
-    closed_form: Callable[..., float]
+    core: Callable[..., float]
     check: Callable[..., None]
     kernel: type | None
 
     def measure(self, *values: object) -> RiskMeasure:
         """The family's measure at ``values``, checked once here."""
         self.check(*values)
-        closed = self.closed_form
         keys = [key for key, _ in self.params]
-        return RiskMeasure(self.name, lambda F: closed(F, *values), tuple(zip(keys, values)))
+        return RiskMeasure(self.name, partial(self.core, *values), tuple(zip(keys, values)))
 
 
 FAMILIES = {
     f.kind: f
     for f in (
-        Family("var", "var", (("alpha", NUMBER),), var, check_level, VarKernel),
-        Family("benchmark_loss", "benchmark_loss_var", (("h", STEP),), benchmark_loss_var,
+        Family("var", "var", (("alpha", NUMBER),), _var, check_level, VarKernel),
+        Family("benchmark_loss", "benchmark_loss_var", (("h", STEP),), _benchmark_loss_var,
                check_benchmark_curve, BenchmarkLossKernel),
-        Family("lambda", "lambda_quantile", (("Lambda", STEP),), lambda_quantile,
+        Family("lambda", "lambda_quantile", (("Lambda", STEP),), _lambda_quantile,
                check_level_curve, LambdaKernel),
-        Family("pinned", "pinned", (("x0", NUMBER), ("g", STEP)), pinned_value, check_pinned,
+        Family("pinned", "pinned", (("x0", NUMBER), ("g", STEP)), _pinned_value, check_pinned,
                PinnedKernel),
         Family("expected_shortfall", "expected_shortfall", (("alpha", NUMBER),),
-               expected_shortfall, check_level, None),
+               _expected_shortfall, check_level, None),
     )
 }
 

@@ -1,12 +1,18 @@
 """End-to-end runs of the console entry point via main(argv)."""
 
+import argparse
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fsdrisk.cli import main
+import fsdrisk.cli
+from fsdrisk.cli import build_parser, fold_dist_flags, main
 from fsdrisk.jsonio import parse_distribution_obj, parse_psi_grid_obj
+from fsdrisk.measures import RiskMeasure
 
 F3 = '{"atoms": [{"x": 1.0, "p": 0.3}, {"x": 2.0, "p": 0.4}, {"x": 3.0, "p": 0.3}]}'
 VAR03 = '{"kind": "var", "alpha": 0.3}'
@@ -18,6 +24,7 @@ PINNED = (
     '{"kind": "pinned", "x0": 0.0, "g": {"breakpoints": [0.5],'
     ' "values": [1.0, 0.0], "direction": "dec"}}'
 )
+UNIFORM = '{"family": "uniform", "a": 0.0, "b": 1.0}'
 
 
 class TestEval:
@@ -39,6 +46,102 @@ class TestEval:
         code = main(["eval", "--measure", VAR03, "--dist", '{"family": "uniform", "a": 0.0, "b": 1.0}'])
         assert code == 2
         assert "error [BAD_SCHEMA]: distribution 0" in capsys.readouterr().err
+
+
+def _append_parser() -> argparse.ArgumentParser:
+    """eval's options as they were with one value per --dist flag."""
+    parser = argparse.ArgumentParser(prog="fsdrisk")
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("eval")
+    p.add_argument("--dist", action="append", required=True)
+    p.add_argument("--measure", required=True)
+    p.add_argument("--out")
+    return parser
+
+
+def _parsed_dists(parser, argv):
+    """``args.dist``, or None when argparse rejects the argv."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return parser.parse_args(argv).dist
+        except SystemExit:
+            return None
+
+
+# token groups an eval argv is built from; the values include ones that
+# start with "-" (never folded) and an empty one
+DIST_VALUES = st.sampled_from([F3, "f.json", "-1", "- spaced", "", "a b", "--", "{}"])
+ARG_GROUPS = st.one_of(
+    st.tuples(st.just("--dist"), DIST_VALUES),
+    DIST_VALUES.map(lambda v: (f"--dist={v}",)),
+    st.tuples(st.sampled_from(["--dis", "--d"]), DIST_VALUES),
+    st.tuples(st.just("--measure"), st.sampled_from([VAR03, "m.json"])),
+    st.tuples(st.just("--out"), st.sampled_from(["o.json", "-"])),
+    st.just(("--dist",)),
+    st.just(("--",)),
+)
+
+
+class TestDistFold:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(ARG_GROUPS, max_size=8))
+    def test_fold_keeps_every_accepted_argv(self, groups):
+        argv = ["eval"] + [tok for group in groups for tok in group]
+        before = _parsed_dists(_append_parser(), argv)
+        folded = fold_dist_flags(argv)
+        assert _parsed_dists(build_parser(), folded) == _parsed_dists(build_parser(), argv)
+        # Python 3.11's argparse reads "--dist=--" as an empty list, which
+        # append stored as a value and extend adds nothing for
+        if before is not None and all(isinstance(v, str) for v in before):
+            assert _parsed_dists(build_parser(), folded) == before
+
+    def test_fold_joins_runs_and_passes_the_rest(self):
+        argv = ["eval", "--dist", "a", "--dist", "b", "--measure", "m", "--dist", "c",
+                "--dist=d", "--dist", "e", "--dis", "f", "--dist", "-1", "--dist", "g",
+                "--", "--dist", "h", "--dist", "i"]
+        assert fold_dist_flags(argv) == [
+            "eval", "--dist", "a", "b", "--measure", "m", "--dist", "c",
+            "--dist=d", "--dist", "e", "--dis", "f", "--dist", "-1", "--dist", "g",
+            "--", "--dist", "h", "--dist", "i"]
+
+    @pytest.mark.parametrize("tail", [["--dist"], ["--dist", "-x"], ["--dist", "--measure", VAR03]])
+    def test_missing_values_still_exit_two(self, tail, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["eval", "--measure", VAR03, "--dist", F3, *tail])
+        assert e.value.code == 2
+        assert "--dist" in capsys.readouterr().err
+
+    def test_fold_is_linear(self):
+        # one --dist token left for 10,000, so argparse consumes one option
+        argv = fold_dist_flags(["eval", "--measure", VAR03] + ["--dist", F3] * 10_000)
+        assert argv.count("--dist") == 1
+        assert len(argv) == 3 + 1 + 10_000
+
+
+class TestEvalOncePerSpec:
+    def test_repeated_file_is_read_and_evaluated_once(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(F3)
+        reads = []
+        load = fsdrisk.cli.load_json_file
+        monkeypatch.setattr(fsdrisk.cli, "load_json_file", lambda p: reads.append(p) or load(p))
+        calls = []
+        call = RiskMeasure.__call__
+        monkeypatch.setattr(RiskMeasure, "__call__", lambda self, F: calls.append(F) or call(self, F))
+        code = main(["eval", "--measure", VAR03, "--dist", str(path), "--dist", F2,
+                     "--dist", str(path), "--dist", F2, f"--dist={path}"])
+        assert code == 0
+        assert capsys.readouterr().out == "1.0\n-1.5\n1.0\n-1.5\n1.0\n"
+        assert reads == [str(path)]
+        assert len(calls) == 2
+
+    def test_bad_spec_is_reported_at_its_first_index(self, capsys):
+        code = main(["eval", "--measure", VAR03, "--dist", F3, "--dist", UNIFORM,
+                     "--dist", F3, "--dist", UNIFORM])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error [BAD_SCHEMA]: distribution 1:" in captured.err
 
 
 class TestLattice:

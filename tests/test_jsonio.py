@@ -5,6 +5,7 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsdrisk.dist import ContinuousCDF, DiscreteDist
 from fsdrisk.engine import PsiGrid, construct_psi
@@ -131,6 +132,92 @@ class TestDistributionFormat:
         with pytest.raises(InputError) as e:
             parse_distribution_obj(obj)
         assert e.value.code == code
+
+
+# (atoms, code, message): each rejection as the full per-atom checks word it
+BAD_ATOMS = {
+    "non_dict_atom": ([[0.0, 1.0]], "BAD_SCHEMA", "atom 0 must be an object with keys x and p"),
+    "missing_p": ([{"x": 0.0}], "BAD_SCHEMA", "atom 0 must be an object with keys x and p"),
+    "bool_x": ([{"x": True, "p": 1.0}], "BAD_SCHEMA", "atom 0 x: expected a number, got True"),
+    "nan_string_p": ([{"x": 0.0, "p": "nan"}], "NAN_VALUE", "atom 0 p: NaN is not a usable value"),
+    "nan_literal_p": ([{"x": 0.0, "p": math.nan}], "NAN_VALUE",
+                      "atom 0 p: NaN is not a usable value"),
+    "inf_x": ([{"x": "inf", "p": 1.0}], "BAD_SCHEMA", "atom 0: position must be finite, got inf"),
+    "zero_p": ([{"x": 0.0, "p": 0.5}, {"x": 1.0, "p": 0}], "BAD_SCHEMA",
+               "atom 1: mass must lie in (0, 1], got 0.0"),
+    "zero_float_p": ([{"x": 0.0, "p": 0.0}], "BAD_SCHEMA",
+                     "atom 0: mass must lie in (0, 1], got 0.0"),
+    "infinity_literal_x": ([{"x": math.inf, "p": 1.0}], "BAD_SCHEMA",
+                           "atom 0: position must be finite, got inf"),
+    "p_above_one": ([{"x": 0.0, "p": 1.5}], "BAD_SCHEMA",
+                    "atom 0: mass must lie in (0, 1], got 1.5"),
+    "mass_sum": ([{"x": 0.0, "p": 0.5}, {"x": 1.0, "p": 0.3}], "MASS_SUM",
+                 "atom masses sum to 0.8, need 1 within 1e-12"),
+    "merged_mass_sum": ([{"x": 0.0, "p": 0.5}, {"x": 0.0, "p": 0.3}], "MASS_SUM",
+                        "atom masses sum to 0.8, need 1 within 1e-12"),
+    # the input's masses sum just outside 1 +/- MASS_TOL, but adding the two
+    # masses at x = 0 first rounds their sum back inside
+    "merge_rounds_inside": (
+        [{"x": 0.0, "p": 0.5703623392490841}, {"x": 0.0, "p": 0.1806549452551956},
+         {"x": 1.0, "p": 0.24898271549472029}],
+        "MASS_SUM", "atom masses sum to 0.9999999999989999, need 1 within 1e-12"),
+}
+
+
+class TestOnePassAtomParse:
+    @pytest.mark.parametrize("name", sorted(BAD_ATOMS))
+    def test_each_rejection_keeps_its_code_and_message(self, name):
+        raw, code, message = BAD_ATOMS[name]
+        with pytest.raises(InputError) as e:
+            parse_distribution_obj({"atoms": raw})
+        assert (e.value.code, e.value.message) == (code, message)
+
+    def test_merge_rounding_outside_is_the_constructor_error(self):
+        # the reverse case: the input's sum is inside, the merged one is not;
+        # from_atoms rejects it with its own message
+        raw = [{"x": 0.0, "p": 0.5507295311759609}, {"x": 0.0, "p": 0.11491506018575802},
+               {"x": 1.0, "p": 0.33435540863928104}]
+        with pytest.raises(ValueError, match=r"outside 1 \+/- 1e-12") as e:
+            parse_distribution_obj({"atoms": raw})
+        assert not isinstance(e.value, InputError)
+
+    def test_int_values_are_accepted(self):
+        d = parse_distribution_obj({"atoms": [{"x": 1, "p": 0.5}, {"x": 2.5, "p": 0.5}]})
+        assert d == atoms((1.0, 0.5), (2.5, 0.5))
+        assert type(d.xs[0]) is float
+        assert parse_distribution_obj({"atoms": [{"x": 1, "p": 1}]}) == atoms((1.0, 1.0))
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+@st.composite
+def atom_pairs(draw):
+    """Atoms with masses summing to 1 up to rounding, some x repeated."""
+    n = draw(st.integers(1, 12))
+    pool = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=n))
+    xs = [draw(st.sampled_from(pool)) for _ in range(n)]
+    weights = draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n))
+    total = math.fsum(weights)
+    return [(x, w / total) for x, w in zip(xs, weights)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(atom_pairs(), st.booleans())
+def test_parse_equals_from_atoms_bit_for_bit(pairs, int_xs):
+    if int_xs:  # integral x take the full checks instead of the float fast path
+        pairs = [(int(x), p) for x, p in pairs]
+    obj = {"atoms": [{"x": x, "p": p} for x, p in pairs]}
+    try:
+        want = DiscreteDist.from_atoms(pairs)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_distribution_obj(obj)
+        return
+    got = parse_distribution_obj(obj)
+    assert _bits(got.xs) == _bits(want.xs)
+    assert _bits(got.cum) == _bits(want.cum)
 
 
 class TestStepAndKernelFormat:
