@@ -73,6 +73,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    if not args.dist:
+        raise InputError("BAD_SCHEMA", "eval takes one or more --dist arguments")
     measure = parse_measure_obj(_load_obj(args.measure))
     # a measure is pure, so each distinct spec is read and evaluated once;
     # the cache keeps values, not distributions, so memory stays flat
@@ -125,7 +127,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         report = check_nondegeneracy(measure, grid, args.tol)
     else:
         limit = ContinuousCDF.uniform(0.0, 1.0)
-        if args.dist:
+        if args.dist is not None:
             if len(args.dist) != 1:
                 raise InputError("BAD_SCHEMA", "the limit probe takes a single --dist")
             parsed = parse_distribution_obj(_load_obj(args.dist[0]))

@@ -277,22 +277,24 @@ def check_semicontinuity_probe(
 ) -> StabilityReport:
     """Approach a continuous input from below and watch the values.
 
-    Discretizing with n cells is dominated by discretizing with 2n, so
-    along each doubling chain the value may only move up towards the
-    reference; and no term may exceed the reference at all.  Nothing is
+    Discretizing with n cells is dominated by discretizing with k * n,
+    so along each doubling chain the value may only move up, and no term
+    may exceed a reference that dominates it.  The supplied limit
+    dominates every term.  Without one, the reference is the measure at
+    a 4 * n_max discretization, which dominates only the terms whose n
+    divides 4 * n_max; the others are not compared with it.  Nothing is
     asserted between consecutive cell counts: n = 3 and n = 4 interleave
-    and are genuinely incomparable in the dominance order.  The
-    reference is the supplied limit, or the measure at a 4 * n_max
-    discretization when none is given.
+    and are genuinely incomparable in the dominance order.
     """
     _check_tol(tol)
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
-    ref = rho(discretize(F, 4 * n_max)) if rho_limit is None else float(rho_limit)
+    n_ref = 4 * n_max
+    ref = rho(discretize(F, n_ref)) if rho_limit is None else float(rho_limit)
     values = [rho(discretize(F, n)) for n in range(1, n_max + 1)]
     tally = _Tally()
     for n, v in enumerate(values, start=1):
-        if v > ref + tol:
+        if (rho_limit is not None or n_ref % n == 0) and v > ref + tol:
             gap = v - ref
             tally.add(gap, ProbeWitness(n, v, ref, gap, "value exceeds the reference"))
     for n in range(1, n_max // 2 + 1):

@@ -3,12 +3,12 @@
 A sup-kernel psi(x, p) is decreasing in p for each fixed x, with
 psi(x, 1) = -inf away from deliberately degenerate variants; a
 distribution is evaluated as sup over x of psi(x, F(x)).  For a step
-CDF that supremum is attained at a breakpoint or as a left limit
-approaching one, so it collapses to a finite maximum once the kernel can
-report its own x-breakpoints and its left-sup regularization
-psi~(x, p) = sup over t < x of psi(t, p).  Dual inf-kernels phi mirror
-all of this: phi(x, 0) = +inf, evaluation is inf over x of phi(x, F(x-))
-and the one-sided limits come from the right-inf regularization.
+CDF that is a finite maximum of the left-sup regularization
+psi~(x, p) = sup over t < x of psi(t, p), read only through ``left_sup``
+at each CDF or kernel x-breakpoint and at p = 1 just past the last one,
+where psi must have no x-structure left.  Dual inf-kernels phi mirror
+this: inf over x of phi(x, F(x-)), read only through ``right_inf``,
+with phi(x, 0) = +inf covering everything left of the support.
 """
 
 from __future__ import annotations
@@ -32,7 +32,10 @@ INF = math.inf
 
 
 class PsiKernel(ABC):
-    """Sup-form kernel, decreasing in its second argument."""
+    """Sup-form kernel, decreasing in p; sup_psi_eval reads only left_sup.
+
+    psi(., 1) must have no x-structure past the last x-breakpoint.
+    """
 
     @abstractmethod
     def eval(self, x: float, p: float) -> float: ...
@@ -239,8 +242,8 @@ class GridKernel(_Tabulated, PsiKernel):
 class RegularizedKernel(PsiKernel):
     """Left-sup closure of a base kernel.
 
-    Increasing and left-continuous in x by construction, with the same
-    sup evaluation on every distribution as the base kernel.
+    Increasing and left-continuous in x by construction; it shares the
+    base's left_sup, all that sup_psi_eval reads, so both evaluate alike.
     """
 
     base: PsiKernel
@@ -264,39 +267,23 @@ def regularize_psi(psi: PsiKernel) -> PsiKernel:
     return RegularizedKernel(psi)
 
 
-def _candidates(kernel_breaks: tuple[float, ...], F: DiscreteDist) -> list[float]:
-    return sorted(set(F.xs).union(kernel_breaks))
-
-
 def sup_psi_eval(psi: PsiKernel, F: DiscreteDist) -> float:
-    """Exact sup over all real x of psi(x, F(x)).
+    """Exact sup over all real x of psi(x, F(x)), read through left_sup alone.
 
-    Between consecutive candidate points (CDF breakpoints plus the
-    kernel's x-breakpoints) the CDF and the kernel structure are both
-    constant, so each open interval contributes either its left-end
-    value or the left limit at its right end; the latter is exactly the
-    regularized kernel evaluated there.  Candidate values never
-    overshoot because psi decreases in p while F increases in x.
+    The candidates c_1 < ... < c_m (CDF and kernel x-breakpoints) cut the
+    line into pieces [c_j, c_{j+1}) on which F is constant, 0 before c_1,
+    so each piece is one left_sup read at its right end at that level.
+    No read overshoots, as psi decreases in p while F increases in x.
+    The last piece is read at nextafter(c_m) and p = 1.
     """
-    best = -INF
-    cands = _candidates(psi.x_breakpoints(), F)
-    for b in cands:
-        v = psi.eval(b, F.cdf(b))
-        if v > best:
-            best = v
-        w = psi.left_sup(b, F.cdf_left_limit(b))
-        if w > best:
-            best = w
-    # beyond the last candidate the CDF sits at 1 and the kernel has no
-    # x-structure left, so one probe finishes the sup; variants with
-    # psi(x, 1) = -inf contribute nothing here, but a regularized pinned
-    # kernel keeps its p = 1 value on that whole ray
-    v = psi.eval(cands[-1] + 1.0, 1.0)
-    return v if v > best else best
+    cands = sorted(set(F.xs).union(psi.x_breakpoints()))
+    levels = [0.0, *map(F.cdf, cands)]
+    cands.append(math.nextafter(cands[-1], INF))
+    return max(map(psi.left_sup, cands, levels))
 
 
 class PhiKernel(ABC):
-    """Inf-form kernel, decreasing in p, +inf at p = 0."""
+    """Inf-form kernel, decreasing in p, +inf at p = 0; inf_phi_eval reads only right_inf."""
 
     @abstractmethod
     def eval(self, x: float, p: float) -> float: ...
@@ -310,16 +297,13 @@ class PhiKernel(ABC):
 
 
 def inf_phi_eval(phi: PhiKernel, F: DiscreteDist) -> float:
-    """Exact inf over all real x of phi(x, F(x-)), mirroring sup_psi_eval."""
-    best = INF
-    for b in _candidates(phi.x_breakpoints(), F):
-        v = phi.eval(b, F.cdf_left_limit(b))
-        if v < best:
-            best = v
-        w = phi.right_inf(b, F.cdf(b))
-        if w < best:
-            best = w
-    return best
+    """Exact inf over all real x of phi(x, F(x-)), read through right_inf alone.
+
+    Mirror of sup_psi_eval: F(x-) is F(c_j) on (c_j, c_{j+1}] and 1 past
+    c_m, so each piece is right_inf(c_j, F(c_j)); up to c_1, F(x-) = 0.
+    """
+    cands = sorted(set(F.xs).union(phi.x_breakpoints()))
+    return min(map(phi.right_inf, cands, map(F.cdf, cands)))
 
 
 @dataclass(frozen=True)

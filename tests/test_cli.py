@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 
 import fsdrisk.cli
 from fsdrisk.cli import build_parser, fold_dist_flags, main
-from fsdrisk.jsonio import parse_distribution_obj, parse_psi_grid_obj
-from fsdrisk.measures import RiskMeasure
+from fsdrisk.dist import ContinuousCDF
+from fsdrisk.harness import check_semicontinuity_probe
+from fsdrisk.jsonio import parse_distribution_obj, parse_measure_obj, parse_psi_grid_obj, report_to_json
+from fsdrisk.measures import RiskMeasure, var_measure
 
 F3 = '{"atoms": [{"x": 1.0, "p": 0.3}, {"x": 2.0, "p": 0.4}, {"x": 3.0, "p": 0.3}]}'
 VAR03 = '{"kind": "var", "alpha": 0.3}'
@@ -189,12 +191,15 @@ class TestCheck:
         assert report["witness"]["type"] == "point"
 
     def test_limit_probe_uses_trials_as_cell_limit(self, capsys):
-        # the median is exact on every dyadic refinement; off-median levels
-        # can overshoot the finite reference at non-dyadic cell counts
-        code = main(["check", "--measure", '{"kind": "var", "alpha": 0.5}',
-                     "--axiom", "ls", "--trials", "8"])
-        assert code == 0
-        assert "axiom: ls" in capsys.readouterr().out
+        # at alpha = 0.3 the 7-cell value sits above the 32-cell reference,
+        # which is no violation: 7 cells do not refine into 32
+        for alpha in ("0.5", "0.3"):
+            code = main(["check", "--measure", f'{{"kind": "var", "alpha": {alpha}}}',
+                         "--axiom", "ls", "--trials", "8"])
+            assert code == 0
+            out = capsys.readouterr().out
+            assert "axiom: ls" in out
+            assert "violations: 0/8" in out
 
     def test_nan_tolerance_is_an_input_error(self, capsys):
         code = main(["check", "--measure", VAR03, "--axiom", "maxs", "--trials", "10",
@@ -206,6 +211,22 @@ class TestCheck:
         code = main(["check", "--measure", VAR03, "--axiom", "ls", "--dist", F3])
         assert code == 2
         assert "continuous" in capsys.readouterr().err
+
+    def test_limit_probe_reads_its_limit_from_a_single_dist(self, tmp_path, capsys):
+        rpath = tmp_path / "report.json"
+        limit = '{"family": "uniform", "a": 2.0, "b": 6.0}'
+        code = main(["check", "--measure", VAR03, "--axiom", "ls", "--trials", "16",
+                     "--dist", limit, "--out", str(rpath)])
+        assert code == 0
+        want = check_semicontinuity_probe(
+            parse_measure_obj(json.loads(VAR03)), ContinuousCDF.uniform(2.0, 6.0), 16)
+        assert rpath.read_text() == report_to_json(want)
+        capsys.readouterr()
+        code = main(["check", "--measure", VAR03, "--axiom", "ls", "--dist", limit, "--dist", UNIFORM])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "takes a single --dist" in captured.err
 
 
 class TestConstructPsi:
@@ -235,11 +256,24 @@ class TestConstructPsi:
         assert "not a whole number of steps" in capsys.readouterr().err
 
     def test_input_error_leaves_stdout_empty(self, capsys):
-        code = main(["construct-psi", "--measure", VAR03,
-                     "--x-range", "0", "1", "--x-step", "0.5", "--p-step", "0.25",
-                     "--trials", "-1"])
-        assert code == 2
-        assert capsys.readouterr().out == ""
+        cases = [
+            (["--x-range", "0", "1", "--x-step", "0.5", "--p-step", "0.25", "--trials", "-1"],
+             "stability trials must be non-negative"),
+            (["--x-range", "0", "1", "--x-step", "0", "--p-step", "0.25"],
+             "x step must be positive"),
+            (["--x-range", "0", "1", "--x-step", "0.5", "--p-step", "-0.25"],
+             "p step must be positive"),
+            (["--x-range", "1", "0", "--x-step", "0.5", "--p-step", "0.25"],
+             "x range needs lo < hi"),
+            (["--x-range", "1", "1", "--x-step", "0.5", "--p-step", "0.25"],
+             "x range needs lo < hi"),
+        ]
+        for args, message in cases:
+            code = main(["construct-psi", "--measure", VAR03, *args])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert message in captured.err
 
 
 class TestSuperlevel:
@@ -293,6 +327,8 @@ GRID_ARGS = ["--x-range", "-2", "2", "--x-step", "0.25", "--p-step", "0.05"]
 SHORTFALL = '{"kind": "expected_shortfall", "alpha": 0.5}'
 F2 = '{"atoms": [{"x": -1.5, "p": 0.6}, {"x": 2.5, "p": 0.4}]}'
 
+EMPTY_SHA256 = hashlib.sha256(b"").hexdigest()
+
 # argv, exit code, SHA-256 of stdout, SHA-256 of the --out file (None:
 # no --out); "{grid}" stands for a var(0.3) table built on GRID_ARGS
 GOLDEN = {
@@ -311,9 +347,9 @@ GOLDEN = {
         "c93af59a6e76c9e44162083611294a5b3a10bdde1714a414291a808d6ac4c756",
         "236deeaba26327fde204df8f97422d35690e78a9a784d68c86a62aafbe4ddf5b"),
     "check_probe_witness": (
-        ["check", "--measure", VAR03, "--axiom", "ls", "--trials", "300"], 1,
-        "ad499661224b5886ed9070dc943795e7054b2ec517b62fc7ca3597b75b6d9e5c",
-        "2a92ec78aa6dc22fba1a871532aeaec4f16ca50af0482cd0abb52f90cc9fc3ad"),
+        ["check", "--measure", VAR03, "--axiom", "ls", "--trials", "300"], 0,
+        "8b59e591d6898127383a8814c6607636032f3ef6905be5729a0bb38913819a9e",
+        "dc162e98179237ffe645952da13c07ee12d8d6994e691c0dff0dd0f05465b587"),
     "superlevel_var_grid": (
         ["superlevel", "--kernel", "{grid}", "--threshold", "0.0",
          "--x-range", "-2", "2", "--resolution", "41"], 0,
@@ -322,6 +358,12 @@ GOLDEN = {
         ["eval", "--measure", LAM3, "--dist", F3, "--dist", F2], 0,
         "b480393bdaeb4d3c3b80e3863a5e83c58fb044ccc99f70c0ba208754d507c1cc",
         "fa0bef05a7fce3f8a9b494e55f94461f1b48d930b3a1d1e9574163eb6b38056b"),
+    # argparse reads "--dist=--" as no value at all: an input error with
+    # nothing on stdout, not an empty run or the default limit
+    "eval_empty_dist": (["eval", "--measure", VAR03, "--dist=--"], 2, EMPTY_SHA256, None),
+    "check_empty_dist": (["check", "--measure", VAR03, "--axiom", "ls", "--dist=--"], 2,
+                         EMPTY_SHA256, None),
+    "lattice_empty_dist": (["lattice", "--dist=--"], 2, EMPTY_SHA256, None),
 }
 
 
@@ -341,3 +383,14 @@ def test_golden_output_bytes(name, tmp_path, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want_out
     if want_file is not None:
         assert hashlib.sha256(opath.read_bytes()).hexdigest() == want_file
+
+
+def test_probe_witness_json_bytes():
+    # a stated limit below the 0.3 quantile: every cell count that reaches
+    # past it is a real violation, and the witness is the worst of them
+    report = check_semicontinuity_probe(
+        var_measure(0.3), ContinuousCDF.uniform(0.0, 1.0), 300, rho_limit=0.29)
+    assert report.violations == 245
+    assert report.witness.n == 297
+    digest = hashlib.sha256(report_to_json(report).encode()).hexdigest()
+    assert digest == "7e8e0617749a37c6ef9c9106e707ead6ba108436fa2cce189407041ff3d26cea"

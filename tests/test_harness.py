@@ -7,6 +7,8 @@ import pytest
 from fsdrisk.dist import ContinuousCDF, discretize, fsd_join, fsd_leq, fsd_meet
 from fsdrisk.harness import (
     PairWitness,
+    PointWitness,
+    ProbeWitness,
     SamplerConfig,
     StabilityReport,
     check_fsd_consistency,
@@ -21,9 +23,11 @@ from fsdrisk.harness import (
 )
 from fsdrisk.jsonio import report_to_json
 from fsdrisk.measures import (
+    RiskMeasure,
     expected_shortfall_measure,
     lambda_quantile_measure,
     pinned_measure,
+    var,
     var_measure,
 )
 from fsdrisk.steps import DEC, MonotoneStep
@@ -31,6 +35,8 @@ from fsdrisk.steps import DEC, MonotoneStep
 INF = math.inf
 LAM3 = MonotoneStep((-2.0, 2.0), (0.8, 0.5, 0.2), direction=DEC)
 ND_GRID = [-10.0 + 20.0 * k / 49 for k in range(50)]
+# falls as mass moves up: the stock measure that is not FSD-consistent
+NEG_MEDIAN = RiskMeasure("neg_median", lambda F: -var(F, 0.5))
 
 
 class TestSampler:
@@ -140,6 +146,14 @@ class TestNondegeneracy:
         assert rep.violations == 48
         assert rep.worst_gap == pytest.approx(1e-9)
 
+    def test_constant_infinite_values_fall_short_by_infinity(self):
+        # Lambda = 0 puts every value at -inf: equal infinities gain nothing
+        rep = check_nondegeneracy(lambda_quantile_measure(MonotoneStep.constant(0.0, DEC)),
+                                  [-1.0, 0.0, 1.0])
+        assert rep.violations == 2
+        assert rep.worst_gap == INF
+        assert rep.witness == PointWitness(-1.0, 0.0, -INF, -INF, INF)
+
     def test_grid_validation(self):
         va = var_measure(0.3)
         with pytest.raises(ValueError):
@@ -155,6 +169,17 @@ class TestFsdConsistency:
             F = sample_distribution(cfg, trial=t)
             G = dominating_variant(F, cfg, trial=t)
             assert fsd_leq(F, G)
+
+    def test_decreasing_measure_fails_with_a_dominated_pair(self):
+        cfg = SamplerConfig(seed=1234, trials=50)
+        rep = check_fsd_consistency(NEG_MEDIAN, cfg)
+        assert rep.verdict == "fail"
+        assert rep.violations == 30
+        w = rep.witness
+        assert isinstance(w, PairWitness)
+        assert fsd_leq(w.f, w.g)
+        assert (NEG_MEDIAN(w.f), NEG_MEDIAN(w.g)) == (w.lhs, w.rhs)
+        assert w.gap == rep.worst_gap == w.lhs - w.rhs > 0.0
 
     def test_measures_pass(self):
         cfg = SamplerConfig(seed=1234, trials=1000)
@@ -191,6 +216,35 @@ class TestSemicontinuityProbe:
         assert self.VA.fn(discretize(self.U, 4)) == 0.25
         rep = check_semicontinuity_probe(self.VA.fn, self.U, 4)
         assert rep.passed
+
+    def test_finite_reference_bounds_only_the_cell_counts_it_refines(self):
+        # at alpha = 0.3, 7 cells give 2/7 and 297 cells 89/297, above the
+        # 9/32 and 359/1200 of 32 and 1200 cells, but neither count
+        # divides the reference's, so neither is dominated by it
+        va = var_measure(0.3)
+        assert va(discretize(self.U, 7)) > va(discretize(self.U, 32))
+        assert va(discretize(self.U, 297)) > va(discretize(self.U, 1200))
+        assert check_semicontinuity_probe(va, self.U, 8).passed
+        assert check_semicontinuity_probe(va, self.U, 300).passed
+        # a stated limit bounds every term
+        rep = check_semicontinuity_probe(va, self.U, 8, rho_limit=0.28)
+        assert rep.violations == 1
+        assert rep.witness.n == 7
+
+    def test_falling_values_fail_on_a_doubling_chain(self):
+        # an upper bound as the limit leaves only the chain checks: 2 -> 4
+        # and 4 -> 8 cells move the median up, so its negation falls
+        rep = check_semicontinuity_probe(NEG_MEDIAN, self.U, 8, rho_limit=0.0)
+        assert rep.violations == 2
+        assert rep.witness == ProbeWitness(4, -0.25, 0.0, 0.25, "value fell on doubling refinement")
+
+    def test_values_above_a_refined_reference_fail(self):
+        # with the 32-cell reference, n = 1, 2, 4 and 8 exceed it and the
+        # two falling doubling steps count too
+        rep = check_semicontinuity_probe(NEG_MEDIAN, self.U, 8)
+        assert rep.violations == 6
+        assert rep.witness.n == 1
+        assert rep.witness.reason == "value exceeds the reference"
 
     def test_needs_at_least_two_cells(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fsdrisk.dist import DiscreteDist, point_mass
 from fsdrisk.harness import SamplerConfig, sample_distribution
@@ -15,7 +16,9 @@ from fsdrisk.kernels import (
     DualVarKernel,
     GridKernel,
     LambdaKernel,
+    PhiKernel,
     PinnedKernel,
+    PsiKernel,
     RegularizedKernel,
     VarKernel,
     inf_phi_eval,
@@ -26,6 +29,7 @@ from fsdrisk.measures import (
     affine_benchmark,
     benchmark_loss_var,
     lambda_quantile,
+    pinned_value,
     var,
 )
 from fsdrisk.steps import DEC, INC, MonotoneStep
@@ -253,15 +257,21 @@ class TestRegularization:
         for F in random_dists(555, 1000):
             assert sup_psi_eval(reg, F) == sup_psi_eval(k, F)
 
-    def test_sup_preserved_when_all_mass_sits_left_of_the_pin(self):
+    @pytest.mark.parametrize("x0", [0.0, 2.0**53, 1e16], ids=["0", "2**53", "1e16"])
+    def test_sup_preserved_when_all_mass_sits_left_of_the_pin(self, x0):
         # regression: the regularized pin keeps its value on the whole ray
-        # right of x0, which the candidate set alone cannot see
-        g = MonotoneStep((0.5,), (3.0, -1.0), direction=DEC)
-        k = PinnedKernel(0.0, g)
+        # right of x0, which the candidate set alone cannot see; from
+        # 2**53 on, x0 + 1.0 rounds back onto x0, so that ray must be read
+        # at the next float
+        g = MonotoneStep((0.5,), (1.0, 0.25), direction=DEC)
+        k = PinnedKernel(x0, g)
         reg = regularize_psi(k)
-        for F in [point_mass(-2.0), atoms((-3.0, 0.4), (-1.0, 0.6))]:
-            assert sup_psi_eval(k, F) == g(1.0)
-            assert sup_psi_eval(reg, F) == g(1.0)
+        left = [point_mass(-2.0), atoms((-3.0, 0.4), (-1.0, 0.6)),
+                point_mass(math.nextafter(x0, -INF))]
+        for F in left + [point_mass(0.0)]:
+            assert pinned_value(F, x0, g) == g(1.0) == 0.25
+            assert sup_psi_eval(k, F) == 0.25
+            assert sup_psi_eval(reg, F) == 0.25
 
 
 class TestDualKernels:
@@ -348,3 +358,158 @@ class TestDualGridKernel:
     def test_p_zero_column_must_diverge(self):
         with pytest.raises(ValueError):
             DualGridKernel((0.0,), (0.0, 1.0), ((0.0, 0.0),))
+
+
+class _RecordingPsi(PsiKernel):
+    """Passes every read through to a base kernel and logs its name."""
+
+    def __init__(self, base):
+        self.base = base
+        self.reads = []
+
+    def eval(self, x, p):
+        self.reads.append("eval")
+        return self.base.eval(x, p)
+
+    def left_sup(self, x, p):
+        self.reads.append("left_sup")
+        return self.base.left_sup(x, p)
+
+    def x_breakpoints(self):
+        return self.base.x_breakpoints()
+
+
+class _RecordingPhi(PhiKernel):
+    def __init__(self, base):
+        self.base = base
+        self.reads = []
+
+    def eval(self, x, p):
+        self.reads.append("eval")
+        return self.base.eval(x, p)
+
+    def right_inf(self, x, p):
+        self.reads.append("right_inf")
+        return self.base.right_inf(x, p)
+
+    def x_breakpoints(self):
+        return self.base.x_breakpoints()
+
+
+class TestOneReadPerCandidate:
+    F = atoms((-1.0, 0.25), (0.0, 0.25), (2.0, 0.5))
+    LAM = MonotoneStep((-2.0, 0.0, 2.0), (0.9, 0.6, 0.4, 0.2), direction=DEC)
+
+    def test_sup_reads_left_sup_once_per_candidate_and_once_past_them(self):
+        base = LambdaKernel(self.LAM)
+        k = _RecordingPsi(base)
+        value = sup_psi_eval(k, self.F)
+        # candidates -2, -1, 0, 2: the atoms and the curve's breakpoints
+        assert k.reads == ["left_sup"] * (4 + 1)
+        assert value == lambda_quantile(self.F, self.LAM)
+
+    def test_inf_reads_right_inf_once_per_candidate(self):
+        base = DualLambdaKernel(self.LAM)
+        k = _RecordingPhi(base)
+        value = inf_phi_eval(k, self.F)
+        assert k.reads == ["right_inf"] * 4
+        assert value == lambda_quantile(self.F, self.LAM)
+
+
+# magnitudes up to 1e16, where consecutive floats are 2 apart
+SCALES = st.sampled_from([1.0, 1e3, 1e15, 2.0**53, 1e16])
+UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+INNER_P = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+KERNEL_EXAMPLES = settings(max_examples=100, deadline=None)
+
+
+@st.composite
+def dists_near(draw, scale, nodes=()):
+    """Atoms on the given nodes, beside them or anywhere within the scale."""
+    free = UNIT.map(lambda u: u * scale)
+    if nodes:
+        node = st.sampled_from(nodes)
+        free = st.one_of(node, node.map(lambda x: math.nextafter(x, INF)), free)
+    xs = draw(st.lists(free, min_size=1, max_size=5, unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=len(xs), max_size=len(xs)))
+    total = sum(weights)
+    return DiscreteDist.from_atoms([(x, w / total) for x, w in zip(xs, weights)])
+
+
+@st.composite
+def grid_cases(draw, dual):
+    """A random grid kernel with rows decreasing along p, and a distribution."""
+    scale = draw(SCALES)
+    x_grid = sorted(draw(st.lists(UNIT.map(lambda u: u * scale), min_size=1, max_size=4,
+                                  unique=True)))
+    p_grid = [0.0, *sorted(draw(st.lists(INNER_P, max_size=3, unique=True))), 1.0]
+    entry = st.one_of(UNIT.map(lambda u: u * scale), st.sampled_from([-INF, INF]))
+    table = []
+    for _ in x_grid:
+        row = sorted(draw(st.lists(entry, min_size=len(p_grid), max_size=len(p_grid))),
+                     reverse=True)
+        if dual:
+            row[0] = INF
+        else:
+            row[-1] = -INF
+        table.append(tuple(row))
+    cls = DualGridKernel if dual else GridKernel
+    kernel = cls(tuple(x_grid), tuple(p_grid), tuple(table))
+    return kernel, draw(dists_near(scale, tuple(x_grid)))
+
+
+@st.composite
+def pin_cases(draw):
+    scale = draw(SCALES)
+    # a pin at the scale's edge often has all the mass on one side
+    x0 = draw(st.one_of(UNIT, st.sampled_from([-1.0, 1.0]))) * scale
+    b = draw(INNER_P)
+    return x0, b, draw(dists_near(scale, (x0,)))
+
+
+def _cands(kernel, F):
+    return sorted(set(F.xs).union(kernel.x_breakpoints()))
+
+
+class TestEvaluationAgainstPointReads:
+    """Both evaluators against references that read only eval or the curves."""
+
+    @KERNEL_EXAMPLES
+    @given(grid_cases(dual=False))
+    def test_grid_sup_is_the_max_of_point_values(self, case):
+        k, F = case
+        want = max(k.eval(b, F.cdf(b)) for b in _cands(k, F))
+        assert sup_psi_eval(k, F) == want
+        assert sup_psi_eval(regularize_psi(k), F) == want
+
+    @KERNEL_EXAMPLES
+    @given(grid_cases(dual=True))
+    def test_dual_grid_inf_is_the_min_of_left_limit_values(self, case):
+        k, F = case
+        want = min(k.eval(b, F.cdf_left_limit(b)) for b in _cands(k, F))
+        assert inf_phi_eval(k, F) == want
+
+    @KERNEL_EXAMPLES
+    @given(pin_cases(), st.floats(-5.0, 5.0), st.floats(0.0, 5.0))
+    def test_pinned_reads_the_cdf_at_the_pin(self, case, low, drop):
+        x0, b, F = case
+        g = MonotoneStep((b,), (low + drop, low), direction=DEC)
+        k = PinnedKernel(x0, g)
+        assert sup_psi_eval(k, F) == g(F.cdf(x0))
+        assert sup_psi_eval(regularize_psi(k), F) == g(F.cdf(x0))
+
+    @KERNEL_EXAMPLES
+    @given(pin_cases(), st.floats(-5.0, 5.0))
+    def test_dual_pinned_reads_the_left_limit_at_the_pin(self, case, value):
+        x0, b, F = case
+        g = MonotoneStep((b,), (INF, value), direction=DEC)
+        assert inf_phi_eval(DualPinnedKernel(x0, g), F) == g(F.cdf_left_limit(x0))
+
+    @KERNEL_EXAMPLES
+    @given(SCALES.flatmap(dists_near), st.floats(0.0, 3.0), st.floats(-5.0, 5.0))
+    def test_dual_benchmark_is_the_min_over_atoms(self, F, slope, shift):
+        def g(p):
+            return -INF if p == 0.0 else slope * math.log(p) + shift
+
+        want = min(x - g(F.cdf(x)) for x in F.xs)
+        assert inf_phi_eval(DualBenchmarkKernel(g), F) == want
