@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import sys
 from pathlib import Path
 from typing import Any
@@ -159,6 +160,8 @@ def _cmd_construct_psi(args: argparse.Namespace) -> int:
     lo, hi = args.x_range
     if not lo < hi:
         raise InputError("BAD_SCHEMA", f"x range needs lo < hi, got {lo} {hi}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InputError("BAD_SCHEMA", f"x range must be finite, got {lo} {hi}")
     x_grid = _regular_grid(lo, hi, args.x_step, "x")
     p_grid = _regular_grid(0.0, 1.0, args.p_step, "p")
     gate_line = f"stability gate: seed {GATE_SEED}, {args.trials} trials"

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -306,13 +307,11 @@ def recover_lambda(
     sub_f = rho(point_mass(sub_x))
     f_hat = tuple(rho(point_mass(x)) for x in psi.x_grid)
     lam_hat = []
-    for i in range(len(psi.x_grid)):
-        ref = psi.table[i][0]
-        best = psi.p_grid[0]
-        for j in range(len(psi.p_grid)):
-            if ext_gap(psi.table[i][j], ref) <= tol:
-                best = psi.p_grid[j]
-        lam_hat.append(best)
+    for row in psi.table:
+        ref = row[0]
+        # rows fall along p, so the nodes still matching ref are a prefix
+        k = bisect_left(row, True, key=lambda v: not ext_gap(v, ref) <= tol)
+        lam_hat.append(psi.p_grid[k - 1] if k else psi.p_grid[0])
     lam_hat = tuple(lam_hat)
     lam_violations = tuple(
         i for i in range(len(lam_hat) - 1) if lam_hat[i + 1] - lam_hat[i] > tol

@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from bisect import bisect_left
 from dataclasses import fields
 from math import fsum
 from pathlib import Path
@@ -275,14 +276,35 @@ def _parse_grid_fields(obj: dict) -> tuple[tuple, tuple, tuple]:
     for key in ("x_grid", "p_grid", "table"):
         if not isinstance(obj.get(key), list):
             raise InputError("BAD_SCHEMA", f"grid needs a list under {key!r}")
-    xg = tuple(parse_num(v, f"x_grid[{i}]") for i, v in enumerate(obj["x_grid"]))
-    pg = tuple(parse_num(v, f"p_grid[{i}]") for i, v in enumerate(obj["p_grid"]))
+    xg = _parse_nums(obj["x_grid"], "x_grid")
+    pg = _parse_nums(obj["p_grid"], "p_grid")
     table = []
     for i, row in enumerate(obj["table"]):
         if not isinstance(row, list):
             raise InputError("BAD_SCHEMA", f"table[{i}] must be a list")
-        table.append(tuple(parse_num(v, f"table[{i}][{j}]") for j, v in enumerate(row)))
+        table.append(_parse_nums(row, f"table[{i}]"))
     return xg, pg, tuple(table)
+
+
+_SENTINELS = {"inf": INF, "-inf": -INF}
+
+
+def _parse_nums(values: list, where: str) -> tuple[float, ...]:
+    """``parse_num`` on each entry, the j-th reported as ``where[j]``.
+
+    A list of plain floats and the exact sentinels "inf" and "-inf" is
+    read in one pass; any other list (ints, other spellings, NaN, bools,
+    junk) goes through ``parse_num`` entry by entry, for its codes and
+    messages.
+    """
+    try:
+        nums = tuple(map(_SENTINELS.get, values, values))
+    except TypeError:  # an unhashable entry, which parse_num names below
+        pass
+    else:
+        if {float}.issuperset(map(type, nums)) and not any(map(math.isnan, nums)):
+            return nums
+    return tuple(parse_num(v, f"{where}[{j}]") for j, v in enumerate(values))
 
 
 def parse_measure_obj(obj: Any) -> RiskMeasure:
@@ -373,7 +395,13 @@ def superlevel_rows(
     Both axes are sampled on regular grids of the given resolution, p
     over [0, 1].  Each row holds the largest sampled p at which
     psi(x, p) >= threshold, or None when no sampled level qualifies.
+    The boundary is found by bisection over the sampled p, which relies
+    on psi decreasing in p: every kernel the command line can build
+    does, as grid rows and family curves are checked at construction.
+    A NaN threshold is rejected.
     """
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
     lo, hi = (float(x_range[0]), float(x_range[1]))
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"x range must be a finite interval, got {x_range}")
@@ -384,10 +412,9 @@ def superlevel_rows(
     ps = [k / steps for k in range(resolution)]
     rows: list[tuple[float, float | None, bool]] = []
     for x in xs:
-        boundary = None
-        for p in ps:
-            if kernel.eval(x, p) >= threshold:
-                boundary = p
+        # psi falls in p, so the levels that meet the threshold are a prefix of ps
+        k = bisect_left(ps, True, key=lambda p: not kernel.eval(x, p) >= threshold)
+        boundary = ps[k - 1] if k else None
         rows.append((x, boundary, boundary is not None))
     return rows
 

@@ -14,6 +14,7 @@ with phi(x, 0) = +inf covering everything left of the support.
 from __future__ import annotations
 
 import math
+import operator
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -35,6 +36,10 @@ class PsiKernel(ABC):
     """Sup-form kernel, decreasing in p; sup_psi_eval reads only left_sup.
 
     psi(., 1) must have no x-structure past the last x-breakpoint.
+    Decrease in p is relied on, not checked per read: ``superlevel_rows``
+    finds its boundary by bisection over the sampled p.  Every kernel
+    the command line builds has it, since GridKernel rows and the family
+    curves are checked at construction.
     """
 
     @abstractmethod
@@ -166,24 +171,29 @@ class _Tabulated:
         Rows must decrease along p and the p column at index ``edge``
         must be identically ``edge_value``.
         """
-        xg = tuple(float(v) for v in self.x_grid)
-        pg = tuple(float(v) for v in self.p_grid)
-        tab = tuple(tuple(float(v) for v in row) for row in self.table)
+        xg = tuple(map(float, self.x_grid))
+        pg = tuple(map(float, self.p_grid))
+        tab = tuple(tuple(map(float, row)) for row in self.table)
         object.__setattr__(self, "x_grid", xg)
         object.__setattr__(self, "p_grid", pg)
         object.__setattr__(self, "table", tab)
-        if not xg or any(xg[i] >= xg[i + 1] for i in range(len(xg) - 1)):
+        # a NaN node passes every ordering test, so finiteness is its own check
+        if not xg or any(map(operator.ge, xg, xg[1:])):
             raise ValueError("x-grid must be non-empty and strictly increasing")
+        if not all(map(math.isfinite, xg)):
+            raise ValueError("x-grid nodes must be finite")
         if len(pg) < 2 or pg[0] != 0.0 or pg[-1] != 1.0:
             raise ValueError("p-grid must start at 0.0 and end at 1.0")
-        if any(pg[i] >= pg[i + 1] for i in range(len(pg) - 1)):
+        if any(map(operator.ge, pg, pg[1:])):
             raise ValueError("p-grid must be strictly increasing")
+        if any(map(math.isnan, pg)):
+            raise ValueError("p-grid must not contain NaN")
         if len(tab) != len(xg) or any(len(row) != len(pg) for row in tab):
             raise ValueError("table shape must be len(x_grid) by len(p_grid)")
         for row in tab:
-            if any(math.isnan(v) for v in row):
+            if any(map(math.isnan, row)):
                 raise ValueError("table must not contain NaN")
-            if any(row[j] < row[j + 1] for j in range(len(row) - 1)):
+            if any(map(operator.lt, row, row[1:])):
                 raise ValueError("table rows must be decreasing along p")
             if row[edge] != edge_value:
                 raise ValueError(f"table column at p = {pg[edge]:g} must be {edge_value:+}")

@@ -267,6 +267,8 @@ class TestConstructPsi:
              "x range needs lo < hi"),
             (["--x-range", "1", "1", "--x-step", "0.5", "--p-step", "0.25"],
              "x range needs lo < hi"),
+            (["--x-range", "0", "inf", "--x-step", "0.5", "--p-step", "0.25"],
+             "x range must be finite"),
         ]
         for args, message in cases:
             code = main(["construct-psi", "--measure", VAR03, *args])
@@ -302,6 +304,26 @@ class TestSuperlevel:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "x,p_boundary,reachable"
         assert len(lines) == 6
+
+    def test_nan_threshold_is_an_input_error(self, capsys):
+        code = main(["superlevel", "--kernel", VAR03, "--threshold", "nan",
+                     "--x-range", "-1.0", "1.0"])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "error [BAD_SCHEMA]: threshold must not be NaN" in out.err
+
+    @pytest.mark.parametrize("x_grid", [[0.0, "inf"], ["-inf", 0.0], [0.0, 1e999]])
+    def test_non_finite_grid_axis_is_an_input_error(self, x_grid, tmp_path, capsys):
+        gpath = tmp_path / "grid.json"
+        gpath.write_text(json.dumps(
+            {"x_grid": x_grid, "p_grid": [0.0, 1.0], "table": [[0.0, "-inf"], [1.0, "-inf"]]}))
+        code = main(["superlevel", "--kernel", str(gpath), "--threshold", "0.0",
+                     "--x-range", "-1.0", "1.0"])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "error [BAD_SCHEMA]: kernel grid: x-grid nodes must be finite" in out.err
 
 
 class TestErrorReporting:

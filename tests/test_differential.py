@@ -13,11 +13,16 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from fsdrisk.dist import DiscreteDist
+from fsdrisk.engine import PsiGrid, recover_lambda
+from fsdrisk.harness import ext_gap
+from fsdrisk.jsonio import superlevel_rows
 from fsdrisk.kernels import (
     BenchmarkLossKernel,
     DualLambdaKernel,
     DualVarKernel,
+    GridKernel,
     LambdaKernel,
+    PinnedKernel,
     VarKernel,
     inf_phi_eval,
     sup_psi_eval,
@@ -109,3 +114,113 @@ def test_lambda_quantile_forms_agree_on_a_positive_curve(case):
 def test_benchmark_loss_equals_its_kernel_sup(case):
     h, F = case
     assert sup_psi_eval(BenchmarkLossKernel(h), F) == benchmark_loss_var(F, h)
+
+
+# -- bisected boundaries against full scans ----------------------------------
+
+GAPS = (0.0, 1e-10, 1e-9, 2e-9, 0.25, 0.5, 0.75, 3.0, INF)
+TOLS = (0.0, 1e-9, 0.5, INF, -1.0)
+
+
+def superlevel_scan(kernel, threshold, x_range, resolution):
+    """Full-scan reference: every sampled level read, no monotonicity assumed."""
+    lo, hi = x_range
+    steps = resolution - 1
+    rows = []
+    for k in range(resolution):
+        x = lo + (hi - lo) * k / steps
+        boundary = None
+        for j in range(resolution):
+            if kernel.eval(x, j / steps) >= threshold:
+                boundary = j / steps
+        rows.append((x, boundary, boundary is not None))
+    return rows
+
+
+@st.composite
+def steps_on(draw, points, direction, values, at_one=None):
+    """A monotone step with breakpoints drawn from ``points`` or anywhere."""
+    bps = sorted(set(draw(st.lists(st.one_of(st.sampled_from(points), xs_), max_size=3))))
+    vals = sorted(draw(st.lists(values, min_size=len(bps) + 1, max_size=len(bps) + 1)),
+                  reverse=direction == DEC)
+    return MonotoneStep(tuple(bps), tuple(vals), direction, at_one)
+
+
+@st.composite
+def grid_kernels(draw, xs, ps):
+    """A GridKernel with nodes drawn from the sampled points or anywhere."""
+    xg = sorted(set(draw(st.lists(st.one_of(st.sampled_from(xs), xs_), min_size=1, max_size=5))))
+    inner = draw(st.lists(st.one_of(st.sampled_from(ps), open_unit), max_size=4))
+    pg = [0.0, *sorted({p for p in inner if 0.0 < p < 1.0}), 1.0]
+    value = st.one_of(xs_, st.sampled_from((INF, -INF, 0.0, 1.0)))
+    table = [sorted(draw(st.lists(value, min_size=len(pg) - 1, max_size=len(pg) - 1)),
+                    reverse=True) + [-INF] for _ in xg]
+    return GridKernel(tuple(xg), tuple(pg), tuple(map(tuple, table)))
+
+
+@st.composite
+def superlevel_cases(draw):
+    """Every kernel kind a kernel file can hold, on a small sampling grid."""
+    lo = draw(st.integers(-5, 4))
+    x_range = (float(lo), float(draw(st.integers(lo + 1, 5))))
+    resolution = draw(st.integers(2, 12))
+    steps = resolution - 1
+    xs = [x_range[0] + (x_range[1] - x_range[0]) * k / steps for k in range(resolution)]
+    ps = [j / steps for j in range(resolution)]
+    level = st.one_of(st.sampled_from(ps), st.floats(0.0, 1.0))
+    kind = draw(st.sampled_from(["var", "benchmark_loss", "lambda", "pinned", "grid"]))
+    if kind == "var":
+        kernel = VarKernel(draw(st.one_of(st.sampled_from(ps[1:-1] or [0.5]), open_unit)))
+    elif kind == "benchmark_loss":
+        h = draw(steps_on(ps, INC, st.one_of(xs_, st.just(INF)), at_one=INF))
+        kernel = BenchmarkLossKernel(h)
+    elif kind == "lambda":
+        kernel = LambdaKernel(draw(steps_on(xs, DEC, level)))
+    elif kind == "pinned":
+        g = draw(steps_on(ps, DEC, st.one_of(xs_, st.sampled_from((INF, -INF)))))
+        kernel = PinnedKernel(draw(st.one_of(st.sampled_from(xs), xs_)), g)
+    else:
+        kernel = draw(grid_kernels(xs, ps))
+    values = [kernel.eval(x, p) for x in xs for p in ps]
+    threshold = draw(st.one_of(st.sampled_from(values), st.sampled_from((INF, -INF)), xs_))
+    return kernel, threshold, x_range, resolution
+
+
+@given(superlevel_cases())
+@settings(max_examples=500, deadline=None)
+def test_superlevel_bisection_equals_a_full_scan(case):
+    kernel, threshold, x_range, resolution = case
+    want = superlevel_scan(kernel, threshold, x_range, resolution)
+    assert repr(superlevel_rows(kernel, threshold, x_range, resolution)) == repr(want)
+
+
+@st.composite
+def psi_grids(draw):
+    """A PsiGrid whose rows step down from their p = 0 value by gaps around the tolerances."""
+    n_x = draw(st.integers(1, 5))
+    xg = sorted(set(draw(st.lists(xs_, min_size=n_x, max_size=n_x))))
+    refs = st.one_of(xs_, st.sampled_from((INF, -INF)))
+    col0 = sorted(draw(st.lists(refs, min_size=len(xg), max_size=len(xg), unique=True)))
+    pg = [0.0, *sorted(set(draw(st.lists(open_unit, max_size=6)))), 1.0]
+    table = []
+    for ref in col0:
+        gaps = sorted(draw(st.lists(st.sampled_from(GAPS), min_size=len(pg) - 2,
+                                    max_size=len(pg) - 2)))
+        # inf - inf is the one NaN a gap can make: the row has fallen off already
+        row = [ref, *(-INF if math.isnan(ref - g) else ref - g for g in gaps), -INF]
+        table.append(tuple(row))
+    return PsiGrid(tuple(xg), tuple(pg), tuple(table))
+
+
+@given(psi_grids(), st.sampled_from(TOLS))
+@settings(max_examples=500, deadline=None)
+def test_recovered_curve_equals_a_full_scan(psi, tol):
+    want = []
+    for row in psi.table:
+        best = psi.p_grid[0]
+        for p, v in zip(psi.p_grid, row):
+            if ext_gap(v, row[0]) <= tol:
+                best = p
+        want.append(best)
+    got = recover_lambda(lambda F: 0.0, psi, probes=[], tol=tol).lam_hat
+    assert repr(got) == repr(tuple(want))

@@ -188,6 +188,68 @@ class TestOnePassAtomParse:
         assert parse_distribution_obj({"atoms": [{"x": 1, "p": 1}]}) == atoms((1.0, 1.0))
 
 
+# spellings of a value as a grid file may hold it; None means not spellable
+SPELLINGS = [
+    lambda v: v,
+    lambda v: int(v) if math.isfinite(v) and v == int(v) else None,
+    lambda v: {INF: "inf", -INF: "-inf"}.get(v),
+    lambda v: {INF: " INF ", -INF: "-INF"}.get(v),
+    lambda v: {INF: "+inf", -INF: " -inf"}.get(v),
+]
+BAD_ENTRIES = [math.nan, "nan", " NaN ", True, False, None, [1.0], {"v": 1.0}, "1.0", "infinity"]
+
+
+@st.composite
+def spelled_grids(draw):
+    """A valid grid object, entries in mixed spellings, at times one bad entry."""
+    value = st.one_of(st.floats(-4.0, 4.0), st.integers(-4, 4).map(float), st.just(INF))
+    n_x, n_p = draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    xg = sorted(set(draw(st.lists(st.integers(-9, 9), min_size=n_x, max_size=n_x))))
+    inner = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    pg = [0.0, *sorted(set(draw(st.lists(inner, max_size=n_p - 2)))), 1.0]
+    table = [sorted(draw(st.lists(value, min_size=len(pg) - 1, max_size=len(pg) - 1)),
+                    reverse=True) + [-INF] for _ in xg]
+
+    def spell(v):
+        forms = [f(v) for f in SPELLINGS]
+        return draw(st.sampled_from([f for f in forms if f is not None]))
+
+    obj = {"x_grid": [spell(float(x)) for x in xg], "p_grid": [spell(p) for p in pg],
+           "table": [[spell(v) for v in row] for row in table]}
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(["x_grid", "p_grid", "table"]))
+        entries = obj[key] if key != "table" else draw(st.sampled_from(obj["table"]))
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(st.sampled_from(BAD_ENTRIES))
+    return obj
+
+
+def _outcome(parse, obj):
+    try:
+        grid = parse(obj)
+    except InputError as exc:
+        return exc.code, exc.message
+    return repr((grid.x_grid, grid.p_grid, grid.table))
+
+
+@given(spelled_grids())
+@settings(max_examples=300, deadline=None)
+def test_grid_read_equals_entry_by_entry(obj):
+    """Reading a grid gives what parse_num on each entry, in file order, gives."""
+    try:
+        plain = {
+            "x_grid": [parse_num(v, f"x_grid[{j}]") for j, v in enumerate(obj["x_grid"])],
+            "p_grid": [parse_num(v, f"p_grid[{j}]") for j, v in enumerate(obj["p_grid"])],
+            "table": [[parse_num(v, f"table[{i}][{j}]") for j, v in enumerate(row)]
+                      for i, row in enumerate(obj["table"])],
+        }
+    except InputError as exc:
+        want = exc.code, exc.message
+        assert _outcome(parse_kernel_obj, obj) == want
+        return
+    assert _outcome(parse_kernel_obj, obj) == _outcome(parse_kernel_obj, plain)
+    assert type(_outcome(parse_kernel_obj, plain)) is str  # the drawn grid is valid
+
+
 def _bits(values):
     return [v.hex() for v in values]
 
@@ -279,6 +341,22 @@ class TestMeasureFormat:
         assert e.value.code == "BAD_SCHEMA"
 
 
+BAD_GRID_ENTRIES = [
+    ("table", 0, 1, "nan", "NAN_VALUE", "table[0][1]: NaN is not a usable value"),
+    ("table", 1, 0, math.nan, "NAN_VALUE", "table[1][0]: NaN is not a usable value"),
+    ("table", 1, 1, True, "BAD_SCHEMA", "table[1][1]: expected a number, got True"),
+    ("table", 0, 0, [1.0], "BAD_SCHEMA", "table[0][0]: expected a number, got [1.0]"),
+    ("table", 0, 0, "1.0", "BAD_SCHEMA", "table[0][0]: expected a number, got '1.0'"),
+    ("x_grid", None, 1, math.nan, "NAN_VALUE", "x_grid[1]: NaN is not a usable value"),
+    ("p_grid", None, 0, False, "BAD_SCHEMA", "p_grid[0]: expected a number, got False"),
+    ("x_grid", None, 1, "inf", "BAD_SCHEMA", "kernel grid: x-grid nodes must be finite"),
+    ("x_grid", None, 0, "-inf", "BAD_SCHEMA", "kernel grid: x-grid nodes must be finite"),
+    ("table", 1, 0, 0.0, "BAD_SCHEMA",
+     "kernel grid: value row at p = 0 must be strictly increasing; "
+     "the measure does not separate point masses"),
+]
+
+
 class TestPsiGridFormat:
     def test_round_trip(self):
         psi = construct_psi(
@@ -308,14 +386,33 @@ class TestPsiGridFormat:
             assert psi_grid_to_obj(grid) == {**obj, "y_max": 2.0, "tol": 1e-9}
 
     def test_bad_grid_files_keep_their_codes(self):
-        obj = {"x_grid": [0.0, 1.0], "p_grid": [0.0, 1.0], "table": [[0.0, "nan"], [1.0, "-inf"]]}
-        with pytest.raises(InputError) as e:
-            parse_psi_grid_obj(obj)
-        assert e.value.code == "NAN_VALUE"
-        obj["table"] = [[1.0, "-inf"], [1.0, "-inf"]]
-        with pytest.raises(InputError, match="kernel grid: value row at p = 0") as e:
-            parse_psi_grid_obj(obj)
-        assert e.value.code == "BAD_SCHEMA"
+        # each case edits one entry of a valid grid: key, row (None for an
+        # axis), column, the new value, and the code and message it must give
+        for key, i, j, value, code, message in BAD_GRID_ENTRIES:
+            obj = {"x_grid": [0.0, 1.0], "p_grid": [0.0, 1.0], "table": [[0.0, "-inf"], [1.0, "-inf"]]}
+            (obj[key] if i is None else obj[key][i])[j] = value
+            with pytest.raises(InputError) as e:
+                parse_psi_grid_obj(obj)
+            assert (e.value.code, e.value.message) == (code, message)
+            if "value row" not in message:
+                # the kernel form reads grids the same way
+                with pytest.raises(InputError) as e:
+                    parse_kernel_obj(obj)
+                assert (e.value.code, e.value.message) == (code, message)
+
+    def test_mixed_spellings_parse_as_entry_by_entry(self):
+        text = """{"x_grid": [-1, 0.5, 2, 3.5], "p_grid": [0, 0.5, 1], "table": [
+            [1, "-inf", -Infinity],
+            [2.5, 2, " -INF "],
+            [3.0, 0.5, "-inf"],
+            [" INF ", Infinity, "-INF"]]}"""
+        obj = parse_json_text(text)
+        want = tuple(
+            tuple(parse_num(v, "entry") for v in obj[key])
+            for key in ("x_grid", "p_grid")
+        ) + (tuple(tuple(parse_num(v, "entry") for v in row) for row in obj["table"]),)
+        for grid in (parse_psi_grid_obj(obj), parse_kernel_obj(obj)):
+            assert repr((grid.x_grid, grid.p_grid, grid.table)) == repr(want)
 
     def test_psi_grid_declares_only_grid_fields(self):
         assert dataclasses.fields(PsiGrid) == dataclasses.fields(GridKernel)
@@ -364,3 +461,6 @@ class TestSuperlevel:
             superlevel_rows(VarKernel(0.3), 0.0, (1.0, 1.0))
         with pytest.raises(ValueError):
             superlevel_rows(VarKernel(0.3), 0.0, (0.0, 1.0), resolution=1)
+        # no level meets a NaN threshold, so it could only ever give None
+        with pytest.raises(ValueError, match="threshold must not be NaN"):
+            superlevel_rows(VarKernel(0.3), math.nan, (0.0, 1.0))

@@ -172,6 +172,18 @@ def test_kernel_is_decreasing_in_p(k):
         assert all(vals[j] >= vals[j + 1] for j in range(len(vals) - 1))
 
 
+# axes the ordering checks alone let through: a NaN node compares false
+# with everything, and an infinite x node still increases
+BAD_AXES = [
+    ((math.nan,), (0.0, 1.0)),
+    ((0.0, math.nan, 1.0), (0.0, 1.0)),
+    ((0.0, INF), (0.0, 1.0)),
+    ((-INF, 0.0), (0.0, 1.0)),
+    ((0.0,), (0.0, math.nan, 1.0)),
+]
+BAD_AXIS_MESSAGE = "x-grid nodes must be finite|p-grid must not contain NaN"
+
+
 class TestGridKernel:
     def small(self):
         xg = (0.0, 1.0, 2.0)
@@ -224,6 +236,12 @@ class TestGridKernel:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             GridKernel((0.0, 1.0), (0.0, 1.0), ((0.0, -INF),))
+
+    @pytest.mark.parametrize("xg,pg", BAD_AXES)
+    def test_non_finite_axes_are_rejected(self, xg, pg):
+        table = tuple((1.0,) * (len(pg) - 1) + (-INF,) for _ in xg)
+        with pytest.raises(ValueError, match=BAD_AXIS_MESSAGE):
+            GridKernel(xg, pg, table)
 
 
 class TestRegularization:
@@ -358,6 +376,12 @@ class TestDualGridKernel:
     def test_p_zero_column_must_diverge(self):
         with pytest.raises(ValueError):
             DualGridKernel((0.0,), (0.0, 1.0), ((0.0, 0.0),))
+
+    @pytest.mark.parametrize("xg,pg", BAD_AXES)
+    def test_non_finite_axes_are_rejected(self, xg, pg):
+        table = tuple((INF,) + (1.0,) * (len(pg) - 1) for _ in xg)
+        with pytest.raises(ValueError, match=BAD_AXIS_MESSAGE):
+            DualGridKernel(xg, pg, table)
 
 
 class _RecordingPsi(PsiKernel):
