@@ -19,7 +19,6 @@ from .dist import (
     fsd_leq,
     fsd_meet,
     join_decomposition,
-    merged_breakpoints,
     point_mass,
     two_point,
 )

@@ -3,10 +3,16 @@
 A :class:`DiscreteDist` is a finitely supported probability distribution
 stored once, as its step CDF: strictly increasing support points and
 cumulative levels rising strictly to exactly 1.0; masses are derived.
+The public constructor checks that form.  The module's own constructors
+(``from_atoms``, ``from_levels``, ``point_mass``, ``two_point`` and the
+lattice operations) produce it by construction and skip the re-check.
+
 First-order stochastic dominance compares CDFs pointwise (``F`` is
 dominated by ``G`` when ``F >= G`` everywhere, i.e. ``G`` puts its mass
 further right), and the induced join and meet are the pointwise min and
 max of the CDFs, which are again step CDFs on the merged support.
+``fsd_leq``, ``fsd_join`` and ``fsd_meet`` read both CDFs in one linear
+merge of the two supports.
 
 All values are plain floats; ``math.inf`` and ``-math.inf`` are legal
 results of downstream evaluators but never legal support points, and NaN
@@ -19,7 +25,9 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+
+INF = math.inf
 
 MASS_TOL = 1e-12
 """Accepted drift of the total input mass away from 1 before rejection."""
@@ -33,13 +41,33 @@ into the next surviving cumulative level."""
 class DiscreteDist:
     """Finitely supported distribution in canonical form.
 
-    ``xs`` are the strictly increasing support points and ``cum`` the
-    strictly increasing cumulative levels in (0, 1], with
-    ``cum[-1] == 1.0`` exactly.
+    ``xs`` are the strictly increasing finite support points and ``cum``
+    the strictly increasing cumulative levels in (0, 1], with
+    ``cum[-1] == 1.0`` exactly.  Calling the class checks that form and
+    stores both as tuples of floats.
     """
 
     xs: tuple[float, ...]
     cum: tuple[float, ...]
+
+    def __post_init__(self):
+        xs = tuple(map(float, self.xs))
+        cum = tuple(map(float, self.cum))
+        if not xs or len(xs) != len(cum):
+            raise ValueError("need one cumulative level per support point, and at least one point")
+        prev_x, prev_c = -INF, 0.0
+        for x, c in zip(xs, cum):
+            if not math.isfinite(x):
+                raise ValueError(f"support point must be finite, got {x}")
+            if not x > prev_x:
+                raise ValueError("support points must be strictly increasing")
+            if not prev_c < c <= 1.0:
+                raise ValueError(f"cumulative levels must rise strictly inside (0, 1], got {cum}")
+            prev_x, prev_c = x, c
+        if prev_c != 1.0:
+            raise ValueError(f"cumulative levels end at {prev_c!r}, not 1.0")
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "cum", cum)
 
     # -- construction ---------------------------------------------------
 
@@ -59,6 +87,8 @@ class DiscreteDist:
                 if math.isnan(p):
                     raise ValueError("atom mass must not be NaN")
                 raise ValueError(f"atom mass must be positive, got {p}")
+            if not math.isfinite(x):
+                raise ValueError(f"support point must be finite, got {x}")
             merged[x] = merged.get(x, 0.0) + p
         if not merged:
             raise ValueError("a distribution needs at least one atom")
@@ -69,7 +99,10 @@ class DiscreteDist:
             raise ValueError(f"atom masses sum to {total!r}, outside 1 +/- {MASS_TOL}")
         levels = [acc / total for acc in accumulate(ps)]
         levels[-1] = 1.0
-        return cls.from_levels(xs, levels, drop_tol=0.0)
+        # the running sum can reach 1.0 early; the first level that does
+        # closes the CDF and the atoms after it carry no mass
+        end = bisect_left(levels, 1.0) + 1
+        return _rising(zip(xs[:end], levels[:end]), 0.0)
 
     @classmethod
     def from_levels(
@@ -113,7 +146,7 @@ class DiscreteDist:
         if 1.0 - kept_c[-1] > MASS_TOL:
             raise ValueError(f"cumulative levels end at {kept_c[-1]!r}, not 1.0")
         kept_c[-1] = 1.0
-        return cls(tuple(kept_x), tuple(kept_c))
+        return _trusted(tuple(kept_x), tuple(kept_c))
 
     # -- queries ---------------------------------------------------------
 
@@ -157,12 +190,41 @@ class DiscreteDist:
         return f"DiscreteDist({inner})"
 
 
+def _trusted(xs: tuple[float, ...], cum: tuple[float, ...]) -> DiscreteDist:
+    """A ``DiscreteDist`` without the public check.
+
+    Callers pass float tuples already in canonical form, by construction.
+    """
+    d = object.__new__(DiscreteDist)
+    d.__dict__.update(xs=xs, cum=cum)
+    return d
+
+
+def _rising(points_levels: Iterable[tuple[float, float]], drop_tol: float) -> DiscreteDist:
+    """The step CDF through non-decreasing levels in [0, 1] that reach 1.
+
+    A point is kept when its level gains more than ``drop_tol`` over the
+    last kept level, so a skipped gain rides along to the next kept
+    point; the last kept level, within ``drop_tol`` of 1, becomes 1.0.
+    """
+    xs: list[float] = []
+    cum: list[float] = []
+    prev = 0.0
+    for x, lev in points_levels:
+        if lev - prev > drop_tol:
+            xs.append(x)
+            cum.append(lev)
+            prev = lev
+    cum[-1] = 1.0
+    return _trusted(tuple(xs), tuple(cum))
+
+
 def point_mass(x: float) -> DiscreteDist:
     """The degenerate distribution sitting at ``x``."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"support point must be finite, got {x}")
-    return DiscreteDist((x,), (1.0,))
+    return _trusted((x,), (1.0,))
 
 
 def two_point(x: float, y: float, p: float) -> DiscreteDist:
@@ -173,37 +235,55 @@ def two_point(x: float, y: float, p: float) -> DiscreteDist:
     """
     if x > y:
         raise ValueError(f"two_point needs x <= y, got x={x}, y={y}")
+    if not (-INF < x and y < INF):
+        raise ValueError(f"support points must be finite, got x={x}, y={y}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing weight must lie in [0, 1], got {p}")
     if x == y or p >= 1.0:
         return point_mass(x)
     if p <= 0.0:
         return point_mass(y)
-    return DiscreteDist((float(x), float(y)), (float(p), 1.0))
+    return _trusted((float(x), float(y)), (float(p), 1.0))
 
 
 # -- the dominance lattice ----------------------------------------------
 
 
-def merged_breakpoints(f: DiscreteDist, g: DiscreteDist) -> list[float]:
-    return sorted(set(f.xs).union(g.xs))
+def _walk(f: DiscreteDist, g: DiscreteDist) -> Iterator[tuple[float, float, float]]:
+    """``(x, F(x), G(x))`` along the merged support, in one linear merge.
+
+    A point of both supports is read once, at ``f``'s float.
+    """
+    fx, fc, gx, gc = f.xs, f.cum, g.xs, g.cum
+    m, n = len(fx), len(gx)
+    i = j = 0
+    a = b = 0.0
+    while i < m or j < n:
+        if j == n or (i < m and fx[i] <= gx[j]):
+            x, a = fx[i], fc[i]
+            i += 1
+            if j < n and gx[j] == x:
+                b = gc[j]
+                j += 1
+        else:
+            x, b = gx[j], gc[j]
+            j += 1
+        yield x, a, b
 
 
 def fsd_leq(f: DiscreteDist, g: DiscreteDist) -> bool:
     """True when ``g`` dominates ``f``: F(x) >= G(x) for every x."""
-    return all(f.cdf(b) >= g.cdf(b) for b in merged_breakpoints(f, g))
+    return all(a >= b for _, a, b in _walk(f, g))
 
 
 def fsd_join(f: DiscreteDist, g: DiscreteDist) -> DiscreteDist:
     """Least upper bound: the pointwise minimum of the two CDFs."""
-    points = merged_breakpoints(f, g)
-    return DiscreteDist.from_levels(points, [min(f.cdf(b), g.cdf(b)) for b in points])
+    return _rising(((x, min(a, b)) for x, a, b in _walk(f, g)), ATOM_DROP_TOL)
 
 
 def fsd_meet(f: DiscreteDist, g: DiscreteDist) -> DiscreteDist:
     """Greatest lower bound: the pointwise maximum of the two CDFs."""
-    points = merged_breakpoints(f, g)
-    return DiscreteDist.from_levels(points, [max(f.cdf(b), g.cdf(b)) for b in points])
+    return _rising(((x, max(a, b)) for x, a, b in _walk(f, g)), ATOM_DROP_TOL)
 
 
 def join_decomposition(f: DiscreteDist) -> list[DiscreteDist]:

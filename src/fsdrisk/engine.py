@@ -127,6 +127,8 @@ def construct_psi(
 
     xg = tuple(float(v) for v in x_grid)
     pg = tuple(float(v) for v in p_grid)
+    if not all(map(math.isfinite, xg)):
+        raise ValueError(f"x-grid nodes must be finite, got {[v for v in xg if not math.isfinite(v)]}")
     if len(xg) < 2 or any(xg[i] >= xg[i + 1] for i in range(len(xg) - 1)):
         raise ValueError("x-grid must be strictly increasing with at least two nodes")
     if len(pg) < 2 or pg[0] != 0.0 or pg[-1] != 1.0 or any(

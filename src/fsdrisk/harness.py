@@ -51,17 +51,29 @@ def sample_distribution(cfg: SamplerConfig, trial: int = 0, role: int = 0) -> Di
 
     ``role`` separates the independent draws inside one trial (the two
     sides of a pair, the derived variant) without any shared state.
+
+    The masses are flat-Dirichlet: standard exponentials scaled by one
+    over their sum.  That is ``rng.dirichlet(np.ones(n))`` draw for draw,
+    which consumes the same exponentials, adds them left to right and
+    multiplies each by the reciprocal.  The sum is an explicit ``+=``
+    loop because the builtin ``sum`` of floats uses compensated summation
+    from Python 3.12 on and can differ in the last bit.
     """
     rng = np.random.default_rng([cfg.seed & _MASK64, trial, role])
     lo, hi = cfg.support_range
     while True:
         n = int(rng.integers(1, cfg.max_atoms + 1))
         xs = rng.uniform(lo, hi, n)
-        ps = rng.dirichlet(np.ones(n))
+        es = rng.standard_exponential(n).tolist()
+        s = 0.0
+        for e in es:
+            s += e
+        inv = 1.0 / s
+        ps = [e * inv for e in es]
         # an exactly zero component is astronomically rare but would be
         # rejected downstream; redraw from the same stream
-        if np.all(ps > 0.0):
-            return DiscreteDist.from_atoms(zip(xs.tolist(), ps.tolist()))
+        if min(ps) > 0.0:
+            return DiscreteDist.from_atoms(zip(xs.tolist(), ps))
 
 
 def ext_gap(a: float, b: float) -> float:

@@ -6,13 +6,18 @@ computed independently.  The drawn inputs put atoms exactly on curve
 breakpoints and CDF levels exactly on curve values, on the var level or
 on benchmark-curve jumps, where strict and non-strict comparisons part.
 All forms use breakpoint arithmetic, so agreement is exact.
+
+The lattice operations are checked the same way against a pointwise
+reference, on pairs that share support points and whose levels sit
+within a few ``ATOM_DROP_TOL`` of each other, where join and meet drop
+atoms.
 """
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
-from fsdrisk.dist import DiscreteDist
+from fsdrisk.dist import ATOM_DROP_TOL, DiscreteDist, fsd_join, fsd_leq, fsd_meet
 from fsdrisk.engine import PsiGrid, recover_lambda
 from fsdrisk.harness import ext_gap
 from fsdrisk.jsonio import superlevel_rows
@@ -224,3 +229,95 @@ def test_recovered_curve_equals_a_full_scan(psi, tol):
         want.append(best)
     got = recover_lambda(lambda F: 0.0, psi, probes=[], tol=tol).lam_hat
     assert repr(got) == repr(tuple(want))
+
+
+# -- the lattice against a pointwise reference -------------------------------
+
+# level moves around the drop tolerance: a gain at, just under and just
+# over ATOM_DROP_TOL, and ones clearly inside and outside it
+NUDGES = (0.0, 5e-17, ATOM_DROP_TOL / 2, math.nextafter(ATOM_DROP_TOL, 0.0), ATOM_DROP_TOL,
+          math.nextafter(ATOM_DROP_TOL, 1.0), 2 * ATOM_DROP_TOL, 1e-12)
+
+
+@st.composite
+def lattice_pairs(draw):
+    """Two distributions on one pool of points, with levels near shared anchors.
+
+    The pool sits around 0 (with both zeros) or around +-1e15, one to a few
+    ulps apart there.  Each level is a shared anchor, 1.0 included, moved by
+    one of ``NUDGES`` either way, so gains and CDF gaps land on the drop
+    tolerance.
+    """
+    base, step = draw(st.sampled_from(((0.0, 1.0), (1e15, 0.125), (-1e15, 0.125))))
+    offsets = st.integers(-4, 4).map(lambda k: base + k * step)
+    point = st.one_of(offsets, st.just(-0.0), xs_) if base == 0.0 else offsets
+    pool = sorted(set(draw(st.lists(point, min_size=1, max_size=8))))
+    anchors = [1.0, *draw(st.lists(open_unit, min_size=1, max_size=3))]
+
+    def side():
+        moved = set()
+        for a in draw(st.lists(st.sampled_from(anchors), max_size=6)):
+            c = a + draw(st.sampled_from((-1.0, 1.0))) * draw(st.sampled_from(NUDGES))
+            if 0.0 < c < 1.0:
+                moved.add(c)
+        levels = sorted(moved)[: len(pool) - 1] + [1.0]
+        xs = sorted(draw(st.permutations(pool))[: len(levels)])
+        return DiscreteDist(tuple(xs), tuple(levels))
+
+    return side(), side()
+
+
+def merged_points(f, g):
+    return sorted(set(f.xs).union(g.xs))
+
+
+def reference_lattice(f, g, pick, drop_tol=ATOM_DROP_TOL):
+    """Join (pick=min) or meet (pick=max) from CDF reads at every merged point."""
+    points = merged_points(f, g)
+    return DiscreteDist.from_levels(points, [pick(f.cdf(b), g.cdf(b)) for b in points],
+                                    drop_tol=drop_tol)
+
+
+def exact(d):
+    return repr((d.xs, d.cum))
+
+
+def cdf_gap(d, e):
+    return max(abs(d.cdf(x) - e.cdf(x)) for x in merged_points(d, e))
+
+
+@given(lattice_pairs())
+@settings(max_examples=300, deadline=None)
+def test_lattice_merge_equals_the_pointwise_reference(pair):
+    f, g = pair
+    for op, pick in ((fsd_join, min), (fsd_meet, max)):
+        got = op(f, g)
+        assert exact(got) == exact(reference_lattice(f, g, pick))
+        assert DiscreteDist(got.xs, got.cum) == got
+    want_leq = all(f.cdf(b) >= g.cdf(b) for b in merged_points(f, g))
+    assert fsd_leq(f, g) == want_leq
+
+
+@given(lattice_pairs())
+@settings(max_examples=300, deadline=None)
+def test_lattice_laws_near_the_drop_tolerance(pair):
+    f, g = pair
+    j, m = fsd_join(f, g), fsd_meet(f, g)
+    assert fsd_join(g, f) == j and fsd_meet(g, f) == m
+    # idempotence: the result is f less its own gains of at most the tolerance
+    f_kept = DiscreteDist.from_levels(f.xs, f.cum)
+    assert fsd_join(f, f) == f_kept and fsd_meet(f, f) == f_kept
+    # Dropping a gain moves each result's CDF by at most ATOM_DROP_TOL, so
+    # absorption holds to twice that, and exactly when nothing was dropped.
+    # A dropped last gain moves mass left, past f: f <= f v g then holds
+    # only to the tolerance (f = DiscreteDist((0.0, 1.0), (1 - 5e-16, 1.0))
+    # against point_mass(0.0) is one such pair).
+    for outer, inner, pick in ((fsd_join, m, max), (fsd_meet, j, min)):
+        back = outer(f, inner)
+        assert cdf_gap(back, f) <= 2 * ATOM_DROP_TOL
+        if f == f_kept and inner == reference_lattice(f, g, pick, drop_tol=0.0):
+            assert back == f
+    if j.xs[-1] == max(f.xs[-1], g.xs[-1]):
+        assert fsd_leq(f, j) and fsd_leq(g, j)
+    else:
+        assert all(f.cdf(b) >= j.cdf(b) - ATOM_DROP_TOL for b in merged_points(f, j))

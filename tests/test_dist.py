@@ -17,7 +17,6 @@ from fsdrisk.dist import (
     fsd_leq,
     fsd_meet,
     join_decomposition,
-    merged_breakpoints,
     point_mass,
     two_point,
 )
@@ -95,6 +94,45 @@ class TestConstruction:
         with pytest.raises(ValueError):
             two_point(2.0, 0.0, 0.5)
 
+    @pytest.mark.parametrize("x, y", [(-math.inf, 0.0), (0.0, math.inf), (math.nan, 0.0), (0.0, math.nan)])
+    def test_two_point_rejects_non_finite_points(self, x, y):
+        with pytest.raises(ValueError, match="finite"):
+            two_point(x, y, 0.5)
+
+
+class TestPublicConstructor:
+    @pytest.mark.parametrize(
+        "xs, cum",
+        [
+            ((1.0, 0.0), (0.5, 0.7)),  # decreasing support, levels short of 1
+            ((0.0, 0.0), (0.5, 1.0)),  # repeated support point
+            ((math.inf,), (1.0,)),
+            ((-math.inf, 0.0), (0.5, 1.0)),
+            ((math.nan,), (1.0,)),
+            ((0.0, 1.0), (math.nan, 1.0)),
+            ((0.0, 1.0, 2.0), (0.7, 0.5, 1.0)),  # falling level
+            ((0.0, 1.0, 2.0), (0.5, 0.5, 1.0)),  # a zero mass
+            ((0.0, 1.0), (0.0, 1.0)),
+            ((0.0, 1.0), (-0.5, 1.0)),
+            ((0.0,), (1.5,)),
+            ((0.0, 1.0), (0.5, 1.0 + 1e-15)),
+            ((0.0, 1.0), (0.5, 0.7)),
+            ((0.0, 1.0), (0.5, math.nextafter(1.0, 0.0))),
+            ((0.0, 1.0), (1.0,)),  # one level short
+            ((0.0,), (0.5, 1.0)),
+            ((), ()),
+        ],
+    )
+    def test_malformed_cdfs_are_rejected(self, xs, cum):
+        with pytest.raises(ValueError):
+            DiscreteDist(xs, cum)
+
+    def test_canonical_input_is_stored_as_float_tuples(self):
+        d = DiscreteDist([0, 2], [0.25, 1])
+        assert d == atoms((0.0, 0.25), (2.0, 0.75))
+        assert type(d.xs) is tuple and type(d.cum) is tuple
+        assert all(type(v) is float for v in d.xs + d.cum)
+
 
 class TestEvaluation:
     def test_cdf(self):
@@ -151,10 +189,6 @@ class TestLattice:
         g = point_mass(1.0)
         assert not fsd_leq(f, g)
         assert not fsd_leq(g, f)
-
-    def test_merged_breakpoints(self):
-        f = atoms((0.0, 0.5), (2.0, 0.5))
-        assert merged_breakpoints(f, point_mass(1.0)) == [0.0, 1.0, 2.0]
 
 
 @st.composite
@@ -237,6 +271,55 @@ def test_from_levels_is_canonical_near_one(xs_levels_tol):
     assert_canonical(DiscreteDist.from_levels(xs, levels, drop_tol=drop_tol))
 
 
+def assert_passes_public_check(d):
+    assert type(d.xs) is tuple and type(d.cum) is tuple
+    assert all(type(v) is float for v in d.xs + d.cum)
+    assert DiscreteDist(d.xs, d.cum) == d
+
+
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(finite_floats, finite_floats, st.floats(0.0, 1.0), noisy_atoms(), noisy_levels(), dists(), dists())
+@settings(max_examples=200, deadline=None)
+def test_every_trusted_output_passes_the_public_check(x, y, p, pairs, xs_levels_tol, f, g):
+    # point_mass, two_point, from_atoms, from_levels and the lattice skip
+    # the public constructor's check; what they build must pass it
+    xs, levels, drop_tol = xs_levels_tol
+    built = [
+        point_mass(x),
+        two_point(min(x, y), max(x, y), p),
+        DiscreteDist.from_atoms(pairs),
+        DiscreteDist.from_levels(xs, levels, drop_tol=drop_tol),
+        fsd_join(f, g),
+        fsd_meet(f, g),
+        *join_decomposition(f),
+    ]
+    for d in built:
+        assert_passes_public_check(d)
+
+
+@given(noisy_atoms())
+@settings(max_examples=300, deadline=None)
+def test_from_atoms_equals_its_from_levels_route(pairs):
+    # from_atoms builds its levels itself; handing them to from_levels
+    # with no drop tolerance, which re-checks them, gives the same bits
+    merged = {}
+    for x, p in pairs:
+        merged[float(x)] = merged.get(float(x), 0.0) + p
+    xs = sorted(merged)
+    ps = [merged[x] for x in xs]
+    total = math.fsum(ps)
+    levels, acc = [], 0.0
+    for m in ps:
+        acc += m
+        levels.append(acc / total)
+    levels[-1] = 1.0
+    d = DiscreteDist.from_atoms(pairs)
+    ref = DiscreteDist.from_levels(xs, levels, drop_tol=0.0)
+    assert repr((d.xs, d.cum)) == repr((ref.xs, ref.cum))
+
+
 @given(dists(), dists(), dists())
 @settings(max_examples=200)
 def test_lattice_laws_hold_exactly(f, g, h):
@@ -256,7 +339,7 @@ def test_join_meet_match_pointwise_min_max(f, g):
     j, m = fsd_join(f, g), fsd_meet(f, g)
     assert fsd_leq(f, j) and fsd_leq(g, j)
     assert fsd_leq(m, f) and fsd_leq(m, g)
-    for x in merged_breakpoints(f, g):
+    for x in set(f.xs) | set(g.xs):
         assert j.cdf(x) == min(f.cdf(x), g.cdf(x))
         assert m.cdf(x) == max(f.cdf(x), g.cdf(x))
 

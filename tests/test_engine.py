@@ -169,6 +169,13 @@ class TestConstructPsi:
         with pytest.raises(ValueError, match="stability trials"):
             construct_psi(va.fn, [0.0, 1.0], [0.0, 1.0], stability_trials=-1)
 
+    @pytest.mark.parametrize("xg", [[0.0, INF], [0.0, math.nan, 1.0], [-INF, 0.0]])
+    def test_non_finite_x_nodes_are_named_up_front(self, xg):
+        # NaN passes the ordering test, and an infinite node only failed
+        # later at the anchor below the grid, in a message naming no grid
+        with pytest.raises(ValueError, match="x-grid nodes must be finite"):
+            construct_psi(var_measure(0.3).fn, xg, [0.0, 0.5, 1.0], stability_trials=0)
+
     def test_gate_rejects_a_join_breaker(self):
         es = expected_shortfall_measure(0.5)
         with pytest.raises(StabilityGateError):

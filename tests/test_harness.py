@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from fsdrisk.dist import ContinuousCDF, discretize, fsd_join, fsd_leq, fsd_meet
+from fsdrisk.dist import ContinuousCDF, DiscreteDist, discretize, fsd_join, fsd_leq, fsd_meet
 from fsdrisk.harness import (
     PairWitness,
     PointWitness,
@@ -56,6 +57,46 @@ class TestSampler:
             assert all(-3.0 <= x <= 4.0 for x in F.xs)
             assert all(p > 0.0 for p in F.ps)
             assert F.cum[-1] == 1.0
+
+    def test_stream_matches_the_dirichlet_sampler(self, monkeypatch):
+        # The sampler scales standard exponentials by one over their
+        # left-to-right sum, which is what rng.dirichlet(np.ones(n)) does
+        # inside numpy.  The draws, and the generator's state after them,
+        # must equal the rng.dirichlet form it replaced; a numpy release
+        # that changes either side fails here instead of moving every
+        # seeded report.
+        default_rng = np.random.default_rng
+
+        def reference(cfg, trial, role):
+            rng = default_rng([cfg.seed & ((1 << 64) - 1), trial, role])
+            lo, hi = cfg.support_range
+            while True:
+                n = int(rng.integers(1, cfg.max_atoms + 1))
+                xs = rng.uniform(lo, hi, n)
+                ps = rng.dirichlet(np.ones(n))
+                if np.all(ps > 0.0):
+                    return DiscreteDist.from_atoms(zip(xs.tolist(), ps.tolist())), rng
+
+        made = []
+
+        def recording_rng(seed):
+            made.append(default_rng(seed))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        seeds = (0, 1, 12345, 2**32 + 7, 2**53 + 1, 2**63 - 1, 2**64 - 1, 2**64 + 5, -3)
+        cases = 0
+        for seed in seeds:
+            for max_atoms in (1, 2, 6, 12):
+                cfg = SamplerConfig(seed=seed, max_atoms=max_atoms, support_range=(-7.0, 3.0))
+                for trial in range(35):
+                    for role in (0, 1):
+                        got = sample_distribution(cfg, trial, role)
+                        want, rng = reference(cfg, trial, role)
+                        assert (got.xs, got.cum) == (want.xs, want.cum)
+                        assert made[-1].bit_generator.state == rng.bit_generator.state
+                        cases += 1
+        assert cases == 2520
 
     @pytest.mark.parametrize(
         "kwargs",
