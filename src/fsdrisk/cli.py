@@ -149,7 +149,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _regular_grid(lo: float, hi: float, step: float, label: str) -> list[float]:
     if not step > 0.0:
         raise InputError("BAD_SCHEMA", f"{label} step must be positive, got {step}")
-    count = round((hi - lo) / step)
+    cells = (hi - lo) / step
+    if not math.isfinite(cells):
+        raise InputError(
+            "BAD_SCHEMA", f"{label} range {lo} {hi} spans no finite number of steps of {step}"
+        )
+    count = round(cells)
     if count < 1 or abs(lo + count * step - hi) > 1e-9:
         raise InputError("BAD_SCHEMA", f"{label} range is not a whole number of steps of {step}")
     return [lo + k * step for k in range(count)] + [hi]

@@ -252,7 +252,9 @@ def two_point(x: float, y: float, p: float) -> DiscreteDist:
 def _walk(f: DiscreteDist, g: DiscreteDist) -> Iterator[tuple[float, float, float]]:
     """``(x, F(x), G(x))`` along the merged support, in one linear merge.
 
-    A point of both supports is read once, at ``f``'s float.
+    A point of both supports is read once, at ``f``'s float, except that
+    a zero the two hold with opposite signs is read as ``0.0``, so join
+    and meet are symmetric bit for bit.
     """
     fx, fc, gx, gc = f.xs, f.cum, g.xs, g.cum
     m, n = len(fx), len(gx)
@@ -263,6 +265,9 @@ def _walk(f: DiscreteDist, g: DiscreteDist) -> Iterator[tuple[float, float, floa
             x, a = fx[i], fc[i]
             i += 1
             if j < n and gx[j] == x:
+                if x == 0.0:
+                    # -0.0 + 0.0 is 0.0; a zero keeps its sign when both agree
+                    x += gx[j]
                 b = gc[j]
                 j += 1
         else:

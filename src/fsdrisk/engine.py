@@ -2,11 +2,14 @@
 
 Any max-stable measure with strictly increasing values on point masses
 is determined by what it does on two-point distributions.  The engine
-exploits that: evaluate the measure on mixtures p at x plus (1 - p) at
-y, keep at each grid node (y, p) the value at the largest anchor x whose
-mixture strictly exceeds its point-mass baseline, and tabulate that
-kernel.  The table can then be checked against the measure on arbitrary
-grid-snapped distributions, and its level curve read back off it.
+exploits that: evaluate the measure on mixtures p at a plus (1 - p) at
+y, for one anchor a below the whole grid, keep at each grid node (y, p)
+the value when it strictly exceeds the measure on the point mass at a,
+and tabulate that kernel.  For anchors a <= a' <= y the join of the
+mixture at a with the point mass at a' is the mixture at a', so
+max-stability makes every higher anchor agree with the lowest one.  The
+table can then be checked against the measure on arbitrary grid-snapped
+distributions, and its level curve read back off it.
 ``h_threshold`` is a standalone threshold search that the table does
 not use.
 
@@ -111,17 +114,30 @@ def construct_psi(
 ) -> PsiGrid:
     """Rebuild the sup-form kernel of a max-stable measure on a grid.
 
-    Each node (y, p) gets the mixture value at the largest anchor below
-    y where it strictly exceeds the measure on the point mass at that
-    anchor, -inf when no anchor qualifies.  The test is exact, so no
-    search bound or tolerance enters.  The anchor set is the x-grid
-    extended by one node below its left edge so the leftmost grid point
-    still has an anchor underneath it; that is what makes the p = 0 row
-    reproduce the measure on point masses across the whole grid.
+    Each node (y, p) gets the value on the mixture of p at the anchor
+    a, one x spacing below the grid, and 1 - p at y, kept when it
+    strictly exceeds the measure on the point mass at a, -inf otherwise.
+    The anchor below the leftmost node is what makes the p = 0 row
+    reproduce the measure on point masses across the whole grid.  The
+    test is exact, so no search bound or tolerance enters.
+
+    One anchor gives the table that the largest qualifying anchor on
+    the grid would give.  For a <= a' <= y, two_point(a, y, p) joined
+    with point_mass(a') is two_point(a', y, p), so max-stability gives
+    rho(two_point(a', y, p)) = max(rho(two_point(a, y, p)),
+    rho(point_mass(a'))).  The mixture at a' clears its own baseline
+    only when the mixture at a clears the lower baseline at a, and then
+    both values are the same float, since max returns one of its
+    arguments; a scan that finds no higher anchor ends at a itself.
+    The identity holds bit for bit for an exactly max-stable measure;
+    one that passes the gate only within its 1e-9 tolerance may give a
+    table differing from such a scan in the last bits.
 
     Max-stability is a precondition, not an afterthought: without it the
     two-point values do not determine the measure.  A short seeded probe
-    rejects inputs that visibly fail it.
+    rejects inputs that visibly fail it.  The anchor and the span from
+    it to the last node must be finite, so an x-grid whose first
+    spacing or whole range overflows is rejected.
     """
     from .harness import SamplerConfig, check_max_stability
 
@@ -137,6 +153,11 @@ def construct_psi(
         raise ValueError("p-grid must be strictly increasing from 0.0 to 1.0")
     if stability_trials < 0:
         raise ValueError(f"stability trials must be non-negative, got {stability_trials}")
+    a = xg[0] - (xg[1] - xg[0])
+    if not math.isfinite(xg[-1] - a):
+        raise ValueError(
+            f"x-grid must span a finite range from the anchor below its first node, got {a} to {xg[-1]}"
+        )
 
     if stability_trials > 0:
         cfg = SamplerConfig(
@@ -152,23 +173,14 @@ def construct_psi(
                 "the two-point construction does not apply"
             )
 
-    # max-stability gives FSD monotonicity (F <= G makes F v G = G), so
-    # the mixture value is nondecreasing in the anchor: the largest
-    # qualifying anchor holds the maximum.  Raising p moves mass down to
-    # the anchor, so an anchor that fails at p fails at every larger p;
-    # the scan therefore carries k across p and only ever moves it down.
-    anchors = (xg[0] - (xg[1] - xg[0]),) + xg
-    base = [rho(point_mass(a)) for a in anchors]
+    # the lowest anchor stands for every anchor above it (see docstring)
+    base = rho(point_mass(a))
     rows = []
-    for i, y in enumerate(xg):
-        k, row = i, []
+    for y in xg:
+        row = []
         for p in pg:
-            while k >= 0:
-                v = two_point_eval(rho, anchors[k], y, p)
-                if v > base[k]:
-                    break
-                k -= 1
-            row.append(v if k >= 0 else -INF)
+            v = two_point_eval(rho, a, y, p)
+            row.append(v if v > base else -INF)
         rows.append(tuple(row))
     return PsiGrid(xg, pg, tuple(rows))
 

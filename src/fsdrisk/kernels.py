@@ -17,7 +17,8 @@ import math
 import operator
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .dist import DiscreteDist
@@ -221,16 +222,19 @@ class GridKernel(_Tabulated, PsiKernel):
     x_grid: tuple[float, ...]
     p_grid: tuple[float, ...]
     table: tuple[tuple[float, ...], ...]
-    _runmax: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._check_grid(-1, -INF)
+
+    @cached_property
+    def _runmax(self) -> tuple[tuple[float, ...], ...]:
+        """Running max of the rows over x, built on the first left_sup."""
         run = []
         best = [-INF] * len(self.p_grid)
         for row in self.table:
             best = [b if b >= v else v for b, v in zip(best, row)]
             run.append(tuple(best))
-        object.__setattr__(self, "_runmax", tuple(run))
+        return tuple(run)
 
     def eval(self, x: float, p: float) -> float:
         i = bisect_right(self.x_grid, x) - 1
@@ -413,16 +417,19 @@ class DualGridKernel(_Tabulated, PhiKernel):
     x_grid: tuple[float, ...]
     p_grid: tuple[float, ...]
     table: tuple[tuple[float, ...], ...]
-    _runmin: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._check_grid(0, INF)
+
+    @cached_property
+    def _runmin(self) -> tuple[tuple[float, ...], ...]:
+        """Running min of the rows from the right, built on the first right_inf."""
         run: list[tuple[float, ...]] = []
         best = [INF] * len(self.p_grid)
         for row in reversed(self.table):
             best = [b if b <= v else v for b, v in zip(best, row)]
             run.append(tuple(best))
-        object.__setattr__(self, "_runmin", tuple(reversed(run)))
+        return tuple(reversed(run))
 
     def eval(self, x: float, p: float) -> float:
         i = bisect_left(self.x_grid, x)

@@ -269,6 +269,11 @@ class TestConstructPsi:
              "x range needs lo < hi"),
             (["--x-range", "0", "inf", "--x-step", "0.5", "--p-step", "0.25"],
              "x range must be finite"),
+            # digits written out: argparse reads -1e308 as a flag
+            (["--x-range", f"-1{'0' * 308}", f"1{'0' * 308}", "--x-step", f"1{'0' * 308}",
+              "--p-step", "0.25"], "spans no finite number of steps"),
+            (["--x-range", "0", "1", "--x-step", "5e-324", "--p-step", "0.25"],
+             "spans no finite number of steps"),
         ]
         for args, message in cases:
             code = main(["construct-psi", "--measure", VAR03, *args])

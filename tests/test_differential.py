@@ -11,14 +11,27 @@ The lattice operations are checked the same way against a pointwise
 reference, on pairs that share support points and whose levels sit
 within a few ``ATOM_DROP_TOL`` of each other, where join and meet drop
 atoms.
+
+The one-anchor kernel table of ``construct_psi`` is checked against the
+scan that walks each row's anchor down the x-grid, on small grids near
+zero and near 1e15.
 """
 
 import math
+import operator
 
 from hypothesis import given, settings, strategies as st
 
-from fsdrisk.dist import ATOM_DROP_TOL, DiscreteDist, fsd_join, fsd_leq, fsd_meet
-from fsdrisk.engine import PsiGrid, recover_lambda
+from fsdrisk.dist import (
+    ATOM_DROP_TOL,
+    DiscreteDist,
+    fsd_join,
+    fsd_leq,
+    fsd_meet,
+    point_mass,
+    two_point,
+)
+from fsdrisk.engine import PsiGrid, construct_psi, recover_lambda
 from fsdrisk.harness import ext_gap
 from fsdrisk.jsonio import superlevel_rows
 from fsdrisk.kernels import (
@@ -32,7 +45,16 @@ from fsdrisk.kernels import (
     inf_phi_eval,
     sup_psi_eval,
 )
-from fsdrisk.measures import benchmark_loss_var, lambda_quantile, lambda_quantile_dual, var
+from fsdrisk.measures import (
+    benchmark_loss_measure,
+    benchmark_loss_var,
+    lambda_quantile,
+    lambda_quantile_dual,
+    lambda_quantile_measure,
+    transform_measure,
+    var,
+    var_measure,
+)
 from fsdrisk.steps import DEC, INC, MonotoneStep
 
 INF = math.inf
@@ -268,7 +290,9 @@ def lattice_pairs(draw):
 
 
 def merged_points(f, g):
-    return sorted(set(f.xs).union(g.xs))
+    """The sorted support union; a zero the two hold with opposite signs reads 0.0."""
+    zeros = {repr(x) for x in (*f.xs, *g.xs) if x == 0.0}
+    return [0.0 if x == 0.0 and len(zeros) > 1 else x for x in sorted(set(f.xs).union(g.xs))]
 
 
 def reference_lattice(f, g, pick, drop_tol=ATOM_DROP_TOL):
@@ -303,10 +327,10 @@ def test_lattice_merge_equals_the_pointwise_reference(pair):
 def test_lattice_laws_near_the_drop_tolerance(pair):
     f, g = pair
     j, m = fsd_join(f, g), fsd_meet(f, g)
-    assert fsd_join(g, f) == j and fsd_meet(g, f) == m
+    assert exact(fsd_join(g, f)) == exact(j) and exact(fsd_meet(g, f)) == exact(m)
     # idempotence: the result is f less its own gains of at most the tolerance
     f_kept = DiscreteDist.from_levels(f.xs, f.cum)
-    assert fsd_join(f, f) == f_kept and fsd_meet(f, f) == f_kept
+    assert exact(fsd_join(f, f)) == exact(f_kept) == exact(fsd_meet(f, f))
     # Dropping a gain moves each result's CDF by at most ATOM_DROP_TOL, so
     # absorption holds to twice that, and exactly when nothing was dropped.
     # A dropped last gain moves mass left, past f: f <= f v g then holds
@@ -321,3 +345,82 @@ def test_lattice_laws_near_the_drop_tolerance(pair):
         assert fsd_leq(f, j) and fsd_leq(g, j)
     else:
         assert all(f.cdf(b) >= j.cdf(b) - ATOM_DROP_TOL for b in merged_points(f, j))
+
+
+# -- the one-anchor kernel table against the descending-anchor scan ----------
+
+
+def descending_anchor_table(rho, xg, pg):
+    """The table at the largest qualifying anchor, found by walking down.
+
+    The anchors are the x-grid plus one node below it.  Each row starts at
+    the anchor just below its y and carries the anchor index across p,
+    moving it down until the mixture strictly exceeds that anchor's
+    point-mass value, -inf once no anchor is left.
+    """
+    anchors = (xg[0] - (xg[1] - xg[0]),) + tuple(xg)
+    base = [rho(point_mass(a)) for a in anchors]
+    rows = []
+    for i, y in enumerate(xg):
+        k, row = i, []
+        for p in pg:
+            while k >= 0:
+                v = rho(two_point(anchors[k], y, p))
+                if v > base[k]:
+                    break
+                k -= 1
+            row.append(v if k >= 0 else -INF)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+# increasing on the transform's probe grid, monotone in floats everywhere
+TRANSFORMS = (lambda t: 0.5 * t - 3.0, lambda t: t * abs(t) + t)
+
+
+@st.composite
+def table_cases(draw):
+    """A max-stable measure on a small grid near 0 or +-1e15.
+
+    Curve breakpoints and levels are drawn from the grids or anywhere, so
+    mixtures land on curve jumps and on the var level.
+    """
+    center = draw(st.sampled_from((0.0, 1e15, -1e15)))
+    near = st.one_of(st.floats(center - 8.0, center + 8.0),
+                     st.integers(-64, 64).map(lambda k: center + k / 8))
+    xg = sorted(draw(st.lists(near, min_size=2, max_size=5, unique=True)))
+    pg = [0.0, *sorted(set(draw(st.lists(open_unit, max_size=5)))), 1.0]
+    kind = draw(st.sampled_from(["var", "lambda", "benchmark_loss"]))
+    if kind == "var":
+        rho = var_measure(draw(st.one_of(st.sampled_from(pg[1:-1] or [0.5]), open_unit)))
+    elif kind == "lambda":
+        level = st.one_of(st.sampled_from(pg), st.floats(0.0, 1.0))
+        rho = lambda_quantile_measure(draw(steps_on(xg, DEC, level)))
+    else:
+        # breakpoints inside (0, 1) and a finite value at p = 0, so the
+        # point masses stay apart
+        bps = sorted(set(draw(st.lists(st.one_of(st.sampled_from(pg[1:-1] or [0.5]), open_unit),
+                                       max_size=3))))
+        vals = [draw(xs_), *draw(st.lists(st.one_of(xs_, st.just(INF)), min_size=len(bps),
+                                          max_size=len(bps)))]
+        rho = benchmark_loss_measure(MonotoneStep(tuple(bps), tuple(sorted(vals)), INC, at_one=INF))
+    if draw(st.booleans()):
+        rho = transform_measure(rho, draw(st.sampled_from(TRANSFORMS)))
+    return rho, xg, pg
+
+
+@given(table_cases())
+@settings(max_examples=400, deadline=None)
+def test_one_anchor_table_equals_the_descending_anchor_scan(case):
+    rho, xg, pg = case
+    want = descending_anchor_table(rho, xg, pg)
+    try:
+        got = construct_psi(rho, xg, pg, stability_trials=0).table
+    except ValueError as exc:
+        # a measure that ties two grid point masses is refused; the
+        # scan's p = 0 column then holds the same tie
+        assert "separate point masses" in str(exc)
+        col0 = [row[0] for row in want]
+        assert any(map(operator.ge, col0, col0[1:]))
+    else:
+        assert repr(got) == repr(want)

@@ -182,6 +182,18 @@ class TestLattice:
             (-1.0, 0.5), (0.0, 0.5)
         )
 
+    def test_signed_zero_at_shared_point(self):
+        # -0.0 == 0.0, so the merge meets them as one point; it reads 0.0
+        # there, so the operand order does not show in repr, while a
+        # distribution joined or met with itself keeps its own bits
+        f = DiscreteDist((-0.0, 1.0), (0.5, 1.0))
+        g = DiscreteDist((0.0, 2.0), (0.25, 1.0))
+        for op in (fsd_join, fsd_meet):
+            assert repr(op(f, g).xs) == repr(op(g, f).xs)
+            assert repr(op(f, f).xs) == repr(f.xs) == "(-0.0, 1.0)"
+        assert repr(fsd_join(f, g).xs) == "(0.0, 2.0)"
+        assert repr(fsd_meet(f, g).xs) == "(0.0, 1.0)"
+
     def test_leq_examples(self):
         assert fsd_leq(point_mass(0.0), point_mass(1.0))
         assert fsd_leq(F3, F3)

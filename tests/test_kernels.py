@@ -219,6 +219,13 @@ class TestGridKernel:
         assert k.left_sup(2.0, 0.5) == 1.0
         assert k.left_sup(2.5, 0.5) == 2.0
 
+    def test_running_max_is_built_on_first_read_outside_eq_and_repr(self):
+        k, fresh = self.small(), self.small()
+        assert "_runmax" not in vars(k)
+        k.left_sup(1.5, 0.5)
+        assert "_runmax" in vars(k)
+        assert k == fresh and hash(k) == hash(fresh) and repr(k) == repr(fresh)
+
     @pytest.mark.parametrize(
         "pg,table",
         [
@@ -372,6 +379,13 @@ class TestDualGridKernel:
         k = self.small()
         assert k.right_inf(0.0, 0.5) == 1.0
         assert k.right_inf(1.0, 0.5) == INF
+
+    def test_running_min_is_built_on_first_read_outside_eq_and_repr(self):
+        k, fresh = self.small(), self.small()
+        assert "_runmin" not in vars(k)
+        k.right_inf(0.0, 0.5)
+        assert "_runmin" in vars(k)
+        assert k == fresh and hash(k) == hash(fresh) and repr(k) == repr(fresh)
 
     def test_p_zero_column_must_diverge(self):
         with pytest.raises(ValueError):
