@@ -9,7 +9,8 @@ or a path to a file holding one.
 
 Exit status: 0 on success and passing checks, 1 when a check finds a
 violation or the construction gate rejects the measure, 2 on any input
-problem.  Every randomized run prints the seed it can be replayed from.
+problem and 3 on any other exception, which is a fault in the program.
+Every randomized run prints the seed it can be replayed from.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import io
 import math
 import sys
+import traceback
 from pathlib import Path
 from typing import Any
 
@@ -50,6 +52,8 @@ from .jsonio import (
 )
 
 _ND_GRID_POINTS = 50
+# nodes per construct-psi axis; a finer grid is refused before it is built
+MAX_GRID_NODES = 10**6
 
 
 def _load_obj(text_or_path: str) -> Any:
@@ -114,28 +118,32 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     measure = parse_measure_obj(_load_obj(args.measure))
-    if args.axiom in ("maxs", "mins", "fsd"):
-        cfg = SamplerConfig(seed=args.seed, trials=args.trials)
-        run = {
-            "maxs": check_max_stability,
-            "mins": check_min_stability,
-            "fsd": check_fsd_consistency,
-        }[args.axiom]
-        report = run(measure, cfg, args.tol)
-    elif args.axiom == "nd":
-        lo, hi = (-10.0, 10.0)
-        grid = [lo + (hi - lo) * k / (_ND_GRID_POINTS - 1) for k in range(_ND_GRID_POINTS)]
-        report = check_nondegeneracy(measure, grid, args.tol)
-    else:
-        limit = ContinuousCDF.uniform(0.0, 1.0)
-        if args.dist is not None:
-            if len(args.dist) != 1:
-                raise InputError("BAD_SCHEMA", "the limit probe takes a single --dist")
-            parsed = parse_distribution_obj(_load_obj(args.dist[0]))
-            if not isinstance(parsed, ContinuousCDF):
-                raise InputError("BAD_SCHEMA", "the limit probe needs a continuous distribution")
-            limit = parsed
-        report = check_semicontinuity_probe(measure, limit, n_max=args.trials, tol=args.tol)
+    limit = ContinuousCDF.uniform(0.0, 1.0)
+    if args.axiom == "ls" and args.dist is not None:
+        if len(args.dist) != 1:
+            raise InputError("BAD_SCHEMA", "the limit probe takes a single --dist")
+        parsed = parse_distribution_obj(_load_obj(args.dist[0]))
+        if not isinstance(parsed, ContinuousCDF):
+            raise InputError("BAD_SCHEMA", "the limit probe needs a continuous distribution")
+        limit = parsed
+    try:
+        if args.axiom in ("maxs", "mins", "fsd"):
+            cfg = SamplerConfig(seed=args.seed, trials=args.trials)
+            run = {
+                "maxs": check_max_stability,
+                "mins": check_min_stability,
+                "fsd": check_fsd_consistency,
+            }[args.axiom]
+            report = run(measure, cfg, args.tol)
+        elif args.axiom == "nd":
+            lo, hi = (-10.0, 10.0)
+            grid = [lo + (hi - lo) * k / (_ND_GRID_POINTS - 1) for k in range(_ND_GRID_POINTS)]
+            report = check_nondegeneracy(measure, grid, args.tol)
+        else:
+            report = check_semicontinuity_probe(measure, limit, n_max=args.trials, tol=args.tol)
+    except ValueError as exc:
+        # the checks validate --trials and --tol themselves
+        raise InputError("BAD_SCHEMA", str(exc)) from None
     print(f"seed: {report.seed}")
     print(
         f"axiom: {report.axiom}  measure: {measure.name}  verdict: {report.verdict}"
@@ -157,6 +165,10 @@ def _regular_grid(lo: float, hi: float, step: float, label: str) -> list[float]:
     count = round(cells)
     if count < 1 or abs(lo + count * step - hi) > 1e-9:
         raise InputError("BAD_SCHEMA", f"{label} range is not a whole number of steps of {step}")
+    if count + 1 > MAX_GRID_NODES:
+        raise InputError(
+            "BAD_SCHEMA", f"{label} step {step} gives more than {MAX_GRID_NODES} grid nodes"
+        )
     return [lo + k * step for k in range(count)] + [hi]
 
 
@@ -181,6 +193,9 @@ def _cmd_construct_psi(args: argparse.Namespace) -> int:
         print(gate_line)
         print(f"error [AXIOM]: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:
+        # construct_psi validates --trials and the grids itself
+        raise InputError("BAD_SCHEMA", str(exc)) from None
     # printed only once the gate has run, so an input error leaves stdout empty
     print(gate_line)
     _emit(dump_json(psi_grid_to_obj(grid)), args.out)
@@ -190,7 +205,11 @@ def _cmd_construct_psi(args: argparse.Namespace) -> int:
 def _cmd_superlevel(args: argparse.Namespace) -> int:
     kernel = parse_kernel_obj(_load_obj(args.kernel))
     lo, hi = args.x_range
-    rows = superlevel_rows(kernel, args.threshold, (lo, hi), args.resolution)
+    try:
+        rows = superlevel_rows(kernel, args.threshold, (lo, hi), args.resolution)
+    except ValueError as exc:
+        # superlevel_rows validates --threshold, --x-range and --resolution itself
+        raise InputError("BAD_SCHEMA", str(exc)) from None
     buf = io.StringIO()
     write_superlevel_csv(rows, buf)
     _emit(buf.getvalue(), args.out)
@@ -291,9 +310,11 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error [{exc.code}]: {exc.message}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error [BAD_SCHEMA]: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        # a fault in the program, not in its input: keep the traceback
+        traceback.print_exc()
+        print(f"error [INTERNAL]: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

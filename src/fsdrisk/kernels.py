@@ -4,11 +4,11 @@ A sup-kernel psi(x, p) is decreasing in p for each fixed x, with
 psi(x, 1) = -inf away from deliberately degenerate variants; a
 distribution is evaluated as sup over x of psi(x, F(x)).  For a step
 CDF that is a finite maximum of the left-sup regularization
-psi~(x, p) = sup over t < x of psi(t, p), read only through ``left_sup``
-at each CDF or kernel x-breakpoint and at p = 1 just past the last one,
-where psi must have no x-structure left.  Dual inf-kernels phi mirror
-this: inf over x of phi(x, F(x-)), read only through ``right_inf``,
-with phi(x, 0) = +inf covering everything left of the support.
+psi~(x, p) = sup over t < x of psi(t, p), read only through ``left_sup``:
+once at each atom and once at (+inf, 1).  Dual inf-kernels phi mirror
+this: inf over x of phi(x, F(x-)), read only through ``right_inf``, once
+at (-inf, 0) and once at each atom.  The kernel's own breakpoints are
+never needed.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ INF = math.inf
 class PsiKernel(ABC):
     """Sup-form kernel, decreasing in p; sup_psi_eval reads only left_sup.
 
-    psi(., 1) must have no x-structure past the last x-breakpoint.
-    Decrease in p is relied on, not checked per read: ``superlevel_rows``
-    finds its boundary by bisection over the sampled p.  Every kernel
-    the command line builds has it, since GridKernel rows and the family
-    curves are checked at construction.
+    ``left_sup`` must accept x = +inf, where it is the sup over the whole
+    line.  Decrease in p is relied on, not checked per read:
+    ``superlevel_rows`` finds its boundary by bisection over the sampled
+    p.  Every kernel the command line builds has it, since GridKernel
+    rows and the family curves are checked at construction.
     """
 
     @abstractmethod
@@ -48,10 +48,7 @@ class PsiKernel(ABC):
 
     @abstractmethod
     def left_sup(self, x: float, p: float) -> float:
-        """sup of eval(t, p) over t < x."""
-
-    def x_breakpoints(self) -> tuple[float, ...]:
-        return ()
+        """sup of eval(t, p) over real t < x."""
 
 
 def _probe_increasing(curve: Callable[[float], float], label: str, excluded: float) -> None:
@@ -130,9 +127,6 @@ class LambdaKernel(PsiKernel):
         # so the left sup is x truncated at that crossing
         return min(x, self.lam.level_crossing(p))
 
-    def x_breakpoints(self) -> tuple[float, ...]:
-        return self.lam.breakpoints
-
 
 @dataclass(frozen=True)
 class PinnedKernel(PsiKernel):
@@ -154,9 +148,6 @@ class PinnedKernel(PsiKernel):
 
     def left_sup(self, x: float, p: float) -> float:
         return self.g(p) if x > self.x0 else -INF
-
-    def x_breakpoints(self) -> tuple[float, ...]:
-        return (self.x0,)
 
 
 class _Tabulated:
@@ -248,16 +239,14 @@ class GridKernel(_Tabulated, PsiKernel):
             return -INF
         return self._runmax[i][self.nearest_p_index(p)]
 
-    def x_breakpoints(self) -> tuple[float, ...]:
-        return self.x_grid
-
 
 @dataclass(frozen=True)
 class RegularizedKernel(PsiKernel):
     """Left-sup closure of a base kernel.
 
-    Increasing and left-continuous in x by construction; it shares the
-    base's left_sup, all that sup_psi_eval reads, so both evaluate alike.
+    Increasing and left-continuous in x by construction.  It shares the
+    base's left_sup, the only read sup_psi_eval makes, so the two give
+    the same value on every distribution.
     """
 
     base: PsiKernel
@@ -270,9 +259,6 @@ class RegularizedKernel(PsiKernel):
         # function equals its own left sup
         return self.base.left_sup(x, p)
 
-    def x_breakpoints(self) -> tuple[float, ...]:
-        return self.base.x_breakpoints()
-
 
 def regularize_psi(psi: PsiKernel) -> PsiKernel:
     """Left-sup regularization psi~(x, p) = sup over t < x of psi(t, p)."""
@@ -284,40 +270,39 @@ def regularize_psi(psi: PsiKernel) -> PsiKernel:
 def sup_psi_eval(psi: PsiKernel, F: DiscreteDist) -> float:
     """Exact sup over all real x of psi(x, F(x)), read through left_sup alone.
 
-    The candidates c_1 < ... < c_m (CDF and kernel x-breakpoints) cut the
-    line into pieces [c_j, c_{j+1}) on which F is constant, 0 before c_1,
-    so each piece is one left_sup read at its right end at that level.
-    No read overshoots, as psi decreases in p while F increases in x.
-    The last piece is read at nextafter(c_m) and p = 1.
+    With a_0 = -inf, F(a_0) = 0 and a_{m+1} = +inf, the atoms
+    a_1 < ... < a_m cut the line into pieces [a_j, a_{j+1}) on which F is
+    the constant F(a_j).  Each piece is one read left_sup(a_{j+1}, F(a_j)),
+    m + 1 reads in all.  A read also covers every t left of the piece, at
+    a level no lower than F(t); psi decreases in p, so no read overshoots.
     """
-    cands = sorted(set(F.xs).union(psi.x_breakpoints()))
-    levels = [0.0, *map(F.cdf, cands)]
-    cands.append(math.nextafter(cands[-1], INF))
-    return max(map(psi.left_sup, cands, levels))
+    return max(map(psi.left_sup, (*F.xs, INF), (0.0, *F.cum)))
 
 
 class PhiKernel(ABC):
-    """Inf-form kernel, decreasing in p, +inf at p = 0; inf_phi_eval reads only right_inf."""
+    """Inf-form kernel, decreasing in p; inf_phi_eval reads only right_inf.
+
+    ``right_inf`` must accept x = -inf, where it is the inf over the whole
+    line.
+    """
 
     @abstractmethod
     def eval(self, x: float, p: float) -> float: ...
 
     @abstractmethod
     def right_inf(self, x: float, p: float) -> float:
-        """inf of eval(t, p) over t > x."""
-
-    def x_breakpoints(self) -> tuple[float, ...]:
-        return ()
+        """inf of eval(t, p) over real t > x."""
 
 
 def inf_phi_eval(phi: PhiKernel, F: DiscreteDist) -> float:
     """Exact inf over all real x of phi(x, F(x-)), read through right_inf alone.
 
-    Mirror of sup_psi_eval: F(x-) is F(c_j) on (c_j, c_{j+1}] and 1 past
-    c_m, so each piece is right_inf(c_j, F(c_j)); up to c_1, F(x-) = 0.
+    Mirror of sup_psi_eval: with a_0 = -inf and F(a_0) = 0, F(x-) is the
+    constant F(a_j) on (a_j, a_{j+1}], and 1 past a_m.  Each piece is one
+    read right_inf(a_j, F(a_j)), m + 1 reads in all; a read at a level no
+    higher than F(t-) never undershoots, as phi decreases in p.
     """
-    cands = sorted(set(F.xs).union(phi.x_breakpoints()))
-    return min(map(phi.right_inf, cands, map(F.cdf, cands)))
+    return min(map(phi.right_inf, (-INF, *F.xs), (0.0, *F.cum)))
 
 
 @dataclass(frozen=True)
@@ -379,9 +364,6 @@ class DualLambdaKernel(PhiKernel):
         # {t: curve(t) <= p} is the closed ray from the level crossing on
         return max(x, self.lam.level_crossing(p))
 
-    def x_breakpoints(self) -> tuple[float, ...]:
-        return self.lam.breakpoints
-
 
 @dataclass(frozen=True)
 class DualPinnedKernel(PhiKernel):
@@ -400,9 +382,6 @@ class DualPinnedKernel(PhiKernel):
 
     def right_inf(self, x: float, p: float) -> float:
         return self.g(p) if x < self.x0 else INF
-
-    def x_breakpoints(self) -> tuple[float, ...]:
-        return (self.x0,)
 
 
 @dataclass(frozen=True)
@@ -442,6 +421,3 @@ class DualGridKernel(_Tabulated, PhiKernel):
         if i == len(self.x_grid):
             return INF
         return self._runmin[i][self.nearest_p_index(p)]
-
-    def x_breakpoints(self) -> tuple[float, ...]:
-        return self.x_grid

@@ -274,6 +274,11 @@ class TestConstructPsi:
               "--p-step", "0.25"], "spans no finite number of steps"),
             (["--x-range", "0", "1", "--x-step", "5e-324", "--p-step", "0.25"],
              "spans no finite number of steps"),
+            # a whole number of steps, but 10**300 of them: refused before any list is built
+            (["--x-range", "0", "1", "--x-step", "1e-300", "--p-step", "0.25"],
+             "gives more than 1000000 grid nodes"),
+            (["--x-range", "0", "1", "--x-step", "0.5", "--p-step", "1e-300"],
+             "gives more than 1000000 grid nodes"),
         ]
         for args, message in cases:
             code = main(["construct-psi", "--measure", VAR03, *args])
@@ -344,6 +349,18 @@ class TestErrorReporting:
         code = main(["eval", "--measure", VAR03, "--dist", dist])
         assert code == 2
         assert f"error [{code_word}]:" in capsys.readouterr().err
+
+    def test_a_fault_in_the_program_is_not_an_input_error(self, monkeypatch, capsys):
+        def broken_join(f, g):
+            raise ValueError("injected fault")
+
+        monkeypatch.setattr(fsdrisk.cli, "fsd_join", broken_join)
+        code = main(["lattice", "--dist", F3, F2])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "in broken_join" in captured.err
+        assert captured.err.endswith("\nerror [INTERNAL]: ValueError: injected fault\n")
 
 
 LAM3 = (

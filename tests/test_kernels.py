@@ -413,9 +413,6 @@ class _RecordingPsi(PsiKernel):
         self.reads.append("left_sup")
         return self.base.left_sup(x, p)
 
-    def x_breakpoints(self):
-        return self.base.x_breakpoints()
-
 
 class _RecordingPhi(PhiKernel):
     def __init__(self, base):
@@ -430,28 +427,55 @@ class _RecordingPhi(PhiKernel):
         self.reads.append("right_inf")
         return self.base.right_inf(x, p)
 
-    def x_breakpoints(self):
-        return self.base.x_breakpoints()
 
-
-class TestOneReadPerCandidate:
+class TestOneReadPerAtom:
     F = atoms((-1.0, 0.25), (0.0, 0.25), (2.0, 0.5))
+    # the curve breaks at -2, off the support: it costs no read
     LAM = MonotoneStep((-2.0, 0.0, 2.0), (0.9, 0.6, 0.4, 0.2), direction=DEC)
 
-    def test_sup_reads_left_sup_once_per_candidate_and_once_past_them(self):
-        base = LambdaKernel(self.LAM)
-        k = _RecordingPsi(base)
+    def test_sup_reads_left_sup_per_atom_and_at_infinity(self):
+        k = _RecordingPsi(LambdaKernel(self.LAM))
         value = sup_psi_eval(k, self.F)
-        # candidates -2, -1, 0, 2: the atoms and the curve's breakpoints
-        assert k.reads == ["left_sup"] * (4 + 1)
+        assert k.reads == ["left_sup"] * (len(self.F.xs) + 1)
         assert value == lambda_quantile(self.F, self.LAM)
 
-    def test_inf_reads_right_inf_once_per_candidate(self):
-        base = DualLambdaKernel(self.LAM)
-        k = _RecordingPhi(base)
+    def test_inf_reads_right_inf_at_minus_infinity_and_per_atom(self):
+        k = _RecordingPhi(DualLambdaKernel(self.LAM))
         value = inf_phi_eval(k, self.F)
-        assert k.reads == ["right_inf"] * 4
+        assert k.reads == ["right_inf"] * (len(self.F.xs) + 1)
         assert value == lambda_quantile(self.F, self.LAM)
+
+
+class _IdentityPsi(PsiKernel):
+    """psi(x, p) = x at every level: it keeps rising past every atom."""
+
+    def eval(self, x, p):
+        return x
+
+    def left_sup(self, x, p):
+        return x
+
+
+class _IdentityPhi(PhiKernel):
+    """phi(x, p) = x at every level, also at p = 0."""
+
+    def eval(self, x, p):
+        return x
+
+    def right_inf(self, x, p):
+        return x
+
+
+class TestKernelsUnboundedInX:
+    """Evaluation needs no breakpoint list and no edge column to see the tails."""
+
+    @pytest.mark.parametrize("F", [point_mass(0.0), atoms((-1.0, 0.25), (2.0**53, 0.75))])
+    def test_sup_of_a_kernel_rising_in_x_is_plus_infinity(self, F):
+        assert sup_psi_eval(_IdentityPsi(), F) == INF
+
+    @pytest.mark.parametrize("F", [point_mass(0.0), atoms((-1e16, 0.5), (3.0, 0.5))])
+    def test_inf_of_a_kernel_falling_in_x_is_minus_infinity(self, F):
+        assert inf_phi_eval(_IdentityPhi(), F) == -INF
 
 
 # magnitudes up to 1e16, where consecutive floats are 2 apart
@@ -506,7 +530,8 @@ def pin_cases(draw):
 
 
 def _cands(kernel, F):
-    return sorted(set(F.xs).union(kernel.x_breakpoints()))
+    """The atoms and the grid nodes, read off the fields, not the evaluator."""
+    return sorted(set(F.xs).union(kernel.x_grid))
 
 
 class TestEvaluationAgainstPointReads:
