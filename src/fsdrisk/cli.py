@@ -34,6 +34,7 @@ from .harness import (
     check_semicontinuity_probe,
 )
 from .jsonio import (
+    MAX_GRID_NODES,
     InputError,
     csv_num,
     distribution_to_obj,
@@ -52,8 +53,6 @@ from .jsonio import (
 )
 
 _ND_GRID_POINTS = 50
-# nodes per construct-psi axis; a finer grid is refused before it is built
-MAX_GRID_NODES = 10**6
 
 
 def _load_obj(text_or_path: str) -> Any:
@@ -70,9 +69,16 @@ def _load_discrete(spec: str, index: int) -> DiscreteDist:
     return dist
 
 
+def _write_out(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise InputError("NO_FILE", f"cannot write {path}: {exc}") from None
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        _write_out(out, text)
     else:
         sys.stdout.write(text)
 
@@ -93,7 +99,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         print(csv_num(v))
     if args.out:
         payload = {"measure": measure_to_obj(measure), "values": [dump_num(v) for v in values]}
-        Path(args.out).write_text(dump_json(payload))
+        _write_out(args.out, dump_json(payload))
     return 0
 
 
@@ -150,7 +156,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         f"  violations: {report.violations}/{report.trials}  worst gap: {csv_num(report.worst_gap)}"
     )
     if args.out:
-        Path(args.out).write_text(report_to_json(report))
+        _write_out(args.out, report_to_json(report))
     return 0 if report.passed else 1
 
 

@@ -7,7 +7,11 @@ y, for one anchor a below the whole grid, keep at each grid node (y, p)
 the value when it strictly exceeds the measure on the point mass at a,
 and tabulate that kernel.  For anchors a <= a' <= y the join of the
 mixture at a with the point mass at a' is the mixture at a', so
-max-stability makes every higher anchor agree with the lowest one.  The
+max-stability makes every higher anchor agree with the lowest one.
+Max-stability also makes the measure monotone in first-order dominance
+(F <= G gives F v G = G, so rho(G) = max(rho(F), rho(G))), and the
+mixture at p' > p is dominated by the one at p, so each row's live
+nodes are a prefix and the row ends at its first dead node.  The
 table can then be checked against the measure on arbitrary grid-snapped
 distributions, and its level curve read back off it.
 ``h_threshold`` is a standalone threshold search that the table does
@@ -133,6 +137,18 @@ def construct_psi(
     one that passes the gate only within its 1e-9 tolerance may give a
     table differing from such a scan in the last bits.
 
+    Each row ends at its first dead node, and the nodes after it read
+    -inf without a measure call.  Max-stability makes the measure
+    monotone in first-order dominance: F <= G gives F v G = G, so
+    rho(G) = max(rho(F), rho(G)) >= rho(F).  For p < p',
+    two_point(a, y, p') is dominated by two_point(a, y, p), so once a
+    node fails the strict test every later node of its row fails it
+    too; monotonicity alone is what this relies on.  With the gate off
+    (``stability_trials=0``), a measure that is not monotone along a
+    row, dead at one node and live at a later one, is no longer refused
+    as a table rising along p: the nodes past the first dead one are
+    never evaluated and read -inf.
+
     Max-stability is a precondition, not an afterthought: without it the
     two-point values do not determine the measure.  A short seeded probe
     rejects inputs that visibly fail it.  The anchor and the span from
@@ -173,15 +189,18 @@ def construct_psi(
                 "the two-point construction does not apply"
             )
 
-    # the lowest anchor stands for every anchor above it (see docstring)
+    # the lowest anchor stands for every anchor above it, and a row's
+    # live nodes are a prefix of it (see docstring)
     base = rho(point_mass(a))
     rows = []
     for y in xg:
         row = []
         for p in pg:
             v = two_point_eval(rho, a, y, p)
-            row.append(v if v > base else -INF)
-        rows.append(tuple(row))
+            if not v > base:
+                break
+            row.append(v)
+        rows.append(tuple(row) + (-INF,) * (len(pg) - len(row)))
     return PsiGrid(xg, pg, tuple(rows))
 
 

@@ -7,7 +7,7 @@ grids, and check reports.  Infinities travel as the strings "inf" and
 it appears.  Rejections raise InputError carrying a stable code so the
 command line can map them to exit status and a terse message:
 
-    NO_FILE     missing or unreadable input file
+    NO_FILE     missing or unreadable input file, or unwritable output file
     BAD_JSON    input is not JSON at all
     BAD_SCHEMA  JSON is well-formed but not the expected shape
     NAN_VALUE   a NaN appeared where a value was expected
@@ -39,6 +39,9 @@ from .measures import FAMILIES, STEP, Family, RiskMeasure
 from .steps import DEC, INC, MonotoneStep
 
 INF = math.inf
+# samples per axis for superlevel and nodes per construct-psi axis; a
+# finer request is refused before any list is built
+MAX_GRID_NODES = 10**6
 
 Distribution = Union[DiscreteDist, ContinuousCDF]
 
@@ -398,15 +401,16 @@ def superlevel_rows(
     The boundary is found by bisection over the sampled p, which relies
     on psi decreasing in p: every kernel the command line can build
     does, as grid rows and family curves are checked at construction.
-    A NaN threshold is rejected.
+    A NaN threshold is rejected, and so is a resolution above
+    ``MAX_GRID_NODES``.
     """
     if math.isnan(threshold):
         raise ValueError("threshold must not be NaN")
     lo, hi = (float(x_range[0]), float(x_range[1]))
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"x range must be a finite interval, got {x_range}")
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
+    if not 2 <= resolution <= MAX_GRID_NODES:
+        raise ValueError(f"resolution must be from 2 to {MAX_GRID_NODES}, got {resolution}")
     steps = resolution - 1
     xs = [lo + (hi - lo) * k / steps for k in range(resolution)]
     ps = [k / steps for k in range(resolution)]

@@ -323,6 +323,15 @@ class TestSuperlevel:
         assert out.out == ""
         assert "error [BAD_SCHEMA]: threshold must not be NaN" in out.err
 
+    def test_resolution_above_the_cap_is_an_input_error(self, capsys):
+        # refused before any sample list is built, so this does not allocate
+        code = main(["superlevel", "--kernel", VAR03, "--threshold", "0.0",
+                     "--x-range", "-1.0", "1.0", "--resolution", "1000000000000"])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "error [BAD_SCHEMA]: resolution must be from 2 to 1000000" in out.err
+
     @pytest.mark.parametrize("x_grid", [[0.0, "inf"], ["-inf", 0.0], [0.0, 1e999]])
     def test_non_finite_grid_axis_is_an_input_error(self, x_grid, tmp_path, capsys):
         gpath = tmp_path / "grid.json"
@@ -349,6 +358,24 @@ class TestErrorReporting:
         code = main(["eval", "--measure", VAR03, "--dist", dist])
         assert code == 2
         assert f"error [{code_word}]:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--measure", VAR03, "--dist", F3],
+            ["construct-psi", "--measure", VAR03, "--x-range", "0", "1", "--x-step", "0.5",
+             "--p-step", "0.5", "--trials", "0"],
+            ["check", "--measure", VAR03, "--axiom", "nd"],
+        ],
+        ids=["eval", "construct-psi", "check"],
+    )
+    def test_unwritable_out_is_an_input_error(self, argv, tmp_path, capsys):
+        out = tmp_path / "missing" / "o.json"
+        code = main([*argv, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error [NO_FILE]: cannot write {out}: " in err
+        assert "INTERNAL" not in err
 
     def test_a_fault_in_the_program_is_not_an_input_error(self, monkeypatch, capsys):
         def broken_join(f, g):

@@ -14,7 +14,9 @@ atoms.
 
 The one-anchor kernel table of ``construct_psi`` is checked against the
 scan that walks each row's anchor down the x-grid, on small grids near
-zero and near 1e15.
+zero and near 1e15.  Its rows, which end at their first dead node, are
+checked against a one-call-per-node scan at the same anchor, also for
+expected shortfall: monotone in the dominance order but not max-stable.
 """
 
 import math
@@ -48,6 +50,7 @@ from fsdrisk.kernels import (
 from fsdrisk.measures import (
     benchmark_loss_measure,
     benchmark_loss_var,
+    expected_shortfall_measure,
     lambda_quantile,
     lambda_quantile_dual,
     lambda_quantile_measure,
@@ -424,3 +427,60 @@ def test_one_anchor_table_equals_the_descending_anchor_scan(case):
         assert any(map(operator.ge, col0, col0[1:]))
     else:
         assert repr(got) == repr(want)
+
+
+def full_scan_table(rho, xg, pg):
+    """One measure call per node at the one anchor below the grid."""
+    a = xg[0] - (xg[1] - xg[0])
+    base = rho(point_mass(a))
+    return tuple(
+        tuple(v if v > base else -INF for v in (rho(two_point(a, y, p)) for p in pg))
+        for y in xg
+    )
+
+
+def cut_at_first_dead(table):
+    """Each row kept up to its first -inf node and -inf after it."""
+    rows = []
+    for row in table:
+        k = row.index(-INF) if -INF in row else len(row)
+        rows.append(row[:k] + (-INF,) * (len(row) - k))
+    return tuple(rows)
+
+
+@st.composite
+def monotone_cases(draw):
+    """A table case, or expected shortfall on the same kind of grid.
+
+    The last field says whether the measure is max-stable.
+    """
+    rho, xg, pg = draw(table_cases())
+    if draw(st.booleans()):
+        alpha = draw(st.one_of(st.sampled_from(pg[1:-1] or [0.5]), open_unit))
+        return expected_shortfall_measure(alpha), xg, pg, False
+    return rho, xg, pg, True
+
+
+@given(monotone_cases())
+@settings(max_examples=400, deadline=None)
+def test_row_cutoff_equals_the_full_scan(case):
+    # rows fall along p for any measure monotone in the dominance order,
+    # so the nodes after a row's first dead one are dead too.  Expected
+    # shortfall is monotone but its float arithmetic near 1e15 can rise
+    # along a row by an ulp; there the full scan's table is refused as
+    # not decreasing, and the cutoff reads the nodes past the first dead
+    # one as -inf
+    rho, xg, pg, max_stable = case
+    want = full_scan_table(rho, xg, pg)
+    falls = all(all(map(operator.ge, row, row[1:])) for row in want)
+    assert falls or not max_stable
+    try:
+        got = construct_psi(rho, xg, pg, stability_trials=0).table
+    except ValueError as exc:
+        col0 = [row[0] for row in want]
+        if "separate point masses" in str(exc):
+            assert any(map(operator.ge, col0, col0[1:]))
+        else:
+            assert "decreasing along p" in str(exc) and not falls
+    else:
+        assert repr(got) == repr(want if falls else cut_at_first_dead(want))

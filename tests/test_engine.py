@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from fsdrisk.dist import DiscreteDist, point_mass
+from fsdrisk.dist import DiscreteDist, point_mass, two_point
 from fsdrisk.engine import (
     GATE_SEED,
     PsiGrid,
@@ -215,24 +215,25 @@ class TestConstructPsiCallCounts:
     """Measure calls for the README tables (201 x 101), gate included.
 
     Call counts do not depend on the machine, so they gate regressions.
-    Each total is one call per node, one for the anchor's baseline and
-    the 450 calls of the default 150-trial gate, whatever the measure.
-    ``before`` is what a threshold search per (anchor, p) pair followed
-    by a scan over all anchors at each node costs on the same tables.
+    Each row stops at its first dead node, so a row costs its live
+    prefix plus that one dead node (the p = 1 node is always dead, as
+    its mixture is the anchor's point mass).  Each total is the sum of
+    rows x (live prefix + 1), plus 1 call for the anchor's baseline,
+    plus the 450 calls of the default 150-trial gate.  ``before`` is
+    what a threshold search per (anchor, p) pair followed by a scan over
+    all anchors at each node costs on the same tables.
     """
 
-    CALLS = len(README_X) * len(README_P) + 1 + 3 * 150
-
     @pytest.mark.parametrize(
-        "measure,before",
+        "measure,calls,before",
         [
-            (var_measure(0.3), 858_064),
-            (lambda_quantile_measure(LAM3), 1_662_374),
-            (benchmark_loss_measure(affine_benchmark(2.0)), 2_398_524),
+            (var_measure(0.3), 6_682, 858_064),
+            (lambda_quantile_measure(LAM3), 16_732, 1_662_374),
+            (benchmark_loss_measure(affine_benchmark(2.0)), 18_812, 2_398_524),
         ],
         ids=["var", "lambda", "affine"],
     )
-    def test_exact_call_count(self, measure, before):
+    def test_exact_call_count(self, measure, calls, before):
         count = 0
 
         def rho(F):
@@ -240,9 +241,57 @@ class TestConstructPsiCallCounts:
             count += 1
             return measure(F)
 
-        construct_psi(rho, README_X, README_P)
-        assert count == self.CALLS == 20_752
+        psi = construct_psi(rho, README_X, README_P)
+        live = sum(v > -INF for row in psi.table for v in row)
+        assert count == live + len(README_X) + 1 + 3 * 150 == calls
         assert 20 * count <= before
+
+
+class TestRowCutoff:
+    """Each row ends at its first node not strictly above the baseline.
+
+    For p < p' the mixture at p' is dominated by the one at p, so a
+    measure monotone in the dominance order, as every max-stable one is,
+    has no live node after a dead one; the nodes past it are not
+    evaluated and read -inf.
+    """
+
+    XG = (0.0, 1.0, 2.0)
+    PG = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+    @staticmethod
+    def recording(measure):
+        seen = []
+
+        def rho(F):
+            seen.append(F)
+            return measure(F)
+
+        return rho, seen
+
+    def test_no_node_past_the_first_dead_one_is_evaluated(self):
+        rho, seen = self.recording(var_measure(0.3).fn)
+        psi = construct_psi(rho, self.XG, self.PG, stability_trials=0)
+        # var(0.3) is live for p < 0.3: nodes 0 and 0.25, then 0.5 is dead
+        assert psi.table == tuple((x, x, -INF, -INF, -INF) for x in self.XG)
+        # the anchor's point mass, then each row up to its first dead node
+        assert seen == [point_mass(-1.0)] + [
+            two_point(-1.0, y, p) for y in self.XG for p in self.PG[:3]
+        ]
+
+    def test_non_monotone_measure_reads_minus_inf_after_the_cutoff(self):
+        # dead at p = 0.25 and live again at p = 0.5, which no measure
+        # monotone in the dominance order can be; with the gate off the
+        # nodes past the first dead one are never evaluated and read -inf
+        def bumpy(F):
+            if len(F.xs) == 2 and F.cum[0] == 0.25:
+                return F.xs[0]
+            return F.xs[-1]
+
+        rho, seen = self.recording(bumpy)
+        psi = construct_psi(rho, self.XG, self.PG, stability_trials=0)
+        assert psi.table == tuple((x, -INF, -INF, -INF, -INF) for x in self.XG)
+        assert len(seen) == 1 + 2 * len(self.XG)
 
 
 class TestVerifyRepresentation:

@@ -11,6 +11,7 @@ from fsdrisk.dist import ContinuousCDF, DiscreteDist
 from fsdrisk.engine import PsiGrid, construct_psi
 from fsdrisk.harness import SamplerConfig, check_max_stability
 from fsdrisk.jsonio import (
+    MAX_GRID_NODES,
     InputError,
     csv_num,
     distribution_to_obj,
@@ -461,6 +462,8 @@ class TestSuperlevel:
             superlevel_rows(VarKernel(0.3), 0.0, (1.0, 1.0))
         with pytest.raises(ValueError):
             superlevel_rows(VarKernel(0.3), 0.0, (0.0, 1.0), resolution=1)
+        with pytest.raises(ValueError, match="resolution must be from 2 to 1000000"):
+            superlevel_rows(VarKernel(0.3), 0.0, (0.0, 1.0), resolution=MAX_GRID_NODES + 1)
         # no level meets a NaN threshold, so it could only ever give None
         with pytest.raises(ValueError, match="threshold must not be NaN"):
             superlevel_rows(VarKernel(0.3), math.nan, (0.0, 1.0))
