@@ -9,7 +9,6 @@ command line on top.
 """
 
 from .dist import (
-    ATOM_DROP_TOL,
     MASS_TOL,
     ContinuousCDF,
     DiscreteDist,

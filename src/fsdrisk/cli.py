@@ -95,11 +95,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         if spec not in seen:
             seen[spec] = measure(_load_discrete(spec, i))
         values.append(seen[spec])
-    for v in values:
-        print(csv_num(v))
     if args.out:
+        # written before anything is printed, so NO_FILE leaves stdout empty
         payload = {"measure": measure_to_obj(measure), "values": [dump_num(v) for v in values]}
         _write_out(args.out, dump_json(payload))
+    for v in values:
+        print(csv_num(v))
     return 0
 
 
@@ -150,13 +151,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
     except ValueError as exc:
         # the checks validate --trials and --tol themselves
         raise InputError("BAD_SCHEMA", str(exc)) from None
+    if args.out:
+        # written before anything is printed, so NO_FILE leaves stdout empty
+        _write_out(args.out, report_to_json(report))
     print(f"seed: {report.seed}")
     print(
         f"axiom: {report.axiom}  measure: {measure.name}  verdict: {report.verdict}"
         f"  violations: {report.violations}/{report.trials}  worst gap: {csv_num(report.worst_gap)}"
     )
-    if args.out:
-        _write_out(args.out, report_to_json(report))
     return 0 if report.passed else 1
 
 
@@ -202,9 +204,14 @@ def _cmd_construct_psi(args: argparse.Namespace) -> int:
     except ValueError as exc:
         # construct_psi validates --trials and the grids itself
         raise InputError("BAD_SCHEMA", str(exc)) from None
-    # printed only once the gate has run, so an input error leaves stdout empty
+    # printed only once the gate has run and the grid is written, so an
+    # input error, an unwritable --out included, leaves stdout empty
+    text = dump_json(psi_grid_to_obj(grid))
+    if args.out:
+        _write_out(args.out, text)
+        text = ""
     print(gate_line)
-    _emit(dump_json(psi_grid_to_obj(grid)), args.out)
+    sys.stdout.write(text)
     return 0
 
 
@@ -308,9 +315,43 @@ def fold_dist_flags(argv: list[str]) -> list[str]:
     return out
 
 
+# the options that take floats, and how many values each takes
+FLOAT_FLAGS = {"--tol": 1, "--x-range": 2, "--x-step": 1, "--p-step": 1, "--threshold": 1}
+
+
+def _reads_as_float(tok: str) -> bool:
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
+def shield_float_values(argv: list[str]) -> list[str]:
+    """Put a space before each negative value of a float option.
+
+    argparse reads a token that starts with "-" as an option unless it
+    looks like ``-1`` or ``-.5``, so a negative number in exponent
+    notation, ``--threshold -1e-3``, failed as a missing value.  A token
+    that does not start with "-" is always a value, and ``float`` skips
+    the leading space, so the option gets the number as typed.  Only the
+    values right after a float option spelled in full are shielded, and
+    none from "--" on; every argv argparse accepted parses as before.
+    """
+    out = list(argv)
+    for i, tok in enumerate(argv):
+        if tok == "--":
+            break
+        if tok in FLOAT_FLAGS:
+            for k in range(i + 1, min(i + 1 + FLOAT_FLAGS[tok], len(argv))):
+                if argv[k].startswith("-") and _reads_as_float(argv[k]):
+                    out[k] = " " + argv[k]
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(fold_dist_flags(argv))
+    args = build_parser().parse_args(fold_dist_flags(shield_float_values(argv)))
     try:
         return args.func(args)
     except InputError as exc:

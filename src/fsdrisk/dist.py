@@ -12,7 +12,8 @@ dominated by ``G`` when ``F >= G`` everywhere, i.e. ``G`` puts its mass
 further right), and the induced join and meet are the pointwise min and
 max of the CDFs, which are again step CDFs on the merged support.
 ``fsd_leq``, ``fsd_join`` and ``fsd_meet`` read both CDFs in one linear
-merge of the two supports.
+merge of the two supports.  Join and meet keep every point where the
+level rises, however little, so the lattice laws hold bit for bit.
 
 All values are plain floats; ``math.inf`` and ``-math.inf`` are legal
 results of downstream evaluators but never legal support points, and NaN
@@ -31,10 +32,6 @@ INF = math.inf
 
 MASS_TOL = 1e-12
 """Accepted drift of the total input mass away from 1 before rejection."""
-
-ATOM_DROP_TOL = 1e-15
-"""Join/meet atoms at or below this mass are dropped; their mass merges
-into the next surviving cumulative level."""
 
 
 @dataclass(frozen=True)
@@ -99,22 +96,25 @@ class DiscreteDist:
             raise ValueError(f"atom masses sum to {total!r}, outside 1 +/- {MASS_TOL}")
         levels = [acc / total for acc in accumulate(ps)]
         levels[-1] = 1.0
-        # the running sum can reach 1.0 early; the first level that does
-        # closes the CDF and the atoms after it carry no mass
+        # the running sum can reach 1.0 early, or pass it; the first level
+        # that does closes the CDF at exactly 1.0 and the atoms after it
+        # carry no mass (levels rise up to the last, so bisect finds it)
         end = bisect_left(levels, 1.0) + 1
-        return _rising(zip(xs[:end], levels[:end]), 0.0)
+        levels[end - 1] = 1.0
+        return _rising(zip(xs[:end], levels[:end]))
 
     @classmethod
     def from_levels(
         cls,
         xs: Sequence[float],
         levels: Sequence[float],
-        drop_tol: float = ATOM_DROP_TOL,
+        drop_tol: float = 0.0,
     ) -> "DiscreteDist":
         """Build from cumulative levels at increasing breakpoints.
 
         Breakpoints whose level gain is at most ``drop_tol`` are skipped,
-        so their (tiny or zero) mass rides along to the next kept point.
+        so their mass rides along to the next kept point; by default only
+        the breakpoints that gain nothing are skipped.
         A level at most ``MASS_TOL`` above 1 is read as 1.0, a higher one is
         rejected; the last kept level, 1 up to ``MASS_TOL``, becomes 1.0.
         """
@@ -200,22 +200,20 @@ def _trusted(xs: tuple[float, ...], cum: tuple[float, ...]) -> DiscreteDist:
     return d
 
 
-def _rising(points_levels: Iterable[tuple[float, float]], drop_tol: float) -> DiscreteDist:
-    """The step CDF through non-decreasing levels in [0, 1] that reach 1.
+def _rising(points_levels: Iterable[tuple[float, float]]) -> DiscreteDist:
+    """The step CDF through non-decreasing levels in [0, 1] that reach 1.0.
 
-    A point is kept when its level gains more than ``drop_tol`` over the
-    last kept level, so a skipped gain rides along to the next kept
-    point; the last kept level, within ``drop_tol`` of 1, becomes 1.0.
+    A point is kept when its level rises over the last kept level, so
+    the last kept level is exactly 1.0.
     """
     xs: list[float] = []
     cum: list[float] = []
     prev = 0.0
     for x, lev in points_levels:
-        if lev - prev > drop_tol:
+        if lev > prev:
             xs.append(x)
             cum.append(lev)
             prev = lev
-    cum[-1] = 1.0
     return _trusted(tuple(xs), tuple(cum))
 
 
@@ -283,12 +281,12 @@ def fsd_leq(f: DiscreteDist, g: DiscreteDist) -> bool:
 
 def fsd_join(f: DiscreteDist, g: DiscreteDist) -> DiscreteDist:
     """Least upper bound: the pointwise minimum of the two CDFs."""
-    return _rising(((x, min(a, b)) for x, a, b in _walk(f, g)), ATOM_DROP_TOL)
+    return _rising((x, min(a, b)) for x, a, b in _walk(f, g))
 
 
 def fsd_meet(f: DiscreteDist, g: DiscreteDist) -> DiscreteDist:
     """Greatest lower bound: the pointwise maximum of the two CDFs."""
-    return _rising(((x, max(a, b)) for x, a, b in _walk(f, g)), ATOM_DROP_TOL)
+    return _rising((x, max(a, b)) for x, a, b in _walk(f, g))
 
 
 def join_decomposition(f: DiscreteDist) -> list[DiscreteDist]:

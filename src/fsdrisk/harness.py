@@ -2,8 +2,12 @@
 
 Every check here consumes a measure as an opaque callable and reports
 pass or fail with a replayable witness.  Randomness is fully pinned:
-per-trial generators are derived from (seed, trial, role), so a report
-is reproducible from its config alone, trial by trial, in any order.
+trial ``t``, role ``r`` draws from PCG64 seeded with
+``SeedSequence([seed mod 2**64, t, r])``, so a report is reproducible
+from its config alone, trial by trial, in any order.  The check loops
+compute those seed states in bulk, a block of trials per numpy pass,
+and ``sample_distribution`` is the reference draw that replays any
+witness from its trial index.
 
 Gaps are measured in extended reals with equal infinities counting as
 zero; all shipped measures are breakpoint-exact, so the default
@@ -14,13 +18,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .dist import ContinuousCDF, DiscreteDist, discretize, fsd_join, fsd_meet, point_mass
 
 INF = math.inf
+_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 DEFAULT_TOL = 1e-9
@@ -51,6 +57,14 @@ def sample_distribution(cfg: SamplerConfig, trial: int = 0, role: int = 0) -> Di
 
     ``role`` separates the independent draws inside one trial (the two
     sides of a pair, the derived variant) without any shared state.
+    This is the reference draw; the check loops take the same
+    generators from ``_generators`` and so draw the same distributions.
+    """
+    return _draw(np.random.default_rng([cfg.seed & _MASK64, trial, role]), cfg)
+
+
+def _draw(rng: np.random.Generator, cfg: SamplerConfig) -> DiscreteDist:
+    """One distribution from ``rng``: atom count, support points, masses.
 
     The masses are flat-Dirichlet: standard exponentials scaled by one
     over their sum.  That is ``rng.dirichlet(np.ones(n))`` draw for draw,
@@ -59,7 +73,6 @@ def sample_distribution(cfg: SamplerConfig, trial: int = 0, role: int = 0) -> Di
     loop because the builtin ``sum`` of floats uses compensated summation
     from Python 3.12 on and can differ in the last bit.
     """
-    rng = np.random.default_rng([cfg.seed & _MASK64, trial, role])
     lo, hi = cfg.support_range
     while True:
         n = int(rng.integers(1, cfg.max_atoms + 1))
@@ -74,6 +87,99 @@ def sample_distribution(cfg: SamplerConfig, trial: int = 0, role: int = 0) -> Di
         # rejected downstream; redraw from the same stream
         if min(ps) > 0.0:
             return DiscreteDist.from_atoms(zip(xs.tolist(), ps))
+
+
+# SeedSequence's hash constants, as numpy defines them since 1.17
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+# trials per bulk pass: memory stays flat for any trial count, and a
+# search that stops at its first witness wastes at most one block
+_BLOCK = 1024
+
+
+def _seed_states(words: list[np.ndarray]) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` for many entropies.
+
+    ``words[i]`` holds entropy word i of every entropy, one uint32 array
+    each, and there are at most four words, so nothing is left over
+    after the pool is filled.  Returns one state per row.
+    """
+    n = len(words[0])
+    const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    zero = np.zeros(n, np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                mixed = (np.uint32(_MIX_MULT_L) * pool[dst]
+                         - np.uint32(_MIX_MULT_R) * hashmix(pool[src]))
+                pool[dst] = mixed ^ (mixed >> np.uint32(16))
+    state = np.empty((n, 2 * _POOL_WORDS), np.uint32)
+    const = _INIT_B
+    for i in range(2 * _POOL_WORDS):
+        value = pool[i % _POOL_WORDS] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state[:, i] = value ^ (value >> np.uint32(16))
+    # word pairs read little-endian, as SeedSequence reads them
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedState(ISeedSequence):
+    """Hands PCG64 a seed state that was computed in bulk."""
+
+    def __init__(self, state: np.ndarray):
+        self.state = state
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.state
+
+
+def _uint32_words(n: int) -> list[int]:
+    """A non-negative int as SeedSequence splits it: little-endian uint32 words."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _generators(seed: int, trials: range, role: int) -> Iterator[np.random.Generator]:
+    """The generator of each trial in ``trials`` for one role, in order.
+
+    Each equals ``np.random.default_rng([seed & _MASK64, trial, role])``,
+    state for state.  Trials from 2**32 on take more entropy words than
+    the bulk pass covers and are seeded one by one instead.
+    """
+    seed &= _MASK64
+    fixed = _uint32_words(seed)
+    for lo in range(trials.start, trials.stop, _BLOCK):
+        block = range(lo, min(lo + _BLOCK, trials.stop))
+        if block.stop - 1 > _MASK32:
+            for trial in block:
+                yield np.random.default_rng([seed, trial, role])
+            continue
+        n = len(block)
+        words = [np.full(n, w, np.uint32) for w in fixed]
+        words.append(np.arange(block.start, block.stop, dtype=np.uint32))
+        words.append(np.full(n, role, np.uint32))
+        for state in _seed_states(words):
+            yield np.random.Generator(np.random.PCG64(_SeedState(state)))
+
+
+def _samples(cfg: SamplerConfig, role: int) -> Iterator[DiscreteDist]:
+    """``sample_distribution(cfg, t, role)`` for every trial t of ``cfg``."""
+    return (_draw(rng, cfg) for rng in _generators(cfg.seed, range(cfg.trials), role))
 
 
 def ext_gap(a: float, b: float) -> float:
@@ -183,9 +289,7 @@ def _check_pairs(
     """
     _check_tol(tol)
     tally = _Tally()
-    for trial in range(cfg.trials):
-        F = sample_distribution(cfg, trial, 0)
-        G = sample_distribution(cfg, trial, 1)
+    for trial, (F, G) in enumerate(zip(_samples(cfg, 0), _samples(cfg, 1))):
         lhs = rho(combine(F, G))
         rhs = pick(rho(F), rho(G))
         gap = ext_gap(lhs, rhs)
@@ -248,9 +352,9 @@ def check_fsd_consistency(
     """
     _check_tol(tol)
     tally = _Tally()
-    for trial in range(cfg.trials):
-        F = sample_distribution(cfg, trial, 0)
-        G = dominating_variant(F, cfg, trial)
+    variant_rngs = _generators(cfg.seed, range(cfg.trials), 2)
+    for trial, (F, rng) in enumerate(zip(_samples(cfg, 0), variant_rngs)):
+        G = _dominate(F, rng, trial)
         lhs = rho(F)
         rhs = rho(G)
         if lhs > rhs + tol:
@@ -266,7 +370,11 @@ def dominating_variant(F: DiscreteDist, cfg: SamplerConfig, trial: int) -> Discr
     masses: re-deriving masses would renormalize and the ulp of drift
     that introduces is enough to break a pointwise CDF comparison.
     """
-    rng = np.random.default_rng([cfg.seed & _MASK64, trial, 2])
+    return _dominate(F, np.random.default_rng([cfg.seed & _MASK64, trial, 2]), trial)
+
+
+def _dominate(F: DiscreteDist, rng: np.random.Generator, trial: int) -> DiscreteDist:
+    """``dominating_variant`` drawing from a given role-2 generator."""
     if trial % 2 == 0 or F.n_atoms == 1:
         shifts = np.sort(rng.uniform(0.1, 2.0, F.n_atoms))
         xs = [x + s for x, s in zip(F.xs, shifts.tolist())]

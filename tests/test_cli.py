@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fsdrisk.cli
-from fsdrisk.cli import build_parser, fold_dist_flags, main
+from fsdrisk.cli import FLOAT_FLAGS, build_parser, fold_dist_flags, main, shield_float_values
 from fsdrisk.dist import ContinuousCDF
 from fsdrisk.harness import check_semicontinuity_probe
 from fsdrisk.jsonio import parse_distribution_obj, parse_measure_obj, parse_psi_grid_obj, report_to_json
@@ -118,6 +118,91 @@ class TestDistFold:
         argv = fold_dist_flags(["eval", "--measure", VAR03] + ["--dist", F3] * 10_000)
         assert argv.count("--dist") == 1
         assert len(argv) == 3 + 1 + 10_000
+
+
+def _parsed(argv):
+    """The namespace argparse makes of ``argv``, or None when it rejects it."""
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+# one command line per subcommand that names every numeric option once;
+# "{}" stands for the value under test
+NUMERIC_ARGV = {
+    "--tol": ["check", "--measure", VAR03, "--axiom", "maxs", "--tol", "{}"],
+    "--trials": ["check", "--measure", VAR03, "--axiom", "maxs", "--trials", "{}"],
+    "--seed": ["check", "--measure", VAR03, "--axiom", "maxs", "--seed", "{}"],
+    "--x-range": ["construct-psi", "--measure", VAR03, "--x-range", "{}", "{}",
+                  "--x-step", "0.1", "--p-step", "0.5"],
+    "--x-step": ["construct-psi", "--measure", VAR03, "--x-range", "0", "1",
+                 "--x-step", "{}", "--p-step", "0.5"],
+    "--p-step": ["construct-psi", "--measure", VAR03, "--x-range", "0", "1",
+                 "--x-step", "0.5", "--p-step", "{}"],
+    "--threshold": ["superlevel", "--kernel", VAR03, "--threshold", "{}", "--x-range", "0", "1"],
+    "--resolution": ["superlevel", "--kernel", VAR03, "--threshold", "0", "--x-range", "0", "1",
+                     "--resolution", "{}"],
+}
+NUMBER_TOKENS = ["-1e-1", "-1.5E+3", "-.5e2", "-2e0", "-1", "-.5", "-0.25", "1e-1", "-inf", "-1_0"]
+
+
+class TestNegativeNumbers:
+    def test_every_numeric_option_is_covered(self):
+        assert {f for f in NUMERIC_ARGV if f not in ("--trials", "--seed", "--resolution")} \
+            == set(FLOAT_FLAGS)
+
+    @pytest.mark.parametrize("token", NUMBER_TOKENS)
+    @pytest.mark.parametrize("flag", sorted(NUMERIC_ARGV))
+    def test_numeric_option_values(self, flag, token):
+        argv = [token if a == "{}" else a for a in NUMERIC_ARGV[flag]]
+        dest = flag[2:].replace("-", "_")
+        got = _parsed(shield_float_values(argv))
+        if flag in FLOAT_FLAGS:
+            # every number float() reads, exponent notation included
+            want = float(token)
+            assert got is not None
+            assert got[dest] == (want if FLOAT_FLAGS[flag] == 1 else [want, want])
+        elif _parsed(argv) is None:
+            # an integer option takes what it took before, and no more
+            assert got is None
+        else:
+            assert got[dest] == int(token)
+
+    def test_negative_exponents_reach_the_commands(self, capsys):
+        code = main(["construct-psi", "--measure", VAR03, "--x-range", "-1e-1", "1e-1",
+                     "--x-step", "1e-1", "--p-step", "0.5", "--trials", "5"])
+        assert code == 0
+        grid = parse_psi_grid_obj(json.loads(capsys.readouterr().out.partition("\n")[2]))
+        assert grid.x_grid == (-0.1, 0.0, 0.1)
+        code = main(["superlevel", "--kernel", VAR03, "--threshold", "-1e-3",
+                     "--x-range", "-1e-1", "1e-1", "--resolution", "3"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "-0.1,none,false", "0.0,0.0,true", "0.1,0.0,true"]
+
+    def test_shield_touches_only_float_values(self):
+        argv = ["superlevel", "--kernel", "-1e-1", "--threshold", "-1e-3", "--x-range",
+                "-1e-1", "-2", "--resolution", "-1e3", "--out", "-1e-1", "--thresh", "-1e-3",
+                "--", "--threshold", "-1e-3"]
+        assert shield_float_values(argv) == [
+            "superlevel", "--kernel", "-1e-1", "--threshold", " -1e-3", "--x-range",
+            " -1e-1", " -2", "--resolution", "-1e3", "--out", "-1e-1", "--thresh", "-1e-3",
+            "--", "--threshold", "-1e-3"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(
+        st.sampled_from(sorted(FLOAT_FLAGS) + ["--trials", "--seed", "--resolution", "--out",
+                                              "--thresh", "--", "-x"]),
+        st.sampled_from(NUMBER_TOKENS + ["0", "o.json"])), max_size=8))
+    def test_shield_keeps_every_accepted_argv(self, tail):
+        for head in (["check", "--measure", VAR03, "--axiom", "maxs"],
+                     ["superlevel", "--kernel", VAR03, "--threshold", "0", "--x-range", "0", "1"]):
+            argv = head + tail
+            before = _parsed(argv)
+            if before is not None:
+                assert _parsed(shield_float_values(argv)) == before
 
 
 class TestEvalOncePerSpec:
@@ -269,9 +354,11 @@ class TestConstructPsi:
              "x range needs lo < hi"),
             (["--x-range", "0", "inf", "--x-step", "0.5", "--p-step", "0.25"],
              "x range must be finite"),
-            # digits written out: argparse reads -1e308 as a flag
+            # digits written out, and in exponent notation
             (["--x-range", f"-1{'0' * 308}", f"1{'0' * 308}", "--x-step", f"1{'0' * 308}",
               "--p-step", "0.25"], "spans no finite number of steps"),
+            (["--x-range", "-1e308", "1e308", "--x-step", "1e308", "--p-step", "0.25"],
+             "spans no finite number of steps"),
             (["--x-range", "0", "1", "--x-step", "5e-324", "--p-step", "0.25"],
              "spans no finite number of steps"),
             # a whole number of steps, but 10**300 of them: refused before any list is built
@@ -373,9 +460,23 @@ class TestErrorReporting:
         out = tmp_path / "missing" / "o.json"
         code = main([*argv, "--out", str(out)])
         assert code == 2
-        err = capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err
         assert f"error [NO_FILE]: cannot write {out}: " in err
         assert "INTERNAL" not in err
+
+    def test_a_rejected_run_leaves_out_alone(self, tmp_path, capsys):
+        kept, absent = tmp_path / "kept.json", tmp_path / "absent.json"
+        kept.write_text("earlier run")
+        for out in (kept, absent):
+            code = main(["construct-psi", "--measure", SHORTFALL, "--x-range", "0", "1",
+                         "--x-step", "0.5", "--p-step", "0.5", "--trials", "50",
+                         "--out", str(out)])
+            assert code == 1
+            assert "error [AXIOM]" in capsys.readouterr().err
+        assert kept.read_text() == "earlier run"
+        assert not absent.exists()
 
     def test_a_fault_in_the_program_is_not_an_input_error(self, monkeypatch, capsys):
         def broken_join(f, g):

@@ -9,8 +9,8 @@ All forms use breakpoint arithmetic, so agreement is exact.
 
 The lattice operations are checked the same way against a pointwise
 reference, on pairs that share support points and whose levels sit
-within a few ``ATOM_DROP_TOL`` of each other, where join and meet drop
-atoms.
+within about 1e-15 of each other, where a join or meet that dropped
+tiny level gains would break the lattice laws.
 
 The one-anchor kernel table of ``construct_psi`` is checked against the
 scan that walks each row's anchor down the x-grid, on small grids near
@@ -25,7 +25,6 @@ import operator
 from hypothesis import given, settings, strategies as st
 
 from fsdrisk.dist import (
-    ATOM_DROP_TOL,
     DiscreteDist,
     fsd_join,
     fsd_leq,
@@ -258,10 +257,11 @@ def test_recovered_curve_equals_a_full_scan(psi, tol):
 
 # -- the lattice against a pointwise reference -------------------------------
 
-# level moves around the drop tolerance: a gain at, just under and just
-# over ATOM_DROP_TOL, and ones clearly inside and outside it
-NUDGES = (0.0, 5e-17, ATOM_DROP_TOL / 2, math.nextafter(ATOM_DROP_TOL, 0.0), ATOM_DROP_TOL,
-          math.nextafter(ATOM_DROP_TOL, 1.0), 2 * ATOM_DROP_TOL, 1e-12)
+# level moves around 1e-15, a few ulps of 1: gains at, just under and
+# just over it, and ones clearly inside and outside it
+TINY = 1e-15
+NUDGES = (0.0, 5e-17, TINY / 2, math.nextafter(TINY, 0.0), TINY,
+          math.nextafter(TINY, 1.0), 2 * TINY, 1e-12)
 
 
 @st.composite
@@ -270,8 +270,7 @@ def lattice_pairs(draw):
 
     The pool sits around 0 (with both zeros) or around +-1e15, one to a few
     ulps apart there.  Each level is a shared anchor, 1.0 included, moved by
-    one of ``NUDGES`` either way, so gains and CDF gaps land on the drop
-    tolerance.
+    one of ``NUDGES`` either way, so gains and CDF gaps land near 1e-15.
     """
     base, step = draw(st.sampled_from(((0.0, 1.0), (1e15, 0.125), (-1e15, 0.125))))
     offsets = st.integers(-4, 4).map(lambda k: base + k * step)
@@ -298,19 +297,14 @@ def merged_points(f, g):
     return [0.0 if x == 0.0 and len(zeros) > 1 else x for x in sorted(set(f.xs).union(g.xs))]
 
 
-def reference_lattice(f, g, pick, drop_tol=ATOM_DROP_TOL):
+def reference_lattice(f, g, pick):
     """Join (pick=min) or meet (pick=max) from CDF reads at every merged point."""
     points = merged_points(f, g)
-    return DiscreteDist.from_levels(points, [pick(f.cdf(b), g.cdf(b)) for b in points],
-                                    drop_tol=drop_tol)
+    return DiscreteDist.from_levels(points, [pick(f.cdf(b), g.cdf(b)) for b in points])
 
 
 def exact(d):
     return repr((d.xs, d.cum))
-
-
-def cdf_gap(d, e):
-    return max(abs(d.cdf(x) - e.cdf(x)) for x in merged_points(d, e))
 
 
 @given(lattice_pairs())
@@ -331,23 +325,22 @@ def test_lattice_laws_near_the_drop_tolerance(pair):
     f, g = pair
     j, m = fsd_join(f, g), fsd_meet(f, g)
     assert exact(fsd_join(g, f)) == exact(j) and exact(fsd_meet(g, f)) == exact(m)
-    # idempotence: the result is f less its own gains of at most the tolerance
-    f_kept = DiscreteDist.from_levels(f.xs, f.cum)
-    assert exact(fsd_join(f, f)) == exact(f_kept) == exact(fsd_meet(f, f))
-    # Dropping a gain moves each result's CDF by at most ATOM_DROP_TOL, so
-    # absorption holds to twice that, and exactly when nothing was dropped.
-    # A dropped last gain moves mass left, past f: f <= f v g then holds
-    # only to the tolerance (f = DiscreteDist((0.0, 1.0), (1 - 5e-16, 1.0))
-    # against point_mass(0.0) is one such pair).
-    for outer, inner, pick in ((fsd_join, m, max), (fsd_meet, j, min)):
-        back = outer(f, inner)
-        assert cdf_gap(back, f) <= 2 * ATOM_DROP_TOL
-        if f == f_kept and inner == reference_lattice(f, g, pick, drop_tol=0.0):
-            assert back == f
-    if j.xs[-1] == max(f.xs[-1], g.xs[-1]):
-        assert fsd_leq(f, j) and fsd_leq(g, j)
-    else:
-        assert all(f.cdf(b) >= j.cdf(b) - ATOM_DROP_TOL for b in merged_points(f, j))
+    # join and meet keep every strict rise, however small, so idempotence
+    # and absorption hold bit for bit and both bounds are exact
+    # (f = DiscreteDist((0.0, 1.0), (1 - 5e-16, 1.0)) against point_mass(0.0)
+    # is a pair on which dropping the last gain put f v g below f)
+    assert exact(fsd_join(f, f)) == exact(f) == exact(fsd_meet(f, f))
+    for outer, inner in ((fsd_join, m), (fsd_meet, j)):
+        assert exact(outer(f, inner)) == exact(f)
+    assert fsd_leq(f, j) and fsd_leq(g, j)
+    assert fsd_leq(m, f) and fsd_leq(m, g)
+
+
+def test_a_last_gain_of_half_an_ulp_of_one_is_kept():
+    f = DiscreteDist((0.0, 1.0), (1 - 5e-16, 1.0))
+    g = point_mass(0.0)
+    assert exact(fsd_join(f, g)) == exact(f) == exact(fsd_join(f, f))
+    assert fsd_leq(f, fsd_join(f, g)) and fsd_leq(g, fsd_join(f, g))
 
 
 # -- the one-anchor kernel table against the descending-anchor scan ----------

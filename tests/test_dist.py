@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fsdrisk.dist import (
-    ATOM_DROP_TOL,
     MASS_TOL,
     ContinuousCDF,
     DiscreteDist,
@@ -257,7 +256,7 @@ def noisy_levels(draw):
     head = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4)))
     tail = draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=4))
     levels = head + [near_one(k) for k in tail]
-    drop_tol = draw(st.sampled_from([0.0, ATOM_DROP_TOL]))
+    drop_tol = draw(st.sampled_from([0.0, 1e-15]))
     return list(range(len(levels))), levels, drop_tol
 
 

@@ -1,10 +1,12 @@
 """Seeded sampling and the stability check suites."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from fsdrisk import harness
 from fsdrisk.dist import ContinuousCDF, DiscreteDist, discretize, fsd_join, fsd_leq, fsd_meet
 from fsdrisk.harness import (
     PairWitness,
@@ -110,6 +112,70 @@ class TestSampler:
         with pytest.raises(ValueError):
             SamplerConfig(**kwargs)
 
+    @pytest.mark.parametrize("role", [0, 1, 2])
+    def test_check_stream_draws_the_reference_samples(self, role):
+        cfg = SamplerConfig(seed=2**64 + 5, max_atoms=9, trials=2 * harness._BLOCK + 3)
+        got = list(harness._samples(cfg, role))
+        assert len(got) == cfg.trials
+        for trial, F in enumerate(got):
+            assert F == sample_distribution(cfg, trial, role)
+
+
+class TestBulkSeeding:
+    """The check loops' generators against ``np.random.default_rng``.
+
+    The bulk pass re-implements numpy's SeedSequence hash, so a numpy
+    release that changes SeedSequence fails here instead of quietly
+    moving every seeded report away from its replay.
+    """
+
+    SEEDS = (0, 1, 7, 12345, 2**32 - 1, 2**32, 2**32 + 5, 2**63, 2**64 - 1, 2**64 + 5, -3)
+
+    def test_states_match_seed_sequence(self):
+        cases = 0
+        for seed in self.SEEDS:
+            for role in (0, 1, 2):
+                trials = range(0, 310)
+                words = [np.full(len(trials), w, np.uint32)
+                         for w in harness._uint32_words(seed & ((1 << 64) - 1))]
+                words += [np.arange(trials.start, trials.stop, dtype=np.uint32),
+                          np.full(len(trials), role, np.uint32)]
+                states = harness._seed_states(words)
+                for trial, state in zip(trials, states):
+                    entropy = [seed & ((1 << 64) - 1), trial, role]
+                    want = np.random.SeedSequence(entropy).generate_state(4, np.uint64)
+                    assert state.tolist() == want.tolist()
+                    cases += 1
+        assert cases == 10230
+
+    def test_generators_match_default_rng(self):
+        cases = 0
+        for seed in self.SEEDS:
+            for role in (0, 1, 2):
+                # crosses a block boundary
+                trials = range(harness._BLOCK - 155, harness._BLOCK + 155)
+                for trial, rng in zip(trials, harness._generators(seed, trials, role)):
+                    want = np.random.default_rng([seed & ((1 << 64) - 1), trial, role])
+                    assert rng.bit_generator.state == want.bit_generator.state
+                    assert rng.random(3).tolist() == want.random(3).tolist()
+                    cases += 1
+        assert cases == 10230
+
+    @pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**64 - 1, -3])
+    def test_trials_past_two_to_the_32_fall_back(self, seed):
+        trials = range(2**32 - 3, 2**32 + 3)
+        rngs = list(harness._generators(seed, trials, 1))
+        assert len(rngs) == len(trials)
+        for trial, rng in zip(trials, rngs):
+            want = np.random.default_rng([seed & ((1 << 64) - 1), trial, 1])
+            assert rng.bit_generator.state == want.bit_generator.state
+
+    def test_uint32_words(self):
+        assert harness._uint32_words(0) == [0]
+        assert harness._uint32_words(2**32 - 1) == [2**32 - 1]
+        assert harness._uint32_words(2**32) == [0, 1]
+        assert harness._uint32_words(2**64 - 1) == [2**32 - 1, 2**32 - 1]
+
 
 def test_ext_gap_treats_matching_infinities_as_zero():
     assert ext_gap(INF, INF) == 0.0
@@ -171,6 +237,27 @@ class TestPairSuites:
         one = report_to_json(check_max_stability(es.fn, cfg))
         two = report_to_json(check_max_stability(es.fn, cfg))
         assert one == two
+
+
+# SHA-256 of report_to_json for runs whose witness is a sampled pair, so
+# that any change to the (seed, trial, role) streams behind roles 0, 1
+# and 2 moves a digest; check_pair_witness in test_cli pins maxs
+STREAM_PINS = {
+    "fsd": (lambda: check_fsd_consistency(NEG_MEDIAN, SamplerConfig(seed=1234, trials=300)),
+            "af9aa2975d22b448c69eda229dc6f97717a45ccdd6328b2786da8100133e76ff"),
+    "mins": (lambda: check_min_stability(expected_shortfall_measure(0.5).fn,
+                                         SamplerConfig(seed=24601, trials=300, max_atoms=10)),
+             "b10896963507aa439f97163d63cd5b58ccef30e38c00bfa6c99a919bf7788aaa"),
+}
+
+
+@pytest.mark.parametrize("axiom", sorted(STREAM_PINS))
+def test_sampled_pair_reports_are_pinned(axiom):
+    run, want = STREAM_PINS[axiom]
+    report = run()
+    assert report.violations > 0
+    assert isinstance(report.witness, PairWitness)
+    assert hashlib.sha256(report_to_json(report).encode()).hexdigest() == want
 
 
 class TestNondegeneracy:
