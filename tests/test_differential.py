@@ -257,7 +257,7 @@ def test_recovered_curve_equals_a_full_scan(psi, tol):
 
 # -- the lattice against a pointwise reference -------------------------------
 
-# level moves around 1e-15, a few ulps of 1: gains at, just under and
+# level moves around 1e-15, about nine ulps of 1: gains at, just under and
 # just over it, and ones clearly inside and outside it
 TINY = 1e-15
 NUDGES = (0.0, 5e-17, TINY / 2, math.nextafter(TINY, 0.0), TINY,
@@ -336,7 +336,7 @@ def test_lattice_laws_near_the_drop_tolerance(pair):
     assert fsd_leq(m, f) and fsd_leq(m, g)
 
 
-def test_a_last_gain_of_half_an_ulp_of_one_is_kept():
+def test_a_last_gain_of_a_few_ulps_is_kept():
     f = DiscreteDist((0.0, 1.0), (1 - 5e-16, 1.0))
     g = point_mass(0.0)
     assert exact(fsd_join(f, g)) == exact(f) == exact(fsd_join(f, f))
