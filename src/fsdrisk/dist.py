@@ -6,6 +6,9 @@ cumulative levels rising strictly to exactly 1.0; masses are derived.
 The public constructor checks that form.  The module's own constructors
 (``from_atoms``, ``from_levels``, ``point_mass``, ``two_point`` and the
 lattice operations) produce it by construction and skip the re-check.
+``from_atoms``, ``from_levels`` and the lattice keep a point exactly
+where its level rises over the last one kept, through one shared path;
+no tolerance decides which points are dropped.
 
 First-order stochastic dominance compares CDFs pointwise (``F`` is
 dominated by ``G`` when ``F >= G`` everywhere, i.e. ``G`` puts its mass
@@ -104,19 +107,13 @@ class DiscreteDist:
         return _rising(zip(xs[:end], levels[:end]))
 
     @classmethod
-    def from_levels(
-        cls,
-        xs: Sequence[float],
-        levels: Sequence[float],
-        drop_tol: float = 0.0,
-    ) -> "DiscreteDist":
+    def from_levels(cls, xs: Sequence[float], levels: Sequence[float]) -> "DiscreteDist":
         """Build from cumulative levels at increasing breakpoints.
 
-        Breakpoints whose level gain is at most ``drop_tol`` are skipped,
-        so their mass rides along to the next kept point; by default only
-        the breakpoints that gain nothing are skipped.
-        A level at most ``MASS_TOL`` above 1 is read as 1.0, a higher one is
-        rejected; the last kept level, 1 up to ``MASS_TOL``, becomes 1.0.
+        Only the breakpoints where the level rises are kept, so a level
+        may fall back by up to ``MASS_TOL``.  A level at most ``MASS_TOL``
+        above 1 is read as 1.0, a higher one is rejected; the top level,
+        1 up to ``MASS_TOL``, becomes 1.0 and closes the CDF.
         """
         if len(xs) != len(levels):
             raise ValueError("need one cumulative level per breakpoint")
@@ -125,28 +122,22 @@ class DiscreteDist:
                 raise ValueError(f"support point must be finite, got {x}")
             if i and xs[i - 1] >= x:
                 raise ValueError("breakpoints must be strictly increasing")
-        kept_x: list[float] = []
-        kept_c: list[float] = []
-        prev = 0.0
-        for x, lev in zip(xs, levels):
+        top = 0.0
+        for lev in levels:
             if math.isnan(lev):
                 raise ValueError("cumulative levels must not be NaN")
-            if lev < prev - MASS_TOL:
+            if lev < top - MASS_TOL:
                 raise ValueError("cumulative levels must be non-decreasing")
-            if lev > 1.0:
-                if lev > 1.0 + MASS_TOL:
-                    raise ValueError(f"cumulative level {lev!r} is above 1")
-                lev = 1.0
-            if lev - prev > drop_tol:
-                kept_x.append(float(x))
-                kept_c.append(float(lev))
-                prev = lev
-        if not kept_x:
+            if lev > 1.0 + MASS_TOL:
+                raise ValueError(f"cumulative level {lev!r} is above 1")
+            if lev > top:
+                top = min(lev, 1.0)
+        if not top > 0.0:
             raise ValueError("no atom carries positive mass")
-        if 1.0 - kept_c[-1] > MASS_TOL:
-            raise ValueError(f"cumulative levels end at {kept_c[-1]!r}, not 1.0")
-        kept_c[-1] = 1.0
-        return _trusted(tuple(kept_x), tuple(kept_c))
+        if 1.0 - top > MASS_TOL:
+            raise ValueError(f"cumulative levels end at {float(top)!r}, not 1.0")
+        # the first breakpoint at the top level, and none after it, rises to 1.0
+        return _rising((float(x), 1.0 if lev >= top else float(lev)) for x, lev in zip(xs, levels))
 
     # -- queries ---------------------------------------------------------
 

@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .dist import DiscreteDist, point_mass, two_point
-from .harness import ext_gap
-from .kernels import GridKernel
+from .harness import _check_tol, ext_gap
+from .kernels import GridKernel, check_axes
 
 INF = math.inf
 
@@ -157,16 +157,9 @@ def construct_psi(
     """
     from .harness import SamplerConfig, check_max_stability
 
-    xg = tuple(float(v) for v in x_grid)
-    pg = tuple(float(v) for v in p_grid)
-    if not all(map(math.isfinite, xg)):
-        raise ValueError(f"x-grid nodes must be finite, got {[v for v in xg if not math.isfinite(v)]}")
-    if len(xg) < 2 or any(xg[i] >= xg[i + 1] for i in range(len(xg) - 1)):
-        raise ValueError("x-grid must be strictly increasing with at least two nodes")
-    if len(pg) < 2 or pg[0] != 0.0 or pg[-1] != 1.0 or any(
-        pg[i] >= pg[i + 1] for i in range(len(pg) - 1)
-    ):
-        raise ValueError("p-grid must be strictly increasing from 0.0 to 1.0")
+    xg, pg = check_axes(x_grid, p_grid)
+    if len(xg) < 2:
+        raise ValueError("x-grid must have at least two nodes")
     if stability_trials < 0:
         raise ValueError(f"stability trials must be non-negative, got {stability_trials}")
     a = xg[0] - (xg[1] - xg[0])
@@ -229,32 +222,34 @@ def verify_representation(
     fall along p, so the value at (x, F(x)) never exceeds it.  Inputs
     must live on the grid: every atom exactly on an x node, every CDF
     level within one p spacing of a p node; off-grid atoms are rejected
-    by name rather than silently snapped.
+    by name rather than silently snapped, and so is a NaN, negative or
+    infinite tol.  One running-max read per atom a_j, at level F(a_{j-1})
+    with F(a_0) = 0, covers the nodes in (a_{j-1}, a_j]; a node further
+    left is read at a level no lower than its own, so no read overshoots,
+    and past the last atom the level is 1, where the kernel is -inf.
     """
-    on_grid = set(psi.x_grid)
+    _check_tol(tol)
+    node = {x: i for i, x in enumerate(psi.x_grid)}
     spacing = max(psi.p_grid[j + 1] - psi.p_grid[j] for j in range(len(psi.p_grid) - 1))
     for idx, F in enumerate(dists):
         for x in F.xs:
-            if x not in on_grid:
+            if x not in node:
                 raise ValueError(f"distribution {idx} has an atom at {x!r} off the x-grid")
         for c in F.cum:
             if abs(c - psi.p_grid[psi.nearest_p_index(c)]) > spacing:
                 raise ValueError(
                     f"distribution {idx} has CDF level {c!r} farther than one spacing from the p-grid"
                 )
+    runmax = psi._runmax
     max_error = 0.0
     worst = None
     failures = []
     for idx, F in enumerate(dists):
         direct = rho(F)
-        recovered = -INF
-        for i, x in enumerate(psi.x_grid):
-            # the left limit, as in the exact evaluator: rows fall along p
-            # and F(x-) <= F(x), so it bounds the node at F(x), and it
-            # catches atoms that jump the CDF past the kernel's live range
-            v = psi.table[i][psi.nearest_p_index(F.cdf_left_limit(x))]
-            if v > recovered:
-                recovered = v
+        # max, like the running max, keeps the first of equal values in x order
+        recovered = max(
+            runmax[node[a]][psi.nearest_p_index(c)] for a, c in zip(F.xs, (0.0, *F.cum))
+        )
         err = ext_gap(direct, recovered)
         if err > max_error:
             max_error = err
@@ -324,8 +319,9 @@ def recover_lambda(
     whose grid node stays strictly below the curve, and records the gap
     to the direct evaluation on every probe.  One extra node below the
     grid keeps that sup finite when a probe's quantile lands inside the
-    first cell.
+    first cell.  A NaN, negative or infinite tol is rejected.
     """
+    _check_tol(tol)
     if probes is None:
         probes = _default_probes(psi.x_grid, psi.p_grid, probe_count)
     # one node below the grid mirrors the construction anchors: when a
@@ -339,13 +335,12 @@ def recover_lambda(
         sub_x = psi.x_grid[0] - 1.0
     sub_f = rho(point_mass(sub_x))
     f_hat = tuple(rho(point_mass(x)) for x in psi.x_grid)
-    lam_hat = []
-    for row in psi.table:
-        ref = row[0]
-        # rows fall along p, so the nodes still matching ref are a prefix
-        k = bisect_left(row, True, key=lambda v: not ext_gap(v, ref) <= tol)
-        lam_hat.append(psi.p_grid[k - 1] if k else psi.p_grid[0])
-    lam_hat = tuple(lam_hat)
+    # rows fall along p, so the nodes still matching the p = 0 value are a
+    # prefix, and with tol >= 0 it holds that node at least
+    lam_hat = tuple(
+        psi.p_grid[bisect_left(row, True, key=lambda v: not ext_gap(v, row[0]) <= tol) - 1]
+        for row in psi.table
+    )
     lam_violations = tuple(
         i for i in range(len(lam_hat) - 1) if lam_hat[i + 1] - lam_hat[i] > tol
     )

@@ -267,15 +267,14 @@ def kernel_to_obj(kernel: PsiKernel) -> dict:
 
 def parse_kernel_obj(obj: Any) -> PsiKernel:
     if isinstance(obj, dict) and "kind" not in obj and "table" in obj:
-        xg, pg, table = _parse_grid_fields(obj)
-        try:
-            return GridKernel(xg, pg, table)
-        except ValueError as exc:
-            raise InputError("BAD_SCHEMA", f"kernel grid: {exc}") from None
+        return _parse_grid(obj, GridKernel)
     return _parse_family_obj(obj, "kernel")
 
 
-def _parse_grid_fields(obj: dict) -> tuple[tuple, tuple, tuple]:
+def _parse_grid(obj: Any, cls: type[GridKernel]) -> GridKernel:
+    """The grid object as a ``cls``, a GridKernel or a PsiGrid."""
+    if not isinstance(obj, dict):
+        raise InputError("BAD_SCHEMA", "kernel grid must be a JSON object")
     for key in ("x_grid", "p_grid", "table"):
         if not isinstance(obj.get(key), list):
             raise InputError("BAD_SCHEMA", f"grid needs a list under {key!r}")
@@ -286,7 +285,10 @@ def _parse_grid_fields(obj: dict) -> tuple[tuple, tuple, tuple]:
         if not isinstance(row, list):
             raise InputError("BAD_SCHEMA", f"table[{i}] must be a list")
         table.append(_parse_nums(row, f"table[{i}]"))
-    return xg, pg, tuple(table)
+    try:
+        return cls(xg, pg, tuple(table))
+    except ValueError as exc:
+        raise InputError("BAD_SCHEMA", f"kernel grid: {exc}") from None
 
 
 _SENTINELS = {"inf": INF, "-inf": -INF}
@@ -335,13 +337,7 @@ def psi_grid_to_obj(grid: PsiGrid) -> dict:
 
 
 def parse_psi_grid_obj(obj: Any) -> PsiGrid:
-    if not isinstance(obj, dict):
-        raise InputError("BAD_SCHEMA", "kernel grid must be a JSON object")
-    xg, pg, table = _parse_grid_fields(obj)
-    try:
-        return PsiGrid(xg, pg, table)
-    except ValueError as exc:
-        raise InputError("BAD_SCHEMA", f"kernel grid: {exc}") from None
+    return _parse_grid(obj, PsiGrid)
 
 
 # -- reports --------------------------------------------------------------
@@ -424,11 +420,7 @@ def superlevel_rows(
 
 
 def csv_num(v: float) -> str:
-    if v == INF:
-        return "inf"
-    if v == -INF:
-        return "-inf"
-    return repr(float(v))
+    return str(dump_num(v))
 
 
 def write_superlevel_csv(rows: list[tuple[float, float | None, bool]], fh: TextIO) -> None:

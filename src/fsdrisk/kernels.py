@@ -78,9 +78,8 @@ class VarKernel(PsiKernel):
     def eval(self, x: float, p: float) -> float:
         return x if p < self.alpha else -INF
 
-    def left_sup(self, x: float, p: float) -> float:
-        # the sup over the open ray below x still reaches x
-        return x if p < self.alpha else -INF
+    # the sup over the open ray below x still reaches x
+    left_sup = eval
 
 
 @dataclass(frozen=True)
@@ -102,8 +101,7 @@ class BenchmarkLossKernel(PsiKernel):
         hp = self.h(p)
         return -INF if hp == INF else x - hp
 
-    def left_sup(self, x: float, p: float) -> float:
-        return self.eval(x, p)
+    left_sup = eval
 
 
 @dataclass(frozen=True)
@@ -150,6 +148,24 @@ class PinnedKernel(PsiKernel):
         return self.g(p) if x > self.x0 else -INF
 
 
+def check_axes(x_grid, p_grid) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Both axes as float tuples, strictly increasing; x finite, p from 0.0 to 1.0."""
+    xg = tuple(map(float, x_grid))
+    pg = tuple(map(float, p_grid))
+    # a NaN node passes every ordering test, so finiteness is its own check
+    if not xg or any(map(operator.ge, xg, xg[1:])):
+        raise ValueError("x-grid must be non-empty and strictly increasing")
+    if not all(map(math.isfinite, xg)):
+        raise ValueError("x-grid nodes must be finite")
+    if len(pg) < 2 or pg[0] != 0.0 or pg[-1] != 1.0:
+        raise ValueError("p-grid must start at 0.0 and end at 1.0")
+    if any(map(operator.ge, pg, pg[1:])):
+        raise ValueError("p-grid must be strictly increasing")
+    if any(map(math.isnan, pg)):
+        raise ValueError("p-grid must not contain NaN")
+    return xg, pg
+
+
 class _Tabulated:
     """Float coercion, validation and p lookup shared by the grid kernels.
 
@@ -163,23 +179,11 @@ class _Tabulated:
         Rows must decrease along p and the p column at index ``edge``
         must be identically ``edge_value``.
         """
-        xg = tuple(map(float, self.x_grid))
-        pg = tuple(map(float, self.p_grid))
+        xg, pg = check_axes(self.x_grid, self.p_grid)
         tab = tuple(tuple(map(float, row)) for row in self.table)
         object.__setattr__(self, "x_grid", xg)
         object.__setattr__(self, "p_grid", pg)
         object.__setattr__(self, "table", tab)
-        # a NaN node passes every ordering test, so finiteness is its own check
-        if not xg or any(map(operator.ge, xg, xg[1:])):
-            raise ValueError("x-grid must be non-empty and strictly increasing")
-        if not all(map(math.isfinite, xg)):
-            raise ValueError("x-grid nodes must be finite")
-        if len(pg) < 2 or pg[0] != 0.0 or pg[-1] != 1.0:
-            raise ValueError("p-grid must start at 0.0 and end at 1.0")
-        if any(map(operator.ge, pg, pg[1:])):
-            raise ValueError("p-grid must be strictly increasing")
-        if any(map(math.isnan, pg)):
-            raise ValueError("p-grid must not contain NaN")
         if len(tab) != len(xg) or any(len(row) != len(pg) for row in tab):
             raise ValueError("table shape must be len(x_grid) by len(p_grid)")
         for row in tab:
@@ -318,8 +322,7 @@ class DualVarKernel(PhiKernel):
     def eval(self, x: float, p: float) -> float:
         return x if p >= self.alpha else INF
 
-    def right_inf(self, x: float, p: float) -> float:
-        return x if p >= self.alpha else INF
+    right_inf = eval
 
 
 @dataclass(frozen=True)
@@ -341,8 +344,7 @@ class DualBenchmarkKernel(PhiKernel):
         gp = self.g(p)
         return INF if gp == -INF else x - gp
 
-    def right_inf(self, x: float, p: float) -> float:
-        return self.eval(x, p)
+    right_inf = eval
 
 
 @dataclass(frozen=True)

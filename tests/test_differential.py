@@ -22,6 +22,8 @@ expected shortfall: monotone in the dominance order but not max-stable.
 import math
 import operator
 
+import pytest
+
 from hypothesis import given, settings, strategies as st
 
 from fsdrisk.dist import (
@@ -32,7 +34,13 @@ from fsdrisk.dist import (
     point_mass,
     two_point,
 )
-from fsdrisk.engine import PsiGrid, construct_psi, recover_lambda
+from fsdrisk.engine import (
+    PsiGrid,
+    RepresentationReport,
+    construct_psi,
+    recover_lambda,
+    verify_representation,
+)
 from fsdrisk.harness import ext_gap
 from fsdrisk.jsonio import superlevel_rows
 from fsdrisk.kernels import (
@@ -244,6 +252,11 @@ def psi_grids(draw):
 @given(psi_grids(), st.sampled_from(TOLS))
 @settings(max_examples=500, deadline=None)
 def test_recovered_curve_equals_a_full_scan(psi, tol):
+    if not 0.0 <= tol < INF:
+        # a negative or infinite tolerance is refused, as in the axiom checks
+        with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+            recover_lambda(lambda F: 0.0, psi, probes=[], tol=tol)
+        return
     want = []
     for row in psi.table:
         best = psi.p_grid[0]
@@ -253,6 +266,63 @@ def test_recovered_curve_equals_a_full_scan(psi, tol):
         want.append(best)
     got = recover_lambda(lambda F: 0.0, psi, probes=[], tol=tol).lam_hat
     assert repr(got) == repr(tuple(want))
+
+
+def representation_scan(rho, psi, dists, tol):
+    """The report of a scan over every grid node, read at F(x-), for each probe."""
+    max_error, worst, failures = 0.0, None, []
+    for idx, F in enumerate(dists):
+        direct = rho(F)
+        recovered = -INF
+        for i, x in enumerate(psi.x_grid):
+            v = psi.table[i][psi.nearest_p_index(F.cdf_left_limit(x))]
+            if v > recovered:
+                recovered = v
+        err = ext_gap(direct, recovered)
+        if err > max_error:
+            max_error, worst = err, idx
+        if err > tol:
+            failures.append((idx, direct, recovered, err))
+    return RepresentationReport(len(dists), tol, max_error, worst, tuple(failures))
+
+
+@st.composite
+def grid_snapped_dists(draw, psi):
+    """Atoms on x nodes; inner levels on p nodes or up to one p spacing off them."""
+    spacing = max(b - a for a, b in zip(psi.p_grid, psi.p_grid[1:]))
+    off = st.one_of(st.sampled_from((0.0, -1.0, -0.5, 0.5, 1.0)), st.floats(-1.0, 1.0))
+    near = st.builds(lambda p, t: p + t * spacing, st.sampled_from(psi.p_grid), off)
+    inner = sorted({c for c in draw(st.lists(near, max_size=4)) if 0.0 < c < 1.0})
+    inner = inner[: len(psi.x_grid) - 1]
+    n = len(inner) + 1
+    xs = sorted(draw(st.lists(st.sampled_from(psi.x_grid), min_size=n, max_size=n, unique=True)))
+    return DiscreteDist(xs, inner + [1.0])
+
+
+# measures that agree with a grid at some nodes and miss it at others
+PROBE_MEASURES = (
+    lambda F: F.xs[0],
+    lambda F: F.xs[-1],
+    lambda F: F.left_quantile(0.5),
+    lambda F: 0.0,
+    lambda F: -INF,
+    lambda F: INF,
+)
+
+
+@st.composite
+def representation_cases(draw):
+    psi = draw(psi_grids())
+    dists = draw(st.lists(grid_snapped_dists(psi), max_size=4))
+    return draw(st.sampled_from(PROBE_MEASURES)), psi, dists, draw(st.sampled_from((0.0, 1e-9, 0.5, 3.0)))
+
+
+@given(representation_cases())
+@settings(max_examples=300, deadline=None)
+def test_verify_representation_equals_a_node_scan(case):
+    rho, psi, dists, tol = case
+    want = representation_scan(rho, psi, dists, tol)
+    assert repr(verify_representation(rho, psi, dists, tol)) == repr(want)
 
 
 # -- the lattice against a pointwise reference -------------------------------

@@ -4,7 +4,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fsdrisk.dist import (
     MASS_TOL,
@@ -256,8 +256,7 @@ def noisy_levels(draw):
     head = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=4)))
     tail = draw(st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=4))
     levels = head + [near_one(k) for k in tail]
-    drop_tol = draw(st.sampled_from([0.0, 1e-15]))
-    return list(range(len(levels))), levels, drop_tol
+    return list(range(len(levels))), levels
 
 
 def assert_canonical(d):
@@ -277,9 +276,8 @@ def test_from_atoms_is_canonical_under_float_noise(pairs):
 
 @given(noisy_levels())
 @settings(max_examples=300, deadline=None)
-def test_from_levels_is_canonical_near_one(xs_levels_tol):
-    xs, levels, drop_tol = xs_levels_tol
-    assert_canonical(DiscreteDist.from_levels(xs, levels, drop_tol=drop_tol))
+def test_from_levels_is_canonical_near_one(xs_levels):
+    assert_canonical(DiscreteDist.from_levels(*xs_levels))
 
 
 def assert_passes_public_check(d):
@@ -293,15 +291,14 @@ finite_floats = st.floats(allow_nan=False, allow_infinity=False)
 
 @given(finite_floats, finite_floats, st.floats(0.0, 1.0), noisy_atoms(), noisy_levels(), dists(), dists())
 @settings(max_examples=200, deadline=None)
-def test_every_trusted_output_passes_the_public_check(x, y, p, pairs, xs_levels_tol, f, g):
+def test_every_trusted_output_passes_the_public_check(x, y, p, pairs, xs_levels, f, g):
     # point_mass, two_point, from_atoms, from_levels and the lattice skip
     # the public constructor's check; what they build must pass it
-    xs, levels, drop_tol = xs_levels_tol
     built = [
         point_mass(x),
         two_point(min(x, y), max(x, y), p),
         DiscreteDist.from_atoms(pairs),
-        DiscreteDist.from_levels(xs, levels, drop_tol=drop_tol),
+        DiscreteDist.from_levels(*xs_levels),
         fsd_join(f, g),
         fsd_meet(f, g),
         *join_decomposition(f),
@@ -310,11 +307,86 @@ def test_every_trusted_output_passes_the_public_check(x, y, p, pairs, xs_levels_
         assert_passes_public_check(d)
 
 
+def from_levels_keep_loop(xs, levels):
+    """A reference for ``from_levels``: one loop that checks and keeps as it goes."""
+    if len(xs) != len(levels):
+        raise ValueError("need one cumulative level per breakpoint")
+    for i, x in enumerate(xs):
+        if not math.isfinite(x):
+            raise ValueError(f"support point must be finite, got {x}")
+        if i and xs[i - 1] >= x:
+            raise ValueError("breakpoints must be strictly increasing")
+    kept_x, kept_c, prev = [], [], 0.0
+    for x, lev in zip(xs, levels):
+        if math.isnan(lev):
+            raise ValueError("cumulative levels must not be NaN")
+        if lev < prev - MASS_TOL:
+            raise ValueError("cumulative levels must be non-decreasing")
+        if lev > 1.0:
+            if lev > 1.0 + MASS_TOL:
+                raise ValueError(f"cumulative level {lev!r} is above 1")
+            lev = 1.0
+        if lev - prev > 0.0:
+            kept_x.append(float(x))
+            kept_c.append(float(lev))
+            prev = lev
+    if not kept_x:
+        raise ValueError("no atom carries positive mass")
+    if 1.0 - kept_c[-1] > MASS_TOL:
+        raise ValueError(f"cumulative levels end at {kept_c[-1]!r}, not 1.0")
+    kept_c[-1] = 1.0
+    return tuple(kept_x), tuple(kept_c)
+
+
+def outcome(fn, *args):
+    try:
+        d = fn(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+    return repr(d if type(d) is tuple else (d.xs, d.cum))
+
+
+# levels around the places where keeping, clamping and closing decide
+EDGE_LEVELS = (
+    0.0, -0.0, 5e-324, -5e-324, 0.25, 0.5, 0.5 - 0.5 * MASS_TOL, 0.5 - 2 * MASS_TOL,
+    1.0 - 0.5 * MASS_TOL, 1.0 - 2 * MASS_TOL, 1.0 + 0.5 * MASS_TOL, 1.0 + MASS_TOL,
+    1.0 + 2 * MASS_TOL, *(near_one(k) for k in range(-4, 5)), math.nan,
+)
+
+
+@st.composite
+def edge_levels(draw):
+    """Breakpoints, mostly increasing and finite, with levels from the edges and anywhere."""
+    level = st.one_of(st.sampled_from(EDGE_LEVELS), st.floats(-0.1, 1.1))
+    levels = draw(st.lists(level, max_size=6))
+    if draw(st.booleans()):
+        levels.sort()
+    xs = [float(i) for i in range(len(levels) + draw(st.sampled_from((0, 0, 0, 0, 1))))]
+    if xs and draw(st.integers(0, 9)) == 0:
+        xs[draw(st.integers(0, len(xs) - 1))] = draw(st.sampled_from((math.inf, -1.0, math.nan)))
+    return xs, levels
+
+
+@given(edge_levels())
+@example(([], []))
+@example(([0.0], [-0.0]))
+@example(([0.0, 1.0], [5e-324, 1.0]))
+@example(([0.0, 1.0], [5e-324, 5e-324]))
+@example(([0.0, 1.0, 2.0], [0.5, 0.5 - 0.5 * MASS_TOL, 1.0]))
+@example(([0.0, 1.0, 2.0], [1.0 - 0.5 * MASS_TOL, 1.0 + 0.5 * MASS_TOL, 1.0]))
+@example(([0.0, 1.0, 2.0], [near_one(-3), near_one(-1), near_one(-2)]))
+@example(([0.0, math.inf], [math.nan, 1.0]))
+@settings(max_examples=500, deadline=None)
+def test_from_levels_equals_a_keep_loop(xs_levels):
+    # errors, their order and their messages included
+    assert outcome(DiscreteDist.from_levels, *xs_levels) == outcome(from_levels_keep_loop, *xs_levels)
+
+
 @given(noisy_atoms())
 @settings(max_examples=300, deadline=None)
 def test_from_atoms_equals_its_from_levels_route(pairs):
-    # from_atoms builds its levels itself; handing them to from_levels
-    # with no drop tolerance, which re-checks them, gives the same bits
+    # from_atoms builds its levels itself; handing them to from_levels,
+    # which re-checks them, gives the same bits
     merged = {}
     for x, p in pairs:
         merged[float(x)] = merged.get(float(x), 0.0) + p
@@ -327,7 +399,7 @@ def test_from_atoms_equals_its_from_levels_route(pairs):
         levels.append(acc / total)
     levels[-1] = 1.0
     d = DiscreteDist.from_atoms(pairs)
-    ref = DiscreteDist.from_levels(xs, levels, drop_tol=0.0)
+    ref = DiscreteDist.from_levels(xs, levels)
     assert repr((d.xs, d.cum)) == repr((ref.xs, ref.cum))
 
 

@@ -341,6 +341,24 @@ class TestVerifyRepresentation:
         assert rep.worst_index == 0
         assert len(rep.failures) == 1
 
+    def test_a_tie_at_zero_keeps_the_first_node_in_x_order(self):
+        # nodes 1 and 2 both read zero at F(x-) = 0.5, with opposite signs;
+        # a scan over the nodes keeps the first, and so does the atom read
+        psi = PsiGrid((0.0, 1.0, 2.0), (0.0, 0.5, 1.0),
+                      ((-1.0, -1.0, -INF), (0.0, -0.0, -INF), (1.0, 0.0, -INF)))
+        F = DiscreteDist((0.0, 2.0), (0.5, 1.0))
+        rep = verify_representation(lambda F: 5.0, psi, [F], tol=0.0)
+        assert repr(rep.failures) == repr(((0, 5.0, -0.0, 5.0),))
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, INF])
+    def test_bad_tolerance_is_rejected(self, tol):
+        # a NaN tolerance let every probe pass: max_error 98.0, no failures
+        rho, psi = self.build()
+        wrong = PsiGrid(psi.x_grid, psi.p_grid,
+                        tuple(tuple(v + 98.0 if v != -INF else v for v in row) for row in psi.table))
+        with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+            verify_representation(rho, wrong, [point_mass(1.0)], tol)
+
 
 class TestRecoverLambda:
     def build(self, xg=None, pg=None):
@@ -396,3 +414,10 @@ class TestRecoverLambda:
         psi = construct_psi(bm.fn, xg, pg, stability_trials=25)
         rec = recover_lambda(bm.fn, psi, tol=1e-9)
         assert rec.cross_max_error > 1.0
+
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, INF])
+    def test_bad_tolerance_is_rejected(self, tol):
+        # a NaN tolerance matched no node past p = 0, so lam_hat read all zero
+        rho, psi = self.build()
+        with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+            recover_lambda(rho, psi, tol=tol)
