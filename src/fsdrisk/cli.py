@@ -21,7 +21,7 @@ import math
 import sys
 import traceback
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .dist import ContinuousCDF, DiscreteDist, fsd_join, fsd_leq, fsd_meet, join_decomposition
 from .engine import GATE_SEED, StabilityGateError, construct_psi
@@ -230,57 +230,75 @@ def _cmd_superlevel(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _parser_and_options()[0]
+
+
+def _parser_and_options() -> tuple[argparse.ArgumentParser, dict[str, dict[str, int]]]:
+    """The parser, and per subcommand its long options, each with the floats it takes.
+
+    The options are read off the actions ``add_argument`` returns; one
+    that does not take floats maps to 0.
+    """
     parser = argparse.ArgumentParser(
         prog="fsdrisk",
         description="risk functionals on finite loss distributions: "
         "evaluation, order lattice, axiom checks, kernel tables",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    options: dict[str, dict[str, int]] = {}
 
-    p = sub.add_parser("eval", help="evaluate a measure on distributions")
-    p.add_argument("--dist", action="extend", nargs="+", required=True, metavar="JSON|PATH",
-                   help="one or more distributions, repeatable; a repeated spec is read "
-                   "and evaluated once")
-    p.add_argument("--measure", required=True, metavar="JSON|PATH")
-    p.add_argument("--out", metavar="PATH", help="also write a JSON result file")
-    p.set_defaults(func=_cmd_eval)
+    def command(name: str, help: str, func: Callable[[argparse.Namespace], int]):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        own = options[name] = {"--help": 0}  # add_parser's own help option
 
-    p = sub.add_parser("lattice", help="order tests, join and meet, decomposition")
-    p.add_argument("--dist", action="extend", nargs="+", required=True, metavar="JSON|PATH",
-                   help="one or two distributions: one decomposes, two compare")
-    p.add_argument("--out", metavar="PATH")
-    p.set_defaults(func=_cmd_lattice)
+        def add(*flags: str, **kwargs: Any) -> None:
+            action = p.add_argument(*flags, **kwargs)
+            takes = (action.nargs or 1) if action.type is float else 0
+            own.update((s, takes) for s in action.option_strings if s.startswith("--"))
 
-    p = sub.add_parser("check", help="run one axiom check against a measure")
-    p.add_argument("--measure", required=True, metavar="JSON|PATH")
-    p.add_argument("--axiom", required=True, choices=["maxs", "mins", "nd", "fsd", "ls"])
-    p.add_argument("--trials", type=int, default=1000,
-                   help="sampled pairs, or the cell-count limit for ls (default 1000)")
-    p.add_argument("--seed", type=int, default=12345)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--dist", action="extend", nargs="+", metavar="JSON|PATH",
-                   help="continuous limit for ls (default: uniform on [0, 1])")
-    p.add_argument("--out", metavar="PATH", help="write the JSON report here")
-    p.set_defaults(func=_cmd_check)
+        return add
 
-    p = sub.add_parser("construct-psi", help="tabulate a kernel from a max-stable measure")
-    p.add_argument("--measure", required=True, metavar="JSON|PATH")
-    p.add_argument("--x-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
-    p.add_argument("--x-step", type=float, required=True)
-    p.add_argument("--p-step", type=float, required=True)
-    p.add_argument("--trials", type=int, default=150, help="stability gate trials")
-    p.add_argument("--out", metavar="PATH", help="write the grid JSON here")
-    p.set_defaults(func=_cmd_construct_psi)
+    add = command("eval", "evaluate a measure on distributions", _cmd_eval)
+    add("--dist", action="extend", nargs="+", required=True, metavar="JSON|PATH",
+        help="one or more distributions, repeatable; a repeated spec is read "
+        "and evaluated once")
+    add("--measure", required=True, metavar="JSON|PATH")
+    add("--out", metavar="PATH", help="also write a JSON result file")
 
-    p = sub.add_parser("superlevel", help="CSV boundary of a kernel superlevel set")
-    p.add_argument("--kernel", required=True, metavar="JSON|PATH")
-    p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--x-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
-    p.add_argument("--resolution", type=int, default=101)
-    p.add_argument("--out", metavar="PATH")
-    p.set_defaults(func=_cmd_superlevel)
+    add = command("lattice", "order tests, join and meet, decomposition", _cmd_lattice)
+    add("--dist", action="extend", nargs="+", required=True, metavar="JSON|PATH",
+        help="one or two distributions: one decomposes, two compare")
+    add("--out", metavar="PATH")
 
-    return parser
+    add = command("check", "run one axiom check against a measure", _cmd_check)
+    add("--measure", required=True, metavar="JSON|PATH")
+    add("--axiom", required=True, choices=["maxs", "mins", "nd", "fsd", "ls"])
+    add("--trials", type=int, default=1000,
+        help="sampled pairs, or the cell-count limit for ls (default 1000)")
+    add("--seed", type=int, default=12345)
+    add("--tol", type=float, default=1e-9)
+    add("--dist", action="extend", nargs="+", metavar="JSON|PATH",
+        help="continuous limit for ls (default: uniform on [0, 1])")
+    add("--out", metavar="PATH", help="write the JSON report here")
+
+    add = command("construct-psi", "tabulate a kernel from a max-stable measure",
+                  _cmd_construct_psi)
+    add("--measure", required=True, metavar="JSON|PATH")
+    add("--x-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
+    add("--x-step", type=float, required=True)
+    add("--p-step", type=float, required=True)
+    add("--trials", type=int, default=150, help="stability gate trials")
+    add("--out", metavar="PATH", help="write the grid JSON here")
+
+    add = command("superlevel", "CSV boundary of a kernel superlevel set", _cmd_superlevel)
+    add("--kernel", required=True, metavar="JSON|PATH")
+    add("--threshold", type=float, required=True)
+    add("--x-range", type=float, nargs=2, required=True, metavar=("LO", "HI"))
+    add("--resolution", type=int, default=101)
+    add("--out", metavar="PATH")
+
+    return parser, options
 
 
 def fold_dist_flags(argv: list[str]) -> list[str]:
@@ -315,8 +333,10 @@ def fold_dist_flags(argv: list[str]) -> list[str]:
     return out
 
 
+# per subcommand, each long option and how many floats it takes (0: none)
+LONG_OPTIONS = _parser_and_options()[1]
 # the options that take floats, and how many values each takes
-FLOAT_FLAGS = {"--tol": 1, "--x-range": 2, "--x-step": 1, "--p-step": 1, "--threshold": 1}
+FLOAT_FLAGS = {opt: n for own in LONG_OPTIONS.values() for opt, n in own.items() if n}
 
 
 def _reads_as_float(tok: str) -> bool:
@@ -335,15 +355,24 @@ def shield_float_values(argv: list[str]) -> list[str]:
     notation, ``--threshold -1e-3``, failed as a missing value.  A token
     that does not start with "-" is always a value, and ``float`` skips
     the leading space, so the option gets the number as typed.  Only the
-    values right after a float option spelled in full are shielded, and
-    none from "--" on; every argv argparse accepted parses as before.
+    values right after a float option of the subcommand are shielded,
+    the option spelled in full or by a prefix that argparse resolves to
+    it, and none from "--" on; every argv argparse accepted parses as
+    before.
     """
     out = list(argv)
+    own = LONG_OPTIONS.get(argv[0], {}) if argv else {}
     for i, tok in enumerate(argv):
         if tok == "--":
             break
-        if tok in FLOAT_FLAGS:
-            for k in range(i + 1, min(i + 1 + FLOAT_FLAGS[tok], len(argv))):
+        takes = own.get(tok)
+        if takes is None and tok.startswith("--"):
+            # argparse reads a prefix of exactly one option as that option;
+            # a token holding "=" carries its own value and is no prefix
+            hits = [n for opt, n in own.items() if opt.startswith(tok)]
+            takes = hits[0] if len(hits) == 1 else 0
+        if takes:
+            for k in range(i + 1, min(i + 1 + takes, len(argv))):
                 if argv[k].startswith("-") and _reads_as_float(argv[k]):
                     out[k] = " " + argv[k]
     return out

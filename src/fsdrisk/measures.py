@@ -100,19 +100,42 @@ def lambda_quantile(F: DiscreteDist, lam: MonotoneStep) -> float:
     """sup{x : F(x) < lam(x)} for a decreasing level curve into [0, 1].
 
     The difference F - lam is increasing, so the strict sublevel set is
-    a left ray; the scan below finds its endpoint among the merged
-    breakpoints.  Returns -inf when the set is empty.
+    a left ray; the result is -inf when it is empty.  Its endpoint is read
+    from one left quantile of F per piece of the curve; see
+    ``_lambda_quantile``.
     """
     check_level_curve(lam)
     return _lambda_quantile(lam, F)
 
 
 def _lambda_quantile(lam: MonotoneStep, F: DiscreteDist) -> float:
-    bs = sorted(set(F.xs).union(lam.breakpoints))
-    best = bs[0] if lam.values[0] > 0.0 else -INF
-    for i, b in enumerate(bs):
-        if F.cdf(b) < lam(b):
-            best = bs[i + 1] if i + 1 < len(bs) else INF
+    """On piece [b_{i-1}, b_i) with value v_i > 0 the set is [b_{i-1}, min(b_i, Q(v_i))).
+
+    Q is F's left quantile, b_{-1} = -inf and b_{k+1} = inf.  The set is
+    a left ray, so its endpoint is the top of the last non-empty piece:
+    at most k + 1 bisections on ``F.cum``.  The walk stops at a zero
+    value, at a quantile at or below the piece's start, or at one inside
+    the piece, since every later piece starts above it.  A tie Q(v_i) == b_i
+    gives the atom, and a zero result takes the sign of F's atom at zero
+    when F has one: the float a scan of the merged atoms and breakpoints
+    finds, since that merge keeps F's points.
+    """
+    xs, cum, ends = F.xs, F.cum, lam.breakpoints
+    best = -INF  # the top so far, which is also where the next piece starts
+    for i, v in enumerate(lam.values):
+        if v <= 0.0:
+            break
+        q = xs[bisect_left(cum, v)]
+        if q <= best:
+            break
+        if i == len(ends) or q <= ends[i]:
+            best = q
+            break
+        best = ends[i]
+    if best == 0.0:
+        zero = xs[bisect_left(xs, 0.0)]
+        if zero == 0.0:
+            return zero
     return best
 
 

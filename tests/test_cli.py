@@ -188,13 +188,26 @@ class TestNegativeNumbers:
                 "--", "--threshold", "-1e-3"]
         assert shield_float_values(argv) == [
             "superlevel", "--kernel", "-1e-1", "--threshold", " -1e-3", "--x-range",
-            " -1e-1", " -2", "--resolution", "-1e3", "--out", "-1e-1", "--thresh", "-1e-3",
+            " -1e-1", " -2", "--resolution", "-1e3", "--out", "-1e-1", "--thresh", " -1e-3",
             "--", "--threshold", "-1e-3"]
+
+    def test_abbreviations_resolve_as_argparse_resolves_them(self):
+        head = ["superlevel", "--kernel", VAR03, "--x-range", "0", "1"]
+        got = _parsed(shield_float_values(head + ["--thresh", "-1e-3", "--x", "-1e-1", "2e0"]))
+        assert (got["threshold"], got["x_range"]) == (-1e-3, [-0.1, 2.0])
+        # a prefix of two options is ambiguous to argparse, and is left alone
+        argv = ["construct-psi", "--measure", VAR03, "--x", "-1e-1", "1", "--x-step", "0.5",
+                "--p-step", "0.5"]
+        assert shield_float_values(argv) == argv and _parsed(argv) is None
+        # an option of another subcommand is not shielded
+        argv = ["check", "--measure", VAR03, "--axiom", "maxs", "--thresh", "-1e-3"]
+        assert shield_float_values(argv) == argv
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(
         st.sampled_from(sorted(FLOAT_FLAGS) + ["--trials", "--seed", "--resolution", "--out",
-                                              "--thresh", "--", "-x"]),
+                                              "--thresh", "--t", "--to", "--tr", "--x", "--x-r",
+                                              "--re", "--thr=-1e-3", "--", "-x"]),
         st.sampled_from(NUMBER_TOKENS + ["0", "o.json"])), max_size=8))
     def test_shield_keeps_every_accepted_argv(self, tail):
         for head in (["check", "--measure", VAR03, "--axiom", "maxs"],

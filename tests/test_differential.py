@@ -24,7 +24,7 @@ import operator
 
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fsdrisk.dist import (
     DiscreteDist,
@@ -151,6 +151,104 @@ def test_lambda_quantile_forms_agree_on_a_positive_curve(case):
 def test_benchmark_loss_equals_its_kernel_sup(case):
     h, F = case
     assert sup_psi_eval(BenchmarkLossKernel(h), F) == benchmark_loss_var(F, h)
+
+
+# -- the Λ-quantile against the merged-set scan ------------------------------
+
+# signed zeros, the smallest subnormals and magnitudes where 1 is below an ulp
+EDGE_XS = (0.0, -0.0, 5e-324, -5e-324, 1e15, -1e15)
+
+
+def reference_lambda_quantile(F, lam):
+    """sup{x : F(x) < lam(x)} from CDF and curve reads at every merged point.
+
+    F - lam only rises, so the set ends at the merged point after the last
+    point inside it; left of the first point F is 0 and lam its first
+    value.  An atom and a breakpoint that are equal merge into the atom.
+    """
+    bs = sorted(set(F.xs).union(lam.breakpoints))
+    best = bs[0] if lam.values[0] > 0.0 else -INF
+    for i, b in enumerate(bs):
+        if F.cdf(b) < lam(b):
+            best = bs[i + 1] if i + 1 < len(bs) else INF
+    return best
+
+
+@st.composite
+def adversarial_lambda_cases(draw):
+    """Curves with zero pieces and 5e-324 values, on signed zeros, subnormals and +-1e15.
+
+    Atoms land on the breakpoints and on ``EDGE_XS``, CDF levels on the
+    curve values and on 5e-324.
+    """
+    bps = sorted(set(draw(st.lists(st.one_of(st.sampled_from(EDGE_XS), xs_), max_size=4))))
+    value = st.one_of(st.sampled_from((0.0, 5e-324, 1.0)), st.floats(0.0, 1.0))
+    vals = draw(st.lists(value, min_size=len(bps) + 1, max_size=len(bps) + 1))
+    lam = MonotoneStep(tuple(bps), tuple(sorted(vals, reverse=True)), DEC)
+    return lam, draw(edge_dists(points=lam.breakpoints + EDGE_XS, levels=lam.values + (5e-324,)))
+
+
+# the curve's last breakpoint is -0.0 and F's first atom 0.0: the endpoint is that zero
+ZERO_TIE = (MonotoneStep((-5e-324, -0.0), (0.74, 0.62, 5e-324), DEC),
+            DiscreteDist((0.0, 0.2, 2.0), (5e-324, 0.92, 1.0)))
+
+
+@given(adversarial_lambda_cases())
+@example(ZERO_TIE)
+@settings(max_examples=500, deadline=None)
+def test_lambda_quantile_equals_the_merged_set_scan(case):
+    lam, F = case
+    assert repr(lambda_quantile(F, lam)) == repr(reference_lambda_quantile(F, lam))
+
+
+def test_a_zero_endpoint_takes_the_sign_of_the_atom():
+    lam, F = ZERO_TIE
+    assert repr(lambda_quantile(F, lam)) == repr(reference_lambda_quantile(F, lam)) == "0.0"
+
+
+# -- max- and min-stability on inputs placed on the measure's edges ----------
+
+JOIN, MEET = (fsd_join, max), (fsd_meet, min)
+
+
+@st.composite
+def placed_pairs(draw, family):
+    """A measure of ``family`` and two distributions placed on its edges.
+
+    Var gets CDF levels at alpha.  A level curve gets atoms on its
+    breakpoints and levels at its values.  A benchmark step, which maps
+    levels to losses, gets levels on its breakpoints and atoms at its
+    finite values.  Atoms also land on ``EDGE_XS``.
+    """
+    if family == "var":
+        alpha = draw(open_unit)
+        rho, points, levels = var_measure(alpha), (), (alpha,)
+    elif family == "lambda":
+        lam = draw(level_curves())
+        rho, points, levels = lambda_quantile_measure(lam), lam.breakpoints, lam.values
+    else:
+        bps = sorted(set(draw(st.lists(open_unit, max_size=3))))
+        vals = draw(st.lists(st.one_of(xs_, st.just(INF)), min_size=len(bps) + 1,
+                             max_size=len(bps) + 1))
+        h = MonotoneStep(tuple(bps), tuple(sorted(vals)), INC, at_one=INF)
+        rho, levels = benchmark_loss_measure(h), h.breakpoints
+        points = tuple(v for v in h.values if v != INF)
+    dists = edge_dists(points=points + EDGE_XS, levels=levels)
+    return rho, draw(dists), draw(dists)
+
+
+@pytest.mark.parametrize("family, sides", [
+    ("var", (JOIN, MEET)),
+    ("lambda", (JOIN, MEET)),
+    # max-stable only: criterion 3 shows a pair on which the meet side fails
+    ("benchmark_loss", (JOIN,)),
+])
+@given(data=st.data())
+@EXAMPLES
+def test_stability_holds_exactly_on_placed_pairs(family, sides, data):
+    rho, F, G = data.draw(placed_pairs(family))
+    for combine, pick in sides:
+        assert ext_gap(rho(combine(F, G)), pick(rho(F), rho(G))) == 0.0
 
 
 # -- bisected boundaries against full scans ----------------------------------
