@@ -230,6 +230,7 @@ def _cmd_superlevel(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser; ``main`` parses with the one built at import."""
     return _parser_and_options()[0]
 
 
@@ -333,10 +334,9 @@ def fold_dist_flags(argv: list[str]) -> list[str]:
     return out
 
 
-# per subcommand, each long option and how many floats it takes (0: none)
-LONG_OPTIONS = _parser_and_options()[1]
-# the options that take floats, and how many values each takes
-FLOAT_FLAGS = {opt: n for own in LONG_OPTIONS.values() for opt, n in own.items() if n}
+# the parser main() parses with, built once, and per subcommand each long
+# option with how many floats it takes (0: none)
+_PARSER, LONG_OPTIONS = _parser_and_options()
 
 
 def _reads_as_float(tok: str) -> bool:
@@ -380,7 +380,7 @@ def shield_float_values(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(fold_dist_flags(shield_float_values(argv)))
+    args = _PARSER.parse_args(fold_dist_flags(shield_float_values(argv)))
     try:
         return args.func(args)
     except InputError as exc:

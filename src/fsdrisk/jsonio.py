@@ -103,8 +103,34 @@ def load_json_file(path: str | Path) -> Any:
 
 
 def dump_json(obj: Any) -> str:
-    """Canonical rendering: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """Canonical rendering: sorted keys, two-space indent, trailing newline.
+
+    The text is exactly ``json.dumps(obj, sort_keys=True, indent=2)``
+    plus a newline.  With an indent, json always falls back to its
+    pure-Python encoder, so each list of floats and strings (a grid axis
+    or table row, infinities as "inf" and "-inf") is encoded by the C
+    encoder in one call instead, and its ", " separators become the
+    newline and indent.
+    """
+    return _dump(obj, "\n") + "\n"
+
+
+def _dump(obj: Any, nl: str) -> str:
+    """``obj`` as the indented dump renders it after ``nl``, a newline and indent."""
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)) and obj:
+        if {float, str}.issuperset(map(type, obj)):
+            text = json.dumps(obj)
+            # a float never holds ", ", so unless a string does ("inf"
+            # and "-inf" do not), each ", " is a separator
+            if text.count(", ") == len(obj) - 1:
+                return "[" + inner + text[1:-1].replace(", ", "," + inner) + nl + "]"
+        return "[" + inner + ("," + inner).join(_dump(v, inner) for v in obj) + nl + "]"
+    if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
+        return "{" + inner + ("," + inner).join(
+            json.dumps(k) + ": " + _dump(obj[k], inner) for k in sorted(obj)) + nl + "}"
+    # anything else as json renders it; its newlines are all layout
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl)
 
 
 # -- distributions --------------------------------------------------------

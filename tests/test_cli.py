@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fsdrisk.cli
-from fsdrisk.cli import FLOAT_FLAGS, build_parser, fold_dist_flags, main, shield_float_values
+from fsdrisk.cli import LONG_OPTIONS, build_parser, fold_dist_flags, main, shield_float_values
 from fsdrisk.dist import ContinuousCDF
 from fsdrisk.harness import check_semicontinuity_probe
 from fsdrisk.jsonio import parse_distribution_obj, parse_measure_obj, parse_psi_grid_obj, report_to_json
@@ -27,6 +27,8 @@ PINNED = (
     ' "values": [1.0, 0.0], "direction": "dec"}}'
 )
 UNIFORM = '{"family": "uniform", "a": 0.0, "b": 1.0}'
+# the options that take floats, and how many values each takes
+FLOAT_FLAGS = {opt: n for own in LONG_OPTIONS.values() for opt, n in own.items() if n}
 
 
 class TestEval:
@@ -242,6 +244,35 @@ class TestEvalOncePerSpec:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error [BAD_SCHEMA]: distribution 1:" in captured.err
+
+
+class TestOneParser:
+    def test_main_builds_no_parser(self, tmp_path, monkeypatch, capsys):
+        builds = []
+        build = fsdrisk.cli._parser_and_options
+        monkeypatch.setattr(fsdrisk.cli, "_parser_and_options", lambda: builds.append(1) or build())
+        gpath = tmp_path / "grid.json"
+        assert main(["eval", "--measure", VAR03, "--dist", F3]) == 0
+        assert main(["construct-psi", "--measure", VAR03, "--x-range", "-1", "1",
+                     "--x-step", "0.5", "--p-step", "0.5", "--trials", "5",
+                     "--out", str(gpath)]) == 0
+        assert main(["superlevel", "--kernel", str(gpath), "--threshold", "0",
+                     "--x-range", "-1", "1", "--resolution", "3"]) == 0
+        for argv, code in ((["eval", "--measure", VAR03], 2), (["--help"], 0)):
+            with pytest.raises(SystemExit) as e:
+                main(argv)
+            assert e.value.code == code
+        assert builds == []
+
+    def test_no_state_carries_between_calls(self, tmp_path, capsys):
+        opath = tmp_path / "result.json"
+        assert main(["eval", "--measure", VAR03, "--dist", F3, "--dist", F2,
+                     "--out", str(opath)]) == 0
+        assert capsys.readouterr().out == "1.0\n-1.5\n"
+        opath.unlink()
+        assert main(["eval", "--measure", VAR03, "--dist", F2]) == 0
+        assert capsys.readouterr().out == "-1.5\n"
+        assert not opath.exists()
 
 
 class TestLattice:

@@ -2,10 +2,11 @@
 
 import dataclasses
 import io
+import json
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fsdrisk.dist import ContinuousCDF, DiscreteDist
 from fsdrisk.engine import PsiGrid, construct_psi
@@ -82,6 +83,31 @@ class TestNumbers:
         assert str(err) == "[NO_FILE] missing"
 
 
+# what dump_json is handed: floats at the edges of repr and json's own
+# spellings, the infinity sentinels, strings holding the ", " the list
+# separator is, in lists, tuples and dicts at any depth
+JSON_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 1e-7, math.inf, -math.inf, math.nan]),
+    st.floats(),
+)
+JSON_STRINGS = st.one_of(
+    st.sampled_from(["inf", "-inf", ", ", "a, b", ",", '"', '", "', "\\", "\n", "é", "\u2603", ""]),
+    st.text(),
+)
+JSON_SCALARS = st.one_of(JSON_FLOATS, JSON_STRINGS, st.integers(), st.booleans(), st.none())
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(st.one_of(JSON_FLOATS, st.sampled_from(["inf", "-inf"]))),
+        st.lists(children),
+        st.lists(children).map(tuple),
+        st.dictionaries(JSON_STRINGS, children),
+        st.dictionaries(st.one_of(st.integers(), st.floats(allow_nan=False)), children),
+    ),
+    max_leaves=20,
+)
+
+
 class TestJsonPlumbing:
     def test_bad_json_code(self):
         with pytest.raises(InputError) as e:
@@ -96,6 +122,13 @@ class TestJsonPlumbing:
     def test_dump_json_is_stable(self):
         text = dump_json({"b": 1, "a": [2, 3]})
         assert text == '{\n  "a": [\n    2,\n    3\n  ],\n  "b": 1\n}\n'
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_TREES)
+    @example({"table": [[1.0, "-inf"], ["inf", -0.0]], "x_grid": (5e-324, 1e16), "tol": 1e-7})
+    @example([["inf", ", "], [", ", "-inf"], [math.nan, -math.inf, math.inf]])
+    def test_dump_json_is_the_indented_json_dump(self, obj):
+        assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 class TestDistributionFormat:
