@@ -7,16 +7,17 @@ The public constructor checks that form.  The module's own constructors
 (``from_atoms``, ``from_levels``, ``point_mass``, ``two_point`` and the
 lattice operations) produce it by construction and skip the re-check.
 ``from_atoms``, ``from_levels`` and the lattice keep a point exactly
-where its level rises over the last one kept, through one shared path;
-no tolerance decides which points are dropped.
+where its level rises over the last one kept; no tolerance decides
+which points are dropped.
 
 First-order stochastic dominance compares CDFs pointwise (``F`` is
 dominated by ``G`` when ``F >= G`` everywhere, i.e. ``G`` puts its mass
 further right), and the induced join and meet are the pointwise min and
 max of the CDFs, which are again step CDFs on the merged support.
-``fsd_leq``, ``fsd_join`` and ``fsd_meet`` read both CDFs in one linear
-merge of the two supports.  Join and meet keep every point where the
-level rises, however little, so the lattice laws hold bit for bit.
+``fsd_join`` and ``fsd_meet`` read both CDFs in one linear merge of the
+two supports, and ``fsd_leq`` compares the join with its second
+argument.  Join and meet keep every point where the level rises,
+however little, so the lattice laws hold bit for bit.
 
 All values are plain floats; ``math.inf`` and ``-math.inf`` are legal
 results of downstream evaluators but never legal support points, and NaN
@@ -29,7 +30,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 INF = math.inf
 
@@ -92,19 +93,7 @@ class DiscreteDist:
             merged[x] = merged.get(x, 0.0) + p
         if not merged:
             raise ValueError("a distribution needs at least one atom")
-        xs = sorted(merged)
-        ps = [merged[x] for x in xs]
-        total = math.fsum(ps)
-        if abs(total - 1.0) > MASS_TOL:
-            raise ValueError(f"atom masses sum to {total!r}, outside 1 +/- {MASS_TOL}")
-        levels = [acc / total for acc in accumulate(ps)]
-        levels[-1] = 1.0
-        # the running sum can reach 1.0 early, or pass it; the first level
-        # that does closes the CDF at exactly 1.0 and the atoms after it
-        # carry no mass (levels rise up to the last, so bisect finds it)
-        end = bisect_left(levels, 1.0) + 1
-        levels[end - 1] = 1.0
-        return _rising(zip(xs[:end], levels[:end]))
+        return _from_merged(merged)
 
     @classmethod
     def from_levels(cls, xs: Sequence[float], levels: Sequence[float]) -> "DiscreteDist":
@@ -208,6 +197,28 @@ def _rising(points_levels: Iterable[tuple[float, float]]) -> DiscreteDist:
     return _trusted(tuple(xs), tuple(cum))
 
 
+def _from_merged(merged: dict[float, float]) -> DiscreteDist:
+    """The step CDF of a non-empty ``{point: mass}`` dict.
+
+    Points are finite and masses positive; the caller checks both.  The
+    total mass must be 1 up to ``MASS_TOL``; inside that band the masses
+    are renormalized so the final cumulative level is exactly 1.0.
+    """
+    xs = sorted(merged)
+    ps = [merged[x] for x in xs]
+    total = math.fsum(ps)
+    if abs(total - 1.0) > MASS_TOL:
+        raise ValueError(f"atom masses sum to {total!r}, outside 1 +/- {MASS_TOL}")
+    levels = [acc / total for acc in accumulate(ps)]
+    levels[-1] = 1.0
+    # the running sum can reach 1.0 early, or pass it; the first level
+    # that does closes the CDF at exactly 1.0 and the atoms after it
+    # carry no mass (levels rise up to the last, so bisect finds it)
+    end = bisect_left(levels, 1.0) + 1
+    levels[end - 1] = 1.0
+    return _rising(zip(xs[:end], levels[:end]))
+
+
 def point_mass(x: float) -> DiscreteDist:
     """The degenerate distribution sitting at ``x``."""
     x = float(x)
@@ -238,46 +249,71 @@ def two_point(x: float, y: float, p: float) -> DiscreteDist:
 # -- the dominance lattice ----------------------------------------------
 
 
-def _walk(f: DiscreteDist, g: DiscreteDist) -> Iterator[tuple[float, float, float]]:
-    """``(x, F(x), G(x))`` along the merged support, in one linear merge.
+def _merge(f: DiscreteDist, g: DiscreteDist, low: bool) -> DiscreteDist:
+    """The step CDF through min(F, G) (``low``) or max(F, G), in one linear merge.
 
-    A point of both supports is read once, at ``f``'s float, except that
-    a zero the two hold with opposite signs is read as ``0.0``, so join
-    and meet are symmetric bit for bit.
+    Each point of the merged support where that level rises strictly over
+    the last kept one is kept as the walk reaches it.  A point of both
+    supports is kept at ``f``'s float, except that a zero the two hold
+    with opposite signs is kept as ``0.0``, so join and meet are
+    symmetric bit for bit.
     """
     fx, fc, gx, gc = f.xs, f.cum, g.xs, g.cum
     m, n = len(fx), len(gx)
+    xs: list[float] = []
+    cum: list[float] = []
     i = j = 0
-    a = b = 0.0
-    while i < m or j < n:
-        if j == n or (i < m and fx[i] <= gx[j]):
-            x, a = fx[i], fc[i]
+    a = b = prev = 0.0
+    while i < m and j < n:
+        x, y = fx[i], gx[j]
+        if x < y:
+            a = fc[i]
             i += 1
-            if j < n and gx[j] == x:
-                if x == 0.0:
-                    # -0.0 + 0.0 is 0.0; a zero keeps its sign when both agree
-                    x += gx[j]
-                b = gc[j]
-                j += 1
-        else:
-            x, b = gx[j], gc[j]
+        elif y < x:
+            x, b = y, gc[j]
             j += 1
-        yield x, a, b
+        else:
+            if x == 0.0:
+                # -0.0 + 0.0 is 0.0; a zero keeps its sign when both agree
+                x += y
+            a, b = fc[i], gc[j]
+            i += 1
+            j += 1
+        if low:
+            lev = a if a < b else b
+        else:
+            lev = a if a > b else b
+        if lev > prev:
+            xs.append(x)
+            cum.append(lev)
+            prev = lev
+    # one side is used up, at level 1.0, so the maximum has reached 1.0;
+    # the minimum is the other side's own level, which rises at each of
+    # its points left, since prev is at most its last level
+    if low:
+        rest_x, rest_c, k = (fx, fc, i) if i < m else (gx, gc, j)
+        xs.extend(rest_x[k:])
+        cum.extend(rest_c[k:])
+    return _trusted(tuple(xs), tuple(cum))
 
 
 def fsd_leq(f: DiscreteDist, g: DiscreteDist) -> bool:
-    """True when ``g`` dominates ``f``: F(x) >= G(x) for every x."""
-    return all(a >= b for _, a, b in _walk(f, g))
+    """True when ``g`` dominates ``f``: F(x) >= G(x) for every x.
+
+    That is min(F, G) == G, and canonical forms are equal exactly when
+    their CDFs are.
+    """
+    return fsd_join(f, g) == g
 
 
 def fsd_join(f: DiscreteDist, g: DiscreteDist) -> DiscreteDist:
     """Least upper bound: the pointwise minimum of the two CDFs."""
-    return _rising((x, min(a, b)) for x, a, b in _walk(f, g))
+    return _merge(f, g, True)
 
 
 def fsd_meet(f: DiscreteDist, g: DiscreteDist) -> DiscreteDist:
     """Greatest lower bound: the pointwise maximum of the two CDFs."""
-    return _rising((x, max(a, b)) for x, a, b in _walk(f, g))
+    return _merge(f, g, False)
 
 
 def join_decomposition(f: DiscreteDist) -> list[DiscreteDist]:

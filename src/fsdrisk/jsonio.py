@@ -8,7 +8,8 @@ it appears.  Rejections raise InputError carrying a stable code so the
 command line can map them to exit status and a terse message:
 
     NO_FILE     missing or unreadable input file, or unwritable output file
-    BAD_JSON    input is not JSON at all
+    BAD_JSON    input is not JSON at all: malformed, nested too deeply to
+                read, or a file that is not UTF-8 text
     BAD_SCHEMA  JSON is well-formed but not the expected shape
     NAN_VALUE   a NaN appeared where a value was expected
     MASS_SUM    atom masses do not sum to one
@@ -31,7 +32,7 @@ from math import fsum
 from pathlib import Path
 from typing import Any, TextIO, Union, get_type_hints
 
-from .dist import MASS_TOL, ContinuousCDF, DiscreteDist
+from .dist import MASS_TOL, ContinuousCDF, DiscreteDist, _from_merged
 from .engine import PsiGrid
 from .harness import PairWitness, PointWitness, ProbeWitness, StabilityReport, Witness
 from .kernels import GridKernel, PsiKernel
@@ -89,16 +90,21 @@ def parse_json_text(text: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError("BAD_JSON", f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise InputError("BAD_JSON", "JSON nests too deeply to read") from None
 
 
 def load_json_file(path: str | Path) -> Any:
+    """The JSON in the file at ``path``, read as UTF-8 as JSON requires."""
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise InputError("NO_FILE", f"no such file: {p}") from None
     except OSError as exc:
         raise InputError("NO_FILE", f"cannot read {p}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError("BAD_JSON", f"{p} is not UTF-8 text: {exc}") from None
     return parse_json_text(text)
 
 
@@ -152,16 +158,25 @@ def parse_distribution_obj(obj: Any) -> Distribution:
         raw = obj["atoms"]
         if not isinstance(raw, list) or not raw:
             raise InputError("BAD_SCHEMA", "atoms must be a non-empty list")
-        atoms = [_parse_atom(i, entry) for i, entry in enumerate(raw)]
-        # from_atoms checks the sum of the merged masses: unless atoms were
+        # one pass: a plain float x, finite, and a plain float p in (0, 1]
+        # go straight in; any other entry takes _parse_atom's checks
+        merged: dict[float, float] = {}
+        for i, entry in enumerate(raw):
+            if not (type(entry) is dict and type(x := entry.get("x")) is float
+                    and type(p := entry.get("p")) is float and -INF < x < INF and 0.0 < p <= 1.0):
+                x, p = _parse_atom(i, entry)
+            if x in merged:
+                p += merged[x]
+            merged[x] = p
+        # the tail checks the sum of the merged masses: unless atoms were
         # merged, that is the input's own sum, which a MASS_SUM error reports
         try:
-            dist = DiscreteDist.from_atoms(atoms)
+            dist = _from_merged(merged)
         except ValueError:
-            _check_mass_sum(atoms)
+            _check_mass_sum(raw)
             raise
-        if dist.n_atoms < len(atoms):
-            _check_mass_sum(atoms)
+        if len(merged) < len(raw):
+            _check_mass_sum(raw)
         return dist
     if obj.get("family") == "uniform":
         a = parse_num(obj.get("a"), "uniform bound a")
@@ -176,13 +191,8 @@ def _parse_atom(i: int, entry: Any) -> tuple[float, float]:
     """Atom ``i`` as ``(x, p)``: x finite, p in (0, 1]."""
     if not isinstance(entry, dict) or "x" not in entry or "p" not in entry:
         raise InputError("BAD_SCHEMA", f"atom {i} must be an object with keys x and p")
-    x, p = entry["x"], entry["p"]
-    # plain floats in range are done; anything else (an int, a sentinel
-    # string, NaN, an out-of-range value) takes the full checks and messages
-    if type(x) is float and type(p) is float and -INF < x < INF and 0.0 < p <= 1.0:
-        return x, p
-    x = parse_num(x, f"atom {i} x")
-    p = parse_num(p, f"atom {i} p")
+    x = parse_num(entry["x"], f"atom {i} x")
+    p = parse_num(entry["p"], f"atom {i} p")
     if not math.isfinite(x):
         raise InputError("BAD_SCHEMA", f"atom {i}: position must be finite, got {x}")
     if not 0.0 < p <= 1.0:
@@ -190,8 +200,9 @@ def _parse_atom(i: int, entry: Any) -> tuple[float, float]:
     return x, p
 
 
-def _check_mass_sum(atoms: list[tuple[float, float]]) -> None:
-    total = fsum(p for _, p in atoms)
+def _check_mass_sum(raw: list) -> None:
+    """Reject an atom list, each entry already read as valid, by its own mass sum."""
+    total = fsum(_parse_atom(i, entry)[1] for i, entry in enumerate(raw))
     if abs(total - 1.0) > MASS_TOL:
         raise InputError("MASS_SUM", f"atom masses sum to {total!r}, need 1 within {MASS_TOL}")
 

@@ -490,6 +490,51 @@ class TestErrorReporting:
         assert code == 2
         assert f"error [{code_word}]:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("by_file", [False, True], ids=["inline", "file"])
+    @pytest.mark.parametrize("where", ["dist", "measure", "kernel"])
+    @pytest.mark.parametrize("depth", [3_000, 100_000])
+    def test_deep_nesting_is_an_input_error(self, depth, where, by_file, tmp_path, capsys):
+        deep = "[" * depth + "]" * depth
+        text = '{"atoms": %s}' % deep if where == "dist" else '{"kind": "var", "alpha": %s}' % deep
+        spec = text
+        if by_file:
+            spec = str(tmp_path / "deep.json")
+            (tmp_path / "deep.json").write_text(text)
+        argv = {
+            "dist": ["eval", "--measure", VAR03, "--dist", spec],
+            "measure": ["eval", "--measure", spec, "--dist", F3],
+            "kernel": ["superlevel", "--kernel", spec, "--threshold", "0.0",
+                       "--x-range", "-1.0", "1.0"],
+        }[where]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        # json runs out of depth past a limit that depends on the
+        # interpreter (3.13.0 reads 3,000 levels); nesting it does read
+        # is refused by the schema checks
+        word = "BAD_SCHEMA" if _json_reads(text) else "BAD_JSON"
+        assert captured.err.startswith(f"error [{word}]: ")
+        if word == "BAD_JSON":
+            assert captured.err == "error [BAD_JSON]: JSON nests too deeply to read\n"
+
+    @pytest.mark.parametrize("command", ["eval", "superlevel"])
+    def test_a_file_that_is_not_utf8_is_bad_json(self, command, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        # a UTF-16 byte order mark and text: JSON files are UTF-8
+        path.write_bytes(b"\xff\xfe" + F3.encode("utf-16-le"))
+        argv = {
+            "eval": ["eval", "--measure", VAR03, "--dist", str(path)],
+            "superlevel": ["superlevel", "--kernel", str(path), "--threshold", "0.0",
+                           "--x-range", "-1.0", "1.0"],
+        }[command]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error [BAD_JSON]: {path} is not UTF-8 text: ")
+        assert "INTERNAL" not in captured.err
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -533,6 +578,15 @@ class TestErrorReporting:
         assert captured.out == ""
         assert "in broken_join" in captured.err
         assert captured.err.endswith("\nerror [INTERNAL]: ValueError: injected fault\n")
+
+
+def _json_reads(text):
+    """Whether this interpreter's json reads ``text`` without running out of depth."""
+    try:
+        json.loads(text)
+    except RecursionError:
+        return False
+    return True
 
 
 LAM3 = (

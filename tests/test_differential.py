@@ -12,6 +12,10 @@ reference, on pairs that share support points and whose levels sit
 within about 1e-15 of each other, where a join or meet that dropped
 tiny level gains would break the lattice laws.
 
+The one-pass atom reader of ``parse_distribution_obj`` is checked
+against the per-atom route it replaced, on repeated points, signed zeros,
+odd values, junk entries and mass sums at the edge of the tolerance.
+
 The one-anchor kernel table of ``construct_psi`` is checked against the
 scan that walks each row's anchor down the x-grid, on small grids near
 zero and near 1e15.  Its rows, which end at their first dead node, are
@@ -27,6 +31,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fsdrisk.dist import (
+    MASS_TOL,
     DiscreteDist,
     fsd_join,
     fsd_leq,
@@ -42,7 +47,7 @@ from fsdrisk.engine import (
     verify_representation,
 )
 from fsdrisk.harness import ext_gap
-from fsdrisk.jsonio import superlevel_rows
+from fsdrisk.jsonio import InputError, _parse_atom, parse_distribution_obj, superlevel_rows
 from fsdrisk.kernels import (
     BenchmarkLossKernel,
     DualLambdaKernel,
@@ -475,7 +480,24 @@ def exact(d):
     return repr((d.xs, d.cum))
 
 
+HALF_UP = math.nextafter(0.5, 1.0)
+# a zero the two hold with opposite signs, and levels one ulp apart there
+LATTICE_EXAMPLES = (
+    (DiscreteDist((-0.0, 1.0), (0.5, 1.0)), DiscreteDist((0.0, 1.0), (0.5, 1.0))),
+    (DiscreteDist((0.0, 1.0), (0.5, 1.0)), DiscreteDist((0.0, 1.0), (HALF_UP, 1.0))),
+    (DiscreteDist((-0.0, 2.0), (HALF_UP, 1.0)), DiscreteDist((0.0, 1.0), (0.5, 1.0))),
+    (DiscreteDist((-1.0, 0.0), (0.5, 1.0)), DiscreteDist((-1.0, -0.0), (HALF_UP, 1.0))),
+)
+
+
+def with_lattice_examples(test):
+    for pair in LATTICE_EXAMPLES:
+        test = example(pair)(test)
+    return test
+
+
 @given(lattice_pairs())
+@with_lattice_examples
 @settings(max_examples=300, deadline=None)
 def test_lattice_merge_equals_the_pointwise_reference(pair):
     f, g = pair
@@ -485,6 +507,18 @@ def test_lattice_merge_equals_the_pointwise_reference(pair):
         assert DiscreteDist(got.xs, got.cum) == got
     want_leq = all(f.cdf(b) >= g.cdf(b) for b in merged_points(f, g))
     assert fsd_leq(f, g) == want_leq
+
+
+@given(lattice_pairs())
+@with_lattice_examples
+@settings(max_examples=300, deadline=None)
+def test_leq_equals_the_pointwise_reference(pair):
+    # both CDFs are steps on their supports, so reading them at every
+    # support point reads them everywhere
+    f, g = pair
+    points = set(f.xs).union(g.xs)
+    assert fsd_leq(f, g) == all(f.cdf(x) >= g.cdf(x) for x in points)
+    assert fsd_leq(g, f) == all(g.cdf(x) >= f.cdf(x) for x in points)
 
 
 @given(lattice_pairs())
@@ -509,6 +543,86 @@ def test_a_last_gain_of_a_few_ulps_is_kept():
     g = point_mass(0.0)
     assert exact(fsd_join(f, g)) == exact(f) == exact(fsd_join(f, f))
     assert fsd_leq(f, fsd_join(f, g)) and fsd_leq(g, fsd_join(f, g))
+
+
+# -- the one-pass atom reader against the per-atom route ---------------------
+
+
+def per_atom_read(raw):
+    """Each atom checked on its own, then ``from_atoms``.
+
+    ``from_atoms`` checks the sum of the merged masses; when atoms merged
+    or it rejects the sum, the input's own sum decides MASS_SUM.
+    """
+    atoms = [_parse_atom(i, entry) for i, entry in enumerate(raw)]
+
+    def check_own_sum():
+        total = math.fsum(p for _, p in atoms)
+        if abs(total - 1.0) > MASS_TOL:
+            raise InputError("MASS_SUM", f"atom masses sum to {total!r}, need 1 within {MASS_TOL}")
+
+    try:
+        dist = DiscreteDist.from_atoms(atoms)
+    except ValueError:
+        check_own_sum()
+        raise
+    if dist.n_atoms < len(atoms):
+        check_own_sum()
+    return dist
+
+
+def read_outcome(read, raw):
+    """The bits of the distribution ``read`` builds, or its error's code and message."""
+    try:
+        d = read(raw)
+    except InputError as exc:
+        return "InputError", exc.code, exc.message
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return [x.hex() for x in d.xs], [c.hex() for c in d.cum]
+
+
+ATOM_POINTS = (-0.0, 0.0, 1.0, -2.5, 1e15)
+ODD_X = (1, 0, -3, True, False, None, "inf", "-inf", "nan", "1.0", math.nan, INF)
+ODD_P = (0, 1, 0.0, 1.5, -0.25, True, None, "inf", "-inf", math.nan, 5e-324)
+JUNK = ([0.0, 1.0], "atom", {"x": 0.0}, {"p": 1.0}, None)
+# relative moves of the total mass, in and just out of the MASS_SUM band
+SUM_MOVES = (0.0, -2e-12, -1.1e-12, -1e-12, -9e-13, 9e-13, 1e-12, 1.1e-12, 2e-12)
+
+
+@st.composite
+def atom_lists(draw):
+    """An atom list with repeated points, at times odd values and junk entries."""
+    n = draw(st.integers(1, 8))
+    xs = draw(st.lists(st.one_of(st.sampled_from(ATOM_POINTS), xs_), min_size=n, max_size=n))
+    weights = draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n))
+    scale = (1.0 + draw(st.sampled_from(SUM_MOVES))) / math.fsum(weights)
+    raw = [{"x": x, "p": w * scale} for x, w in zip(xs, weights)]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2)))):
+        i = draw(st.integers(0, n - 1))
+        key = draw(st.sampled_from(("x", "p")))
+        raw[i] = {**raw[i], key: draw(st.sampled_from(ODD_X if key == "x" else ODD_P))}
+    if draw(st.integers(0, 3)) == 0:
+        # after at least one valid atom, so the reported index is checked
+        raw.insert(draw(st.integers(1, n)), draw(st.sampled_from(JUNK)))
+    return raw
+
+
+@given(atom_lists())
+@example([{"x": -0.0, "p": 0.5}, {"x": 0.0, "p": 0.25}, {"x": 1.0, "p": 0.25}])
+@example([{"x": 0.0, "p": 0.5}, {"x": -0.0, "p": 0.5}])
+@example([{"x": 1, "p": 0.25}, {"x": 1.0, "p": 0.25}, {"x": 2.0, "p": 0.5}])
+@example([{"x": 0.0, "p": 0.5}, {"x": 1.0, "p": 0.5}, [2.0, 0.5]])
+# the input's sum is just outside the band and the merged one inside it,
+# then the reverse
+@example([{"x": 0.0, "p": 0.5703623392490841}, {"x": 0.0, "p": 0.1806549452551956},
+          {"x": 1.0, "p": 0.24898271549472029}])
+@example([{"x": 0.0, "p": 0.5507295311759609}, {"x": 0.0, "p": 0.11491506018575802},
+          {"x": 1.0, "p": 0.33435540863928104}])
+@settings(max_examples=400, deadline=None)
+def test_one_pass_atom_read_equals_the_per_atom_route(raw):
+    got = read_outcome(lambda r: parse_distribution_obj({"atoms": r}), raw)
+    assert got == read_outcome(per_atom_read, raw)
 
 
 # -- the one-anchor kernel table against the descending-anchor scan ----------

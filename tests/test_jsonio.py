@@ -114,6 +114,22 @@ class TestJsonPlumbing:
             parse_json_text("{not json")
         assert e.value.code == "BAD_JSON"
 
+    def test_json_too_deep_to_read_is_bad_json(self):
+        # deeper than json reads on any supported interpreter
+        with pytest.raises(InputError) as e:
+            parse_json_text("[" * 100_000 + "]" * 100_000)
+        assert (e.value.code, e.value.message) == ("BAD_JSON", "JSON nests too deeply to read")
+
+    def test_a_file_is_read_as_utf8(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_bytes('{"note": "\u00e9\u20ac", "x": 1.5}'.encode("utf-8"))
+        assert load_json_file(path) == {"note": "\u00e9\u20ac", "x": 1.5}
+        path.write_bytes(b"\xff\xfe{}")
+        with pytest.raises(InputError) as e:
+            load_json_file(path)
+        assert e.value.code == "BAD_JSON"
+        assert e.value.message.startswith(f"{path} is not UTF-8 text: ")
+
     def test_missing_file_code(self, tmp_path):
         with pytest.raises(InputError) as e:
             load_json_file(tmp_path / "nope.json")
