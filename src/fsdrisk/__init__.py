@@ -13,7 +13,6 @@ from .dist import (
     ContinuousCDF,
     DiscreteDist,
     discretize,
-    discretize_from_above,
     fsd_join,
     fsd_leq,
     fsd_meet,
@@ -51,14 +50,12 @@ from .harness import (
 )
 from .jsonio import (
     InputError,
-    parse_distribution_file,
     parse_distribution_obj,
     parse_kernel_obj,
     parse_measure_obj,
     parse_psi_grid_obj,
     psi_grid_to_obj,
     report_to_json,
-    save_distribution_file,
     superlevel_rows,
     write_superlevel_csv,
 )
@@ -74,10 +71,8 @@ from .kernels import (
     PhiKernel,
     PinnedKernel,
     PsiKernel,
-    RegularizedKernel,
     VarKernel,
     inf_phi_eval,
-    regularize_psi,
     sup_psi_eval,
 )
 from .measures import (

@@ -159,12 +159,6 @@ class DiscreteDist:
             raise ValueError(f"left quantile level must lie in (0, 1], got {a}")
         return self.xs[bisect_left(self.cum, a)]
 
-    def right_quantile(self, a: float) -> float:
-        """sup{x: F(x) <= a} for a in [0, 1)."""
-        if not 0.0 <= a < 1.0:
-            raise ValueError(f"right quantile level must lie in [0, 1), got {a}")
-        return self.xs[bisect_right(self.cum, a)]
-
     def __repr__(self) -> str:
         inner = " + ".join(f"{p:.6g}*d[{x:.6g}]" for x, p in self.atoms)
         return f"DiscreteDist({inner})"
@@ -400,28 +394,3 @@ def discretize(f: ContinuousCDF, n: int) -> DiscreteDist:
         levels.append(f(right))
     return DiscreteDist.from_levels(xs, levels)
 
-
-def discretize_from_above(f: ContinuousCDF, n: int) -> DiscreteDist:
-    """Step approximation of ``f`` from above in the dominance order.
-
-    Mirror of :func:`discretize`: each cell carries the CDF value at its
-    left end and the remaining mass lands on the right support endpoint,
-    so the result dominates ``f``; with :func:`discretize` it brackets
-    ``f`` in the dominance order.  The semicontinuity probe approaches
-    from below and uses only :func:`discretize`.
-    """
-    if n < 1:
-        raise ValueError(f"need at least one cell, got n={n}")
-    lo, hi = f.support
-    if hi == lo:
-        return point_mass(lo)
-    span = hi - lo
-    xs = []
-    levels = []
-    for k in range(2, n + 1):
-        t = lo + (k - 1) * span / n
-        xs.append(t)
-        levels.append(f(t))
-    xs.append(hi)
-    levels.append(1.0)
-    return DiscreteDist.from_levels(xs, levels)

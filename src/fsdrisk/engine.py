@@ -2,18 +2,12 @@
 
 Any max-stable measure with strictly increasing values on point masses
 is determined by what it does on two-point distributions.  The engine
-exploits that: evaluate the measure on mixtures p at a plus (1 - p) at
-y, for one anchor a below the whole grid, keep at each grid node (y, p)
-the value when it strictly exceeds the measure on the point mass at a,
-and tabulate that kernel.  For anchors a <= a' <= y the join of the
-mixture at a with the point mass at a' is the mixture at a', so
-max-stability makes every higher anchor agree with the lowest one.
-Max-stability also makes the measure monotone in first-order dominance
-(F <= G gives F v G = G, so rho(G) = max(rho(F), rho(G))), and the
-mixture at p' > p is dominated by the one at p, so each row's live
-nodes are a prefix and the row ends at its first dead node.  The
-table can then be checked against the measure on arbitrary grid-snapped
-distributions, and its level curve read back off it.
+exploits that: ``construct_psi`` tabulates the measure on mixtures of
+one anchor below the grid and each node, and its docstring holds the
+argument for the single anchor and for ending each row at its first
+dead node.  The table can then be checked against the measure on
+arbitrary grid-snapped distributions, and its level curve read back off
+it.
 ``h_threshold`` is a standalone threshold search that the table does
 not use.
 

@@ -30,6 +30,9 @@ _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
 
 DEFAULT_TOL = 1e-9
+# the probe discretizes once per cell count up to its limit, so its cost
+# grows with the square of the limit
+MAX_PROBE_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -404,11 +407,20 @@ def check_semicontinuity_probe(
     a 4 * n_max discretization, which dominates only the terms whose n
     divides 4 * n_max; the others are not compared with it.  Nothing is
     asserted between consecutive cell counts: n = 3 and n = 4 interleave
-    and are genuinely incomparable in the dominance order.
+    and are genuinely incomparable in the dominance order.  A limit
+    above ``MAX_PROBE_CELLS`` is refused before any measure call.
+
+    Lower semicontinuity itself is assumed, not checked: the right
+    quantile q+(F) = sup{x : F(x) <= 0.3} is not lower semicontinuous,
+    yet it passes this probe and the stability checks.  On float levels
+    it differs from the left quantile only where a level sits exactly
+    at 0.3, which no sampled or discretized input separates.
     """
     _check_tol(tol)
     if n_max < 2:
         raise ValueError(f"need n_max >= 2, got {n_max}")
+    if n_max > MAX_PROBE_CELLS:
+        raise ValueError(f"n_max must be at most {MAX_PROBE_CELLS}, got {n_max}")
     n_ref = 4 * n_max
     ref = rho(discretize(F, n_ref)) if rho_limit is None else float(rho_limit)
     values = [rho(discretize(F, n)) for n in range(1, n_max + 1)]

@@ -207,14 +207,6 @@ def _check_mass_sum(raw: list) -> None:
         raise InputError("MASS_SUM", f"atom masses sum to {total!r}, need 1 within {MASS_TOL}")
 
 
-def parse_distribution_file(path: str | Path) -> Distribution:
-    return parse_distribution_obj(load_json_file(path))
-
-
-def save_distribution_file(dist: Distribution, path: str | Path) -> None:
-    Path(path).write_text(dump_json(distribution_to_obj(dist)))
-
-
 # -- step curves ----------------------------------------------------------
 
 

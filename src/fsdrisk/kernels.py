@@ -244,33 +244,6 @@ class GridKernel(_Tabulated, PsiKernel):
         return self._runmax[i][self.nearest_p_index(p)]
 
 
-@dataclass(frozen=True)
-class RegularizedKernel(PsiKernel):
-    """Left-sup closure of a base kernel.
-
-    Increasing and left-continuous in x by construction.  It shares the
-    base's left_sup, the only read sup_psi_eval makes, so the two give
-    the same value on every distribution.
-    """
-
-    base: PsiKernel
-
-    def eval(self, x: float, p: float) -> float:
-        return self.base.left_sup(x, p)
-
-    def left_sup(self, x: float, p: float) -> float:
-        # the closure is idempotent: an increasing left-continuous
-        # function equals its own left sup
-        return self.base.left_sup(x, p)
-
-
-def regularize_psi(psi: PsiKernel) -> PsiKernel:
-    """Left-sup regularization psi~(x, p) = sup over t < x of psi(t, p)."""
-    if isinstance(psi, RegularizedKernel):
-        return psi
-    return RegularizedKernel(psi)
-
-
 def sup_psi_eval(psi: PsiKernel, F: DiscreteDist) -> float:
     """Exact sup over all real x of psi(x, F(x)), read through left_sup alone.
 

@@ -174,12 +174,6 @@ def _expected_shortfall(a: float, F: DiscreteDist) -> float:
     return math.fsum(terms) / (1.0 - a)
 
 
-def pinned_value(F: DiscreteDist, x0: float, g: MonotoneStep) -> float:
-    """g(F(x0)): constant on point masses away from x0, hence degenerate."""
-    check_pinned(x0, g)
-    return _pinned_value(x0, g, F)
-
-
 def _pinned_value(x0: float, g: MonotoneStep, F: DiscreteDist) -> float:
     return g(F.cdf(x0))
 

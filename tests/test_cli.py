@@ -330,6 +330,14 @@ class TestCheck:
             assert "axiom: ls" in out
             assert "violations: 0/8" in out
 
+    def test_limit_probe_refuses_a_limit_above_its_bound(self, capsys):
+        code = main(["check", "--measure", VAR03, "--axiom", "ls", "--trials", "4097"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error [BAD_SCHEMA]")
+        assert "at most 4096, got 4097" in captured.err
+
     def test_nan_tolerance_is_an_input_error(self, capsys):
         code = main(["check", "--measure", VAR03, "--axiom", "maxs", "--trials", "10",
                      "--tol", "nan"])

@@ -11,7 +11,6 @@ from fsdrisk.dist import (
     ContinuousCDF,
     DiscreteDist,
     discretize,
-    discretize_from_above,
     fsd_join,
     fsd_leq,
     fsd_meet,
@@ -149,11 +148,6 @@ class TestEvaluation:
         assert F3.left_quantile(0.5) == 2.0
         assert point_mass(3.5).left_quantile(0.2) == 3.5
         assert atoms((0.0, 0.5), (1.0, 0.5)).left_quantile(0.5) == 0.0
-
-    def test_right_quantile(self):
-        assert F3.right_quantile(0.3) == 2.0
-        assert point_mass(3.5).right_quantile(0.0) == 3.5
-        assert atoms((0.0, 0.5), (1.0, 0.5)).right_quantile(0.7) == 1.0
 
     def test_quantile_galois_pairing(self):
         # left_quantile(a) <= x exactly when the CDF at x reaches a
@@ -466,11 +460,6 @@ class TestDiscretize:
         u = ContinuousCDF.uniform(-3.0, 5.0)
         for n in (1, 2, 4, 8, 16):
             assert fsd_leq(discretize(u, n), discretize(u, 2 * n))
-
-    def test_from_above_dominates_from_below(self):
-        u = ContinuousCDF.uniform(0.0, 1.0)
-        for n in (1, 2, 3, 7, 16):
-            assert fsd_leq(discretize(u, n), discretize_from_above(u, n))
 
     def test_continuous_cdf_rejects_non_monotone(self):
         with pytest.raises(ValueError):

@@ -2,13 +2,23 @@
 
 import hashlib
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
 
 from fsdrisk import harness
-from fsdrisk.dist import ContinuousCDF, DiscreteDist, discretize, fsd_join, fsd_leq, fsd_meet
+from fsdrisk.dist import (
+    ContinuousCDF,
+    DiscreteDist,
+    discretize,
+    fsd_join,
+    fsd_leq,
+    fsd_meet,
+    two_point,
+)
 from fsdrisk.harness import (
+    MAX_PROBE_CELLS,
     PairWitness,
     PointWitness,
     ProbeWitness,
@@ -377,6 +387,40 @@ class TestSemicontinuityProbe:
     def test_needs_at_least_two_cells(self):
         with pytest.raises(ValueError):
             check_semicontinuity_probe(self.VA.fn, self.U, 1)
+
+    def test_a_limit_above_the_cell_bound_is_refused_before_any_call(self):
+        calls = []
+
+        def counting(F):
+            calls.append(F)
+            return 0.0
+
+        assert MAX_PROBE_CELLS == 4096
+        with pytest.raises(ValueError, match="at most 4096, got 4097"):
+            check_semicontinuity_probe(counting, self.U, 4097)
+        assert calls == []
+        # a one-point limit discretizes at no cost, so the bound itself runs quickly
+        rep = check_semicontinuity_probe(counting, ContinuousCDF.uniform(2.0, 2.0), 4096)
+        assert rep.passed
+        assert len(calls) == 4096 + 1
+
+
+def test_right_quantile_passes_every_check_yet_is_not_lower_semicontinuous():
+    # q+(F) = sup{x : F(x) <= 0.3}; on float levels it differs from the
+    # left quantile only where a level sits exactly at 0.3
+    def right_quantile(F):
+        return F.xs[bisect_right(F.cum, 0.3)]
+
+    # mass 0.3 + 2**-k at 0 rises to mass 0.3 there, yet the value jumps
+    # from 0 to 1 at the limit
+    assert all(right_quantile(two_point(0.0, 1.0, 0.3 + 2.0**-k)) == 0.0 for k in range(2, 40))
+    assert right_quantile(two_point(0.0, 1.0, 0.3)) == 1.0
+    cfg = SamplerConfig(seed=7, trials=2000)
+    assert check_max_stability(right_quantile, cfg).passed
+    assert check_min_stability(right_quantile, cfg).passed
+    assert check_fsd_consistency(right_quantile, cfg).passed
+    assert check_nondegeneracy(right_quantile, ND_GRID).passed
+    assert check_semicontinuity_probe(right_quantile, ContinuousCDF.uniform(0.0, 1.0), 256).passed
 
 
 class TestCounterexampleSearch:

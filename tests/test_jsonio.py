@@ -21,7 +21,6 @@ from fsdrisk.jsonio import (
     kernel_to_obj,
     load_json_file,
     measure_to_obj,
-    parse_distribution_file,
     parse_distribution_obj,
     parse_json_text,
     parse_kernel_obj,
@@ -31,7 +30,6 @@ from fsdrisk.jsonio import (
     parse_step_obj,
     psi_grid_to_obj,
     report_to_obj,
-    save_distribution_file,
     step_to_obj,
     superlevel_rows,
     write_superlevel_csv,
@@ -157,12 +155,6 @@ class TestDistributionFormat:
         back = parse_distribution_obj(distribution_to_obj(u))
         assert isinstance(back, ContinuousCDF)
         assert back.support == (-1.0, 3.0)
-
-    def test_file_round_trip(self, tmp_path):
-        d = atoms((0.0, 0.5), (1.0, 0.5))
-        path = tmp_path / "dist.json"
-        save_distribution_file(d, path)
-        assert parse_distribution_file(path) == d
 
     @pytest.mark.parametrize(
         "obj,code",

@@ -1,4 +1,4 @@
-"""Sup-form and inf-form kernels, regularization, grid tabulations."""
+"""Sup-form and inf-form kernels and grid tabulations."""
 
 import math
 
@@ -19,17 +19,15 @@ from fsdrisk.kernels import (
     PhiKernel,
     PinnedKernel,
     PsiKernel,
-    RegularizedKernel,
     VarKernel,
     inf_phi_eval,
-    regularize_psi,
     sup_psi_eval,
 )
 from fsdrisk.measures import (
     affine_benchmark,
     benchmark_loss_var,
     lambda_quantile,
-    pinned_value,
+    pinned_measure,
     var,
 )
 from fsdrisk.steps import DEC, INC, MonotoneStep
@@ -101,6 +99,8 @@ class TestLambdaKernel:
         # the open ray {t: curve(t) > 0.5} ends at the jump
         assert k.left_sup(2.0, 0.5) == 1.0
         assert k.left_sup(0.5, 0.5) == 0.5
+        assert k.left_sup(2.0, 0.3) == 2.0
+        assert k.left_sup(2.0, 0.9) == -INF
 
     def test_curve_validation(self):
         with pytest.raises(ValueError):
@@ -252,51 +252,20 @@ class TestGridKernel:
 
 
 class TestRegularization:
-    def test_idempotent(self):
-        k = regularize_psi(VarKernel(0.3))
-        assert isinstance(k, RegularizedKernel)
-        assert regularize_psi(k) is k
-
-    def test_already_regular_kernel_is_unchanged(self):
-        base = VarKernel(0.3)
-        reg = regularize_psi(base)
-        for x in (-2.0, 0.0, 1.5):
-            for p in (0.0, 0.29, 0.3, 0.9, 1.0):
-                assert reg.eval(x, p) == base.eval(x, p)
-
-    def test_envelope_values_on_the_two_piece_curve(self):
-        # sup over t < x of the base kernel: {t: curve(t) > 0.5} = (-inf, 1)
-        reg = regularize_psi(LambdaKernel(LAM2))
-        assert reg.eval(2.0, 0.5) == 1.0
-        assert reg.eval(0.5, 0.5) == 0.5
-        assert reg.eval(2.0, 0.3) == 2.0
-        assert reg.eval(2.0, 0.9) == -INF
-
-    @pytest.mark.parametrize(
-        "k",
-        KERNELS + [PinnedKernel(0.0, MonotoneStep((0.5,), (3.0, -1.0), direction=DEC))],
-        ids=lambda k: type(k).__name__,
-    )
-    def test_sup_evaluation_is_preserved(self, k):
-        reg = regularize_psi(k)
-        for F in random_dists(555, 1000):
-            assert sup_psi_eval(reg, F) == sup_psi_eval(k, F)
+    """The left-sup regularization, the only read sup_psi_eval makes."""
 
     @pytest.mark.parametrize("x0", [0.0, 2.0**53, 1e16], ids=["0", "2**53", "1e16"])
     def test_sup_preserved_when_all_mass_sits_left_of_the_pin(self, x0):
-        # regression: the regularized pin keeps its value on the whole ray
-        # right of x0, which the candidate set alone cannot see; from
-        # 2**53 on, x0 + 1.0 rounds back onto x0, so that ray must be read
-        # at the next float
+        # regression: with all the mass left of x0, the pin's value sits on
+        # the ray past the last atom, which is read at +inf; a tail probe at
+        # x0 + 1.0 would round back onto x0 from 2**53 on
         g = MonotoneStep((0.5,), (1.0, 0.25), direction=DEC)
         k = PinnedKernel(x0, g)
-        reg = regularize_psi(k)
         left = [point_mass(-2.0), atoms((-3.0, 0.4), (-1.0, 0.6)),
                 point_mass(math.nextafter(x0, -INF))]
         for F in left + [point_mass(0.0)]:
-            assert pinned_value(F, x0, g) == g(1.0) == 0.25
+            assert pinned_measure(x0, g)(F) == g(1.0) == 0.25
             assert sup_psi_eval(k, F) == 0.25
-            assert sup_psi_eval(reg, F) == 0.25
 
 
 class TestDualKernels:
@@ -543,7 +512,6 @@ class TestEvaluationAgainstPointReads:
         k, F = case
         want = max(k.eval(b, F.cdf(b)) for b in _cands(k, F))
         assert sup_psi_eval(k, F) == want
-        assert sup_psi_eval(regularize_psi(k), F) == want
 
     @KERNEL_EXAMPLES
     @given(grid_cases(dual=True))
@@ -559,7 +527,6 @@ class TestEvaluationAgainstPointReads:
         g = MonotoneStep((b,), (low + drop, low), direction=DEC)
         k = PinnedKernel(x0, g)
         assert sup_psi_eval(k, F) == g(F.cdf(x0))
-        assert sup_psi_eval(regularize_psi(k), F) == g(F.cdf(x0))
 
     @KERNEL_EXAMPLES
     @given(pin_cases(), st.floats(-5.0, 5.0))
