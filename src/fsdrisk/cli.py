@@ -26,6 +26,7 @@ from typing import Any, Callable
 from .dist import ContinuousCDF, DiscreteDist, fsd_join, fsd_leq, fsd_meet, join_decomposition
 from .engine import GATE_SEED, StabilityGateError, construct_psi
 from .harness import (
+    MAX_PROBE_CELLS,
     SamplerConfig,
     check_fsd_consistency,
     check_max_stability,
@@ -133,6 +134,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
         if not isinstance(parsed, ContinuousCDF):
             raise InputError("BAD_SCHEMA", "the limit probe needs a continuous distribution")
         limit = parsed
+    if args.axiom == "ls" and not 2 <= args.trials <= MAX_PROBE_CELLS:
+        # worded here, since the probe names its cell limit n_max
+        bound = "at least 2" if args.trials < 2 else f"at most {MAX_PROBE_CELLS}"
+        raise InputError("BAD_SCHEMA", f"--trials for ls must be {bound}, got {args.trials}")
     try:
         if args.axiom in ("maxs", "mins", "fsd"):
             cfg = SamplerConfig(seed=args.seed, trials=args.trials)

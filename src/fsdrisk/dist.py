@@ -170,7 +170,10 @@ def _trusted(xs: tuple[float, ...], cum: tuple[float, ...]) -> DiscreteDist:
     Callers pass float tuples already in canonical form, by construction.
     """
     d = object.__new__(DiscreteDist)
-    d.__dict__.update(xs=xs, cum=cum)
+    # item assignment builds no keyword dict, which matters per table node
+    attrs = d.__dict__
+    attrs["xs"] = xs
+    attrs["cum"] = cum
     return d
 
 

@@ -8,8 +8,8 @@ argument for the single anchor and for ending each row at its first
 dead node.  The table can then be checked against the measure on
 arbitrary grid-snapped distributions, and its level curve read back off
 it.
-``h_threshold`` is a standalone threshold search that the table does
-not use.
+The table builds each mixture in place; ``two_point_eval`` and
+``h_threshold``, a standalone threshold search, are not on its path.
 
 Everything here treats the measure as an opaque callable; only the
 harness-style probe at the start of construct_psi assumes anything
@@ -24,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .dist import DiscreteDist, point_mass, two_point
+from .dist import DiscreteDist, _trusted, point_mass, two_point
 from .harness import _check_tol, ext_gap
 from .kernels import GridKernel, check_axes
 
@@ -183,7 +183,12 @@ def construct_psi(
     for y in xg:
         row = []
         for p in pg:
-            v = two_point_eval(rho, a, y, p)
+            # two_point(a, y, p), built without its checks: the axes and
+            # the finite span give a < y, both finite, and p in [0, 1]
+            if 0.0 < p < 1.0:
+                v = rho(_trusted((a, y), (p, 1.0)))
+            else:
+                v = rho(point_mass(y if p <= 0.0 else a))
             if not v > base:
                 break
             row.append(v)

@@ -277,11 +277,19 @@ def _parse_family_obj(obj: Any, what: str) -> Any:
         raise InputError("BAD_SCHEMA", f"{what} {kind!r}: {exc}") from None
 
 
+_INF_TEXT = {INF: "inf", -INF: "-inf"}
+
+
 def _grid_to_obj(grid: GridKernel) -> dict:
+    # dump_num on every cell, one map per row: a grid holds floats and
+    # no NaN, so each value is its own JSON form unless it is infinite
+    def nums(values):
+        return list(map(_INF_TEXT.get, values, values))
+
     return {
-        "x_grid": [dump_num(v) for v in grid.x_grid],
-        "p_grid": [dump_num(v) for v in grid.p_grid],
-        "table": [[dump_num(v) for v in row] for row in grid.table],
+        "x_grid": nums(grid.x_grid),
+        "p_grid": nums(grid.p_grid),
+        "table": [nums(row) for row in grid.table],
     }
 
 

@@ -19,6 +19,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Callable
 
 from .dist import DiscreteDist
@@ -187,9 +188,11 @@ class _Tabulated:
         if len(tab) != len(xg) or any(len(row) != len(pg) for row in tab):
             raise ValueError("table shape must be len(x_grid) by len(p_grid)")
         for row in tab:
-            if any(map(math.isnan, row)):
-                raise ValueError("table must not contain NaN")
-            if any(map(operator.lt, row, row[1:])):
+            # a NaN fails every comparison, so one pass finds it or a rise;
+            # the NaN is named first
+            if not all(map(operator.ge, row, islice(row, 1, None))):
+                if any(map(math.isnan, row)):
+                    raise ValueError("table must not contain NaN")
                 raise ValueError("table rows must be decreasing along p")
             if row[edge] != edge_value:
                 raise ValueError(f"table column at p = {pg[edge]:g} must be {edge_value:+}")

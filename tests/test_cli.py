@@ -331,12 +331,13 @@ class TestCheck:
             assert "violations: 0/8" in out
 
     def test_limit_probe_refuses_a_limit_above_its_bound(self, capsys):
-        code = main(["check", "--measure", VAR03, "--axiom", "ls", "--trials", "4097"])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error [BAD_SCHEMA]")
-        assert "at most 4096, got 4097" in captured.err
+        # and one below 2; either is named as the option the user typed
+        for trials, bound in (("4097", "at most 4096, got 4097"), ("1", "at least 2, got 1")):
+            code = main(["check", "--measure", VAR03, "--axiom", "ls", "--trials", trials])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error [BAD_SCHEMA]: --trials for ls must be {bound}\n"
 
     def test_nan_tolerance_is_an_input_error(self, capsys):
         code = main(["check", "--measure", VAR03, "--axiom", "maxs", "--trials", "10",

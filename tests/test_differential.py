@@ -21,6 +21,8 @@ scan that walks each row's anchor down the x-grid, on small grids near
 zero and near 1e15.  Its rows, which end at their first dead node, are
 checked against a one-call-per-node scan at the same anchor, also for
 expected shortfall: monotone in the dominance order but not max-stable.
+The mixtures the table builds in place are checked, call by call and bit
+for bit, against those ``two_point_eval`` builds on the same route.
 """
 
 import math
@@ -44,6 +46,7 @@ from fsdrisk.engine import (
     RepresentationReport,
     construct_psi,
     recover_lambda,
+    two_point_eval,
     verify_representation,
 )
 from fsdrisk.harness import ext_gap
@@ -60,12 +63,14 @@ from fsdrisk.kernels import (
     sup_psi_eval,
 )
 from fsdrisk.measures import (
+    affine_benchmark,
     benchmark_loss_measure,
     benchmark_loss_var,
     expected_shortfall_measure,
     lambda_quantile,
     lambda_quantile_dual,
     lambda_quantile_measure,
+    pinned_measure,
     transform_measure,
     var,
     var_measure,
@@ -759,3 +764,50 @@ def test_row_cutoff_equals_the_full_scan(case):
             assert "decreasing along p" in str(exc) and not falls
     else:
         assert repr(got) == repr(want if falls else cut_at_first_dead(want))
+
+
+# -- the in-place mixtures against the two_point_eval route ------------------
+
+
+def two_point_eval_route(rho, xg, pg):
+    """The table's calls made through two_point_eval, each row cut at its first dead node."""
+    a = xg[0] - (xg[1] - xg[0])
+    base = rho(point_mass(a))
+    for y in xg:
+        for p in pg:
+            if not two_point_eval(rho, a, y, p) > base:
+                break
+
+
+def recording(rho, calls):
+    """``rho``, appending the type and the bits of each input to ``calls``."""
+
+    def measure(F):
+        calls.append((type(F), tuple(map(float.hex, F.xs)), tuple(map(float.hex, F.cum))))
+        return rho(F)
+
+    return measure
+
+
+@given(table_cases())
+# two p nodes, both collapsing to point masses
+@example((var_measure(0.5), [0.0, 1.0], [0.0, 1.0]))
+# rows at and left of the pin dead at p = 0, and the grid refused for it
+@example((pinned_measure(0.0, MonotoneStep((0.5,), (1.0, 0.25), direction=DEC)),
+          [-1.0, 0.0, 1.0, 2.0], [0.0, 0.5, 1.0]))
+# every row live up to its p = 1 node, which is called and dead
+@example((benchmark_loss_measure(affine_benchmark(2.0)), [0.0, 3.0, 6.0], [0.0, 0.5, 0.99, 1.0]))
+@example((var_measure(0.3), [1e15, 1e15 + 0.125, 1e15 + 8.0], [0.0, 0.25, 0.5, 1.0]))
+@example((lambda_quantile_measure(MonotoneStep((-1e15,), (0.75, 0.25), direction=DEC)),
+          [-1e15 - 8.0, -1e15, -1e15 + 0.5], [0.0, 0.25, 0.5, 0.75, 1.0]))
+@settings(max_examples=200, deadline=None)
+def test_in_place_mixtures_equal_the_two_point_eval_route(case):
+    rho, xg, pg = case
+    want, got = [], []
+    two_point_eval_route(recording(rho, want), xg, pg)
+    try:
+        construct_psi(recording(rho, got), xg, pg, stability_trials=0)
+    except ValueError as exc:
+        # refused only once every node is read
+        assert "separate point masses" in str(exc)
+    assert got == want

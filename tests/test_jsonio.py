@@ -14,6 +14,7 @@ from fsdrisk.harness import SamplerConfig, check_max_stability
 from fsdrisk.jsonio import (
     MAX_GRID_NODES,
     InputError,
+    _grid_to_obj,
     csv_num,
     distribution_to_obj,
     dump_json,
@@ -455,6 +456,30 @@ class TestPsiGridFormat:
         ) + (tuple(tuple(parse_num(v, "entry") for v in row) for row in obj["table"]),)
         for grid in (parse_psi_grid_obj(obj), parse_kernel_obj(obj)):
             assert repr((grid.x_grid, grid.p_grid, grid.table)) == repr(want)
+
+    @pytest.mark.parametrize("cls", [GridKernel, PsiGrid])
+    def test_grid_object_equals_dump_num_per_cell(self, cls):
+        # every float the format can hold at the edges: signed zeros, the
+        # smallest subnormal, the largest finite floats and both infinities
+        big, tiny = 1.7976931348623157e308, 5e-324
+        xg = (-big, -0.0, tiny, big)
+        pg = (0.0, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 1.0)
+        # rows fall along p and the p = 0 column rises strictly, as a
+        # PsiGrid needs
+        table = (
+            (-big, -big, -INF, -INF, -INF, -INF, -INF, -INF),
+            (-0.0, -0.0, 0.0, -0.0, -tiny, -big, -INF, -INF),
+            (big, big, tiny, 0.0, -0.0, -tiny, -big, -INF),
+            (INF, INF, big, tiny, 0.0, -0.0, -INF, -INF),
+        )
+        grid = cls(xg, pg, table)
+        want = {
+            "x_grid": [dump_num(v) for v in grid.x_grid],
+            "p_grid": [dump_num(v) for v in grid.p_grid],
+            "table": [[dump_num(v) for v in row] for row in grid.table],
+        }
+        assert repr(_grid_to_obj(grid)) == repr(want)
+        assert dump_json(_grid_to_obj(grid)) == json.dumps(want, sort_keys=True, indent=2) + "\n"
 
     def test_psi_grid_declares_only_grid_fields(self):
         assert dataclasses.fields(PsiGrid) == dataclasses.fields(GridKernel)

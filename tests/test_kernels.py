@@ -240,6 +240,32 @@ class TestGridKernel:
         with pytest.raises(ValueError):
             GridKernel((0.0,), pg, table)
 
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ((1.0, math.nan, 0.0, -INF), "must not contain NaN"),
+            ((1.0, 0.0, 0.5, -INF), "decreasing along p"),
+            # a rise before a NaN, and a NaN before a rise: the NaN is named
+            ((0.0, 1.0, math.nan, -INF), "must not contain NaN"),
+            ((math.nan, 0.0, 1.0, -INF), "must not contain NaN"),
+            # a NaN where -inf belongs is a NaN, not a wrong p = 1 column
+            ((1.0, 0.5, 0.0, math.nan), "must not contain NaN"),
+            ((1.0, 0.5, 0.0, 0.0), "column at p = 1 must be -inf"),
+        ],
+        ids=["nan", "rise", "rise-then-nan", "nan-then-rise", "nan-at-p-one", "p-one-finite"],
+    )
+    def test_validation_names_the_defect(self, row, message):
+        # the bad row comes second, after one that passes
+        good = (2.0, 1.0, 0.0, -INF)
+        with pytest.raises(ValueError, match=message):
+            GridKernel((0.0, 1.0), (0.0, 0.25, 0.5, 1.0), (good, row))
+
+    def test_signed_zero_neighbours_are_accepted(self):
+        # 0.0 and -0.0 compare equal, so neither order is a rise
+        table = ((0.0, -0.0, 0.0, -INF), (-0.0, 0.0, -0.0, -INF))
+        k = GridKernel((0.0, 1.0), (0.0, 0.25, 0.5, 1.0), table)
+        assert repr(k.table) == repr(table)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             GridKernel((0.0, 1.0), (0.0, 1.0), ((0.0, -INF),))
