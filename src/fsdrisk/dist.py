@@ -29,7 +29,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
+from operator import lt
 from typing import Callable, Iterable, Sequence
 
 INF = math.inf
@@ -212,8 +213,12 @@ def _from_merged(merged: dict[float, float]) -> DiscreteDist:
     # that does closes the CDF at exactly 1.0 and the atoms after it
     # carry no mass (levels rise up to the last, so bisect finds it)
     end = bisect_left(levels, 1.0) + 1
-    levels[end - 1] = 1.0
-    return _rising(zip(xs[:end], levels[:end]))
+    del xs[end:], levels[end:]
+    levels[-1] = 1.0
+    # levels that already rise strictly from 0 are the canonical form
+    if levels[0] > 0.0 and all(map(lt, levels, islice(levels, 1, None))):
+        return _trusted(tuple(xs), tuple(levels))
+    return _rising(zip(xs, levels))
 
 
 def point_mass(x: float) -> DiscreteDist:

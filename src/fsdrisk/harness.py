@@ -4,10 +4,11 @@ Every check here consumes a measure as an opaque callable and reports
 pass or fail with a replayable witness.  Randomness is fully pinned:
 trial ``t``, role ``r`` draws from PCG64 seeded with
 ``SeedSequence([seed mod 2**64, t, r])``, so a report is reproducible
-from its config alone, trial by trial, in any order.  The check loops
-compute those seed states in bulk, a block of trials per numpy pass,
-and ``sample_distribution`` is the reference draw that replays any
-witness from its trial index.
+from its config alone, trial by trial, in any order.
+``sample_distribution`` is the reference draw, on numpy's own calls,
+that replays any witness from its trial index.  The check loops compute
+the seed states in bulk, a block of trials per numpy pass, and read
+each atom count and support point from raw PCG64 words as numpy would.
 
 Gaps are measured in extended reals with equal infinities counting as
 zero; all shipped measures are breakpoint-exact, so the default
@@ -23,7 +24,7 @@ from typing import Callable, Iterator, Sequence, Union
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .dist import ContinuousCDF, DiscreteDist, discretize, fsd_join, fsd_meet, point_mass
+from .dist import ContinuousCDF, DiscreteDist, _from_merged, discretize, fsd_join, fsd_meet, point_mass
 
 INF = math.inf
 _MASK32 = (1 << 32) - 1
@@ -48,8 +49,9 @@ class SamplerConfig:
         if self.max_atoms < 1:
             raise ValueError(f"need at least one atom, got max_atoms={self.max_atoms}")
         lo, hi = (float(self.support_range[0]), float(self.support_range[1]))
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-            raise ValueError(f"support range must be a finite interval, got {self.support_range}")
+        # a finite width implies finite ends; the raw draws scale by it
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ValueError(f"support range must be finite with a finite width, got {self.support_range}")
         object.__setattr__(self, "support_range", (lo, hi))
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
@@ -60,36 +62,37 @@ def sample_distribution(cfg: SamplerConfig, trial: int = 0, role: int = 0) -> Di
 
     ``role`` separates the independent draws inside one trial (the two
     sides of a pair, the derived variant) without any shared state.
-    This is the reference draw; the check loops take the same
-    generators from ``_generators`` and so draw the same distributions.
+    This is the reference draw, on numpy's own calls; ``_samples`` reads
+    the same values from the raw words of the same generators.
     """
     return _draw(np.random.default_rng([cfg.seed & _MASK64, trial, role]), cfg)
 
 
 def _draw(rng: np.random.Generator, cfg: SamplerConfig) -> DiscreteDist:
-    """One distribution from ``rng``: atom count, support points, masses.
-
-    The masses are flat-Dirichlet: standard exponentials scaled by one
-    over their sum.  That is ``rng.dirichlet(np.ones(n))`` draw for draw,
-    which consumes the same exponentials, adds them left to right and
-    multiplies each by the reciprocal.  The sum is an explicit ``+=``
-    loop because the builtin ``sum`` of floats uses compensated summation
-    from Python 3.12 on and can differ in the last bit.
-    """
+    """One distribution from ``rng``: atom count, support points, masses."""
     lo, hi = cfg.support_range
     while True:
         n = int(rng.integers(1, cfg.max_atoms + 1))
         xs = rng.uniform(lo, hi, n)
-        es = rng.standard_exponential(n).tolist()
-        s = 0.0
-        for e in es:
-            s += e
-        inv = 1.0 / s
-        ps = [e * inv for e in es]
+        ps = _flat_dirichlet(rng, n)
         # an exactly zero component is astronomically rare but would be
         # rejected downstream; redraw from the same stream
         if min(ps) > 0.0:
             return DiscreteDist.from_atoms(zip(xs.tolist(), ps))
+
+
+def _flat_dirichlet(rng: np.random.Generator, n: int) -> list[float]:
+    """n masses, draw for draw as ``rng.dirichlet(np.ones(n))`` makes them.
+
+    Standard exponentials times one over their sum, added left to right:
+    the builtin ``sum`` of floats is compensated from Python 3.12 on.
+    """
+    es = rng.standard_exponential(n).tolist()
+    s = 0.0
+    for e in es:
+        s += e
+    inv = 1.0 / s
+    return [e * inv for e in es]
 
 
 # SeedSequence's hash constants, as numpy defines them since 1.17
@@ -181,8 +184,35 @@ def _generators(seed: int, trials: range, role: int) -> Iterator[np.random.Gener
 
 
 def _samples(cfg: SamplerConfig, role: int) -> Iterator[DiscreteDist]:
-    """``sample_distribution(cfg, t, role)`` for every trial t of ``cfg``."""
-    return (_draw(rng, cfg) for rng in _generators(cfg.seed, range(cfg.trials), role))
+    """``sample_distribution(cfg, t, role)`` for every trial t of ``cfg``.
+
+    The count n = 1 + (lo32 * max_atoms >> 32) is ``integers``' Lemire
+    step on one word's low half (no word for one atom), each point is
+    ``uniform``'s lo + width * ((w >> 11) * 2**-53) on one word, and the
+    masses are the reference's.  A count word where numpy may read a
+    second one, a zero mass, a repeated point or max_atoms >= 2**32 takes
+    the reference draw.
+    """
+    lo, hi = cfg.support_range
+    width = hi - lo
+    m = cfg.max_atoms
+    for trial, rng in enumerate(_generators(cfg.seed, range(cfg.trials), role)):
+        bits = rng.bit_generator
+        n = 1
+        if m > 1:
+            prod = (bits.random_raw() & _MASK32) * m
+            # always under m from 2**32 atoms on, where numpy counts another way
+            if prod & _MASK32 < m:
+                yield sample_distribution(cfg, trial, role)
+                continue
+            n += prod >> 32
+        xs = [lo + width * ((w >> 11) * 2.0**-53) for w in bits.random_raw(n).tolist()]
+        ps = _flat_dirichlet(rng, n)
+        merged = dict(zip(xs, ps))
+        if len(merged) < n or min(ps) <= 0.0:
+            yield sample_distribution(cfg, trial, role)
+        else:
+            yield _from_merged(merged)
 
 
 def ext_gap(a: float, b: float) -> float:

@@ -9,7 +9,7 @@ command line can map them to exit status and a terse message:
 
     NO_FILE     missing or unreadable input file, or unwritable output file
     BAD_JSON    input is not JSON at all: malformed, nested too deeply to
-                read, or a file that is not UTF-8 text
+                read, an integer past Python's digit limit, or not UTF-8
     BAD_SCHEMA  JSON is well-formed but not the expected shape
     NAN_VALUE   a NaN appeared where a value was expected
     MASS_SUM    atom masses do not sum to one
@@ -70,7 +70,10 @@ def parse_num(v: Any, where: str) -> float:
     if isinstance(v, bool):
         raise InputError("BAD_SCHEMA", f"{where}: expected a number, got {v!r}")
     if isinstance(v, (int, float)):
-        f = float(v)
+        try:
+            f = float(v)
+        except OverflowError:  # an int past the float range
+            raise InputError("BAD_SCHEMA", f"{where}: integer too large for a float") from None
         if math.isnan(f):
             raise InputError("NAN_VALUE", f"{where}: NaN is not a usable value")
         return f
@@ -92,6 +95,8 @@ def parse_json_text(text: str) -> Any:
         raise InputError("BAD_JSON", f"malformed JSON: {exc}") from None
     except RecursionError:
         raise InputError("BAD_JSON", "JSON nests too deeply to read") from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise InputError("BAD_JSON", f"unreadable JSON number: {exc}") from None
 
 
 def load_json_file(path: str | Path) -> Any:

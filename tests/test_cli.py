@@ -5,6 +5,7 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -543,6 +544,36 @@ class TestErrorReporting:
         assert captured.out == ""
         assert captured.err.startswith(f"error [BAD_JSON]: {path} is not UTF-8 text: ")
         assert "INTERNAL" not in captured.err
+
+    @pytest.mark.parametrize("where", ["dist", "measure", "kernel"])
+    def test_an_integer_past_the_float_range_is_bad_schema(self, where, capsys):
+        big = "1" + "0" * 400
+        argv = {
+            "dist": ["eval", "--measure", VAR03, "--dist", '{"atoms": [{"x": %s, "p": 1.0}]}' % big],
+            "measure": ["eval", "--measure", '{"kind": "var", "alpha": %s}' % big, "--dist", F3],
+            "kernel": ["superlevel", "--kernel", '{"kind": "var", "alpha": %s}' % big,
+                       "--threshold", "0.0", "--x-range", "-1.0", "1.0"],
+        }[where]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        entry = "atom 0 x" if where == "dist" else "var alpha"
+        assert captured.err == f"error [BAD_SCHEMA]: {entry}: integer too large for a float\n"
+
+    def test_an_integer_too_long_to_read_is_bad_json(self, capsys):
+        code = main(["eval", "--measure", VAR03,
+                     "--dist", '{"atoms": [{"x": %s, "p": 1.0}]}' % ("1" * 5001)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        # json reads integers up to Python's digit limit, where one is set;
+        # an integer it does read overflows the float range instead
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < limit < 5001:
+            assert captured.err.startswith("error [BAD_JSON]: unreadable JSON number: ")
+        else:
+            assert captured.err.startswith("error [BAD_SCHEMA]: atom 0 x: integer too large")
 
     @pytest.mark.parametrize(
         "argv",

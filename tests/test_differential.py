@@ -15,6 +15,8 @@ tiny level gains would break the lattice laws.
 The one-pass atom reader of ``parse_distribution_obj`` is checked
 against the per-atom route it replaced, on repeated points, signed zeros,
 odd values, junk entries and mass sums at the edge of the tolerance.
+The shared tail's shortcut for strictly rising levels is checked against
+``_rising``'s loop, on masses small enough to stall a level.
 
 The one-anchor kernel table of ``construct_psi`` is checked against the
 scan that walks each row's anchor down the x-grid, on small grids near
@@ -27,6 +29,8 @@ for bit, against those ``two_point_eval`` builds on the same route.
 
 import math
 import operator
+from bisect import bisect_left
+from itertools import accumulate
 
 import pytest
 
@@ -35,6 +39,8 @@ from hypothesis import example, given, settings, strategies as st
 from fsdrisk.dist import (
     MASS_TOL,
     DiscreteDist,
+    _from_merged,
+    _rising,
     fsd_join,
     fsd_leq,
     fsd_meet,
@@ -628,6 +634,30 @@ def atom_lists(draw):
 def test_one_pass_atom_read_equals_the_per_atom_route(raw):
     got = read_outcome(lambda r: parse_distribution_obj({"atoms": r}), raw)
     assert got == read_outcome(per_atom_read, raw)
+
+
+def rising_tail(merged):
+    """``_from_merged`` with every level through ``_rising``'s loop."""
+    xs = sorted(merged)
+    ps = [merged[x] for x in xs]
+    total = math.fsum(ps)
+    levels = [acc / total for acc in accumulate(ps)]
+    levels[-1] = 1.0
+    end = bisect_left(levels, 1.0) + 1
+    levels[end - 1] = 1.0
+    return _rising(zip(xs[:end], levels[:end]))
+
+
+@given(st.dictionaries(xs_, st.one_of(st.floats(1e-3, 1.0), st.sampled_from((5e-324, 1e-17))),
+                       min_size=1, max_size=8))
+# the level stalls below 1.0, then the sum reaches 1.0 before the last atom
+@example({0.0: 0.5, 1.0: 5e-324, 2.0: 0.5})
+@example({0.0: 1.0 - 2**-53, 1.0: 1e-17, 2.0: 2**-53})
+@settings(max_examples=300, deadline=None)
+def test_from_merged_equals_the_rising_loop(weights):
+    total = math.fsum(weights.values())
+    merged = {x: w / total for x, w in weights.items()}
+    assert exact(_from_merged(merged)) == exact(rising_tail(merged))
 
 
 # -- the one-anchor kernel table against the descending-anchor scan ----------

@@ -116,6 +116,7 @@ class TestSampler:
             dict(trials=0),
             dict(max_atoms=0),
             dict(support_range=(2.0, 2.0)),
+            dict(support_range=(-1e308, 1e308)),
         ],
     )
     def test_config_validation(self, kwargs):
@@ -129,6 +130,127 @@ class TestSampler:
         assert len(got) == cfg.trials
         for trial, F in enumerate(got):
             assert F == sample_distribution(cfg, trial, role)
+
+
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+# PCG64's LCG multiplier, and its inverse, which steps the state back
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_UNMULT = pow(_PCG_MULT, -1, 1 << 128)
+_PCG_INC = 0x9E3779B97F4A7C15F39CC0605CEDC835
+
+
+def crafted_rng(position: int, word: int, hi: int) -> np.random.Generator:
+    """A PCG64 generator whose ``position``-th raw word is ``word``.
+
+    PCG64 steps its 128-bit state and then outputs the xor of the state's
+    halves rotated right by the state's top six bits.  Any high half
+    ``hi`` has one low half that gives ``word``; that state is stepped
+    back ``position`` times.
+    """
+    hi &= _M64
+    rot = hi >> 58
+    lo = hi ^ ((word << rot | word >> (64 - rot)) & _M64)
+    state = hi << 64 | lo
+    for _ in range(position):
+        state = (state - _PCG_INC) * _PCG_UNMULT & _M128
+    bits = np.random.PCG64()
+    bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": _PCG_INC},
+                  "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(bits)
+
+
+class TestRawRoute:
+    """``_samples`` reads raw words; ``sample_distribution`` calls numpy."""
+
+    @pytest.mark.parametrize("max_atoms", [1, 2, 4, 6, 9, 12])
+    def test_draws_equal_the_reference(self, max_atoms):
+        cases = 0
+        for support in ((-10.0, 10.0), (-3.0, 4.0), (1e15, 1e15 + 8), (-1e-300, 1e-300)):
+            for seed in (0, 2**32 + 7, 2**64 - 1, -3):
+                cfg = SamplerConfig(seed, max_atoms, support, trials=40)
+                for role in (0, 1, 2):
+                    for trial, F in enumerate(harness._samples(cfg, role)):
+                        want = sample_distribution(cfg, trial, role)
+                        assert (F.xs, F.cum) == (want.xs, want.cum)
+                        cases += 1
+        assert cases == 1920
+
+    def route(self, monkeypatch, cfg, make):
+        """``_samples`` on the generators ``make(trial)``, against ``_draw`` on them.
+
+        Returns the trials that took the reference draw.
+        """
+        fell_back = []
+
+        def reference(cfg, trial, role):
+            fell_back.append(trial)
+            return harness._draw(make(trial), cfg)
+
+        monkeypatch.setattr(harness, "_generators",
+                            lambda seed, trials, role: map(make, trials))
+        monkeypatch.setattr(harness, "sample_distribution", reference)
+        got = list(harness._samples(cfg, 0))
+        monkeypatch.undo()
+        for trial, F in enumerate(got):
+            want = harness._draw(make(trial), cfg)
+            assert (F.xs, F.cum) == (want.xs, want.cum)
+        return fell_back
+
+    def test_crafted_words_reach_the_plain_route(self, monkeypatch):
+        # counts 1 to 6 straight from the low half, no fallback
+        cfg = SamplerConfig(seed=1, max_atoms=6, trials=6)
+        words = [k * 2**32 // 6 + 2 for k in range(6)]
+        assert [(w * 6 >> 32) + 1 for w in words] == [1, 2, 3, 4, 5, 6]
+        assert min(w * 6 % 2**32 for w in words) >= 6
+        assert self.route(monkeypatch, cfg, lambda t: crafted_rng(1, words[t], 0xA5 << 56)) == []
+
+    @pytest.mark.parametrize("max_atoms,lo32", [
+        # leftover 0 sits under Lemire's threshold 4: numpy rejects the
+        # word and reads the buffered high half
+        (6, 0),
+        # leftover 7 is under max_atoms but not under the threshold 4
+        (9, 7 * pow(9, -1, 2**32) % 2**32),
+    ])
+    def test_a_gated_count_word_takes_the_reference(self, monkeypatch, max_atoms, lo32):
+        cfg = SamplerConfig(seed=1, max_atoms=max_atoms, trials=8)
+        assert lo32 * max_atoms % 2**32 < max_atoms
+
+        def make(trial):
+            return crafted_rng(1, (trial + 1) << 40 | lo32, (trial * 0x9E37 + 5) << 48)
+
+        assert self.route(monkeypatch, cfg, make) == list(range(8))
+
+    def test_a_zero_mass_takes_the_reference(self, monkeypatch):
+        # a word below 2**11 is an exponential of exactly zero; with two
+        # atoms the fourth word is the first exponential, so high halves
+        # are searched until the count word reads two atoms
+        cfg = SamplerConfig(seed=1, max_atoms=2, trials=4)
+        his, hi = [], 1
+        while len(his) < cfg.trials:
+            hi = hi * 0x9E3779B97F4A7C15 + 1 & _M64
+            rng = crafted_rng(4, 0, hi)
+            if int(rng.bit_generator.random_raw()) % 2**32 * 2 >= 2**32 + 2:
+                rng.bit_generator.random_raw(2)
+                assert harness._flat_dirichlet(rng, 2)[0] == 0.0
+                his.append(hi)
+        assert self.route(monkeypatch, cfg, lambda t: crafted_rng(4, 0, his[t])) == [0, 1, 2, 3]
+
+    def test_a_repeated_point_takes_the_reference(self, monkeypatch):
+        # a low half of 2**32 - 1 reads three atoms, and the support holds
+        # only two floats, 0.0 and 5e-324
+        cfg = SamplerConfig(seed=1, max_atoms=3, support_range=(0.0, 5e-324), trials=5)
+        def make(trial):
+            return crafted_rng(1, trial << 32 | 0xFFFFFFFF, (trial + 3) << 58)
+
+        assert self.route(monkeypatch, cfg, make) == list(range(5))
+
+    def test_max_atoms_past_32_bits_takes_the_reference(self, monkeypatch):
+        # numpy's count then reads the whole low half, and draws up to
+        # 2**32 points; the stand-in reference draws none
+        cfg = SamplerConfig(seed=1, max_atoms=2**32, trials=3)
+        monkeypatch.setattr(harness, "sample_distribution", lambda cfg, t, r: (t, r))
+        assert list(harness._samples(cfg, 2)) == [(0, 2), (1, 2), (2, 2)]
 
 
 class TestBulkSeeding:

@@ -194,6 +194,8 @@ BAD_ATOMS = {
                            "atom 0: position must be finite, got inf"),
     "p_above_one": ([{"x": 0.0, "p": 1.5}], "BAD_SCHEMA",
                     "atom 0: mass must lie in (0, 1], got 1.5"),
+    "int_past_float_range_x": ([{"x": 10**400, "p": 1.0}], "BAD_SCHEMA",
+                               "atom 0 x: integer too large for a float"),
     "mass_sum": ([{"x": 0.0, "p": 0.5}, {"x": 1.0, "p": 0.3}], "MASS_SUM",
                  "atom masses sum to 0.8, need 1 within 1e-12"),
     "merged_mass_sum": ([{"x": 0.0, "p": 0.5}, {"x": 0.0, "p": 0.3}], "MASS_SUM",
@@ -390,6 +392,7 @@ BAD_GRID_ENTRIES = [
     ("table", 1, 1, True, "BAD_SCHEMA", "table[1][1]: expected a number, got True"),
     ("table", 0, 0, [1.0], "BAD_SCHEMA", "table[0][0]: expected a number, got [1.0]"),
     ("table", 0, 0, "1.0", "BAD_SCHEMA", "table[0][0]: expected a number, got '1.0'"),
+    ("table", 1, 0, 10**400, "BAD_SCHEMA", "table[1][0]: integer too large for a float"),
     ("x_grid", None, 1, math.nan, "NAN_VALUE", "x_grid[1]: NaN is not a usable value"),
     ("p_grid", None, 0, False, "BAD_SCHEMA", "p_grid[0]: expected a number, got False"),
     ("x_grid", None, 1, "inf", "BAD_SCHEMA", "kernel grid: x-grid nodes must be finite"),
