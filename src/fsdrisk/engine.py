@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import compress, repeat
+from operator import lt
 from typing import Callable, Sequence
 
 from .dist import DiscreteDist, _trusted, point_mass, two_point
@@ -316,9 +318,12 @@ def recover_lambda(
     exactly, finite values within tol.  The cross-check then re-derives
     the measure from the estimate alone, as the largest point-mass value
     whose grid node stays strictly below the curve, and records the gap
-    to the direct evaluation on every probe.  One extra node below the
-    grid keeps that sup finite when a probe's quantile lands inside the
-    first cell.  A NaN, negative or infinite tol is rejected.
+    to the direct evaluation on every probe.  A probe's F(x-) at every
+    node comes from one walk over its atoms, one bisection into the
+    x-grid per atom; the estimate is compared node by node, so it need
+    not be monotone.  One extra node below the grid keeps that sup
+    finite when a probe's quantile lands inside the first cell.  A NaN,
+    negative or infinite tol is rejected.
     """
     _check_tol(tol)
     if probes is None:
@@ -349,14 +354,15 @@ def recover_lambda(
     errors = []
     for F in probes:
         direct = rho(F)
-        rebuilt = -INF
-        if F.cdf(sub_x) < lam_hat[0]:
-            rebuilt = sub_f
-        for x, f_val, lam_val in zip(psi.x_grid, f_hat, lam_hat):
-            # the left limit keeps a node live when an atom there jumps
-            # the CDF over the curve; points just below remain under it
-            if F.cdf_left_limit(x) < lam_val and f_val > rebuilt:
-                rebuilt = f_val
+        # F(x-) at each node: the nodes up to an atom read the level before
+        # it, so an atom on a node that jumps the CDF over the curve keeps it live
+        left: list[float] = []
+        for a, c in zip(F.xs, (0.0, *F.cum)):
+            left += repeat(c, bisect_right(psi.x_grid, a) - len(left))
+        left += repeat(1.0, len(psi.x_grid) - len(left))
+        start = sub_f if F.cdf(sub_x) < lam_hat[0] else -INF
+        # max keeps the first of equal or unordered values, as a node loop would
+        rebuilt = max((start, *compress(f_hat, map(lt, left, lam_hat))))
         errors.append(ext_gap(direct, rebuilt))
     return RecoveredLambda(
         x_grid=psi.x_grid,

@@ -19,15 +19,17 @@ written generically off ``measures.FAMILIES``: each family's entry names
 its kind and its parameters' keys and types (number or step curve).
 Adding a family means adding its closed form, parameter check and
 psi-kernel class, and one entry to that table; nothing here changes.
+A kernel grid file is read in one checked pass, and the superlevel CSV
+reads a grid's cells directly, each sampled p snapped to its column once.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import fields
+from itertools import chain
 from math import fsum
 from pathlib import Path
 from typing import Any, TextIO, Union, get_type_hints
@@ -188,6 +190,8 @@ def parse_distribution_obj(obj: Any) -> Distribution:
         b = parse_num(obj.get("b"), "uniform bound b")
         if not (math.isfinite(a) and math.isfinite(b) and a < b):
             raise InputError("BAD_SCHEMA", f"uniform needs finite bounds a < b, got {a}, {b}")
+        if not math.isfinite(b - a):  # the CDF divides by the width
+            raise InputError("BAD_SCHEMA", f"uniform needs bounds a finite width apart, got {a}, {b}")
         return ContinuousCDF.uniform(a, b)
     raise InputError("BAD_SCHEMA", "distribution needs an atoms list or family: uniform")
 
@@ -314,12 +318,26 @@ def parse_kernel_obj(obj: Any) -> PsiKernel:
 
 
 def _parse_grid(obj: Any, cls: type[GridKernel]) -> GridKernel:
-    """The grid object as a ``cls``, a GridKernel or a PsiGrid."""
+    """The grid object as a ``cls``, a GridKernel or a PsiGrid.
+
+    Each list takes one map over the sentinels "inf" and "-inf", then
+    one type test covers every cell.  A grid of float cells in list rows
+    is built straight away, and ``cls``'s checks find any NaN in it; any
+    other grid, or one that ``cls`` refuses, is read again through
+    ``parse_num`` entry by entry, so the first bad entry names its code.
+    """
     if not isinstance(obj, dict):
         raise InputError("BAD_SCHEMA", "kernel grid must be a JSON object")
     for key in ("x_grid", "p_grid", "table"):
         if not isinstance(obj.get(key), list):
             raise InputError("BAD_SCHEMA", f"grid needs a list under {key!r}")
+    try:
+        lists = (obj["x_grid"], obj["p_grid"], *obj["table"])
+        xg, pg, *rows = (tuple(map(_SENTINELS.get, v, v)) for v in lists)
+        if {list}.issuperset(map(type, obj["table"])) and {float}.issuperset(map(type, chain(xg, pg, *rows))):
+            return cls(xg, pg, tuple(rows))
+    except (TypeError, ValueError):  # an unhashable or non-list entry, or a refused grid
+        pass
     xg = _parse_nums(obj["x_grid"], "x_grid")
     pg = _parse_nums(obj["p_grid"], "p_grid")
     table = []
@@ -337,20 +355,7 @@ _SENTINELS = {"inf": INF, "-inf": -INF}
 
 
 def _parse_nums(values: list, where: str) -> tuple[float, ...]:
-    """``parse_num`` on each entry, the j-th reported as ``where[j]``.
-
-    A list of plain floats and the exact sentinels "inf" and "-inf" is
-    read in one pass; any other list (ints, other spellings, NaN, bools,
-    junk) goes through ``parse_num`` entry by entry, for its codes and
-    messages.
-    """
-    try:
-        nums = tuple(map(_SENTINELS.get, values, values))
-    except TypeError:  # an unhashable entry, which parse_num names below
-        pass
-    else:
-        if {float}.issuperset(map(type, nums)) and not any(map(math.isnan, nums)):
-            return nums
+    """``parse_num`` on each entry, the j-th reported as ``where[j]``."""
     return tuple(parse_num(v, f"{where}[{j}]") for j, v in enumerate(values))
 
 
@@ -439,23 +444,40 @@ def superlevel_rows(
     The boundary is found by bisection over the sampled p, which relies
     on psi decreasing in p: every kernel the command line can build
     does, as grid rows and family curves are checked at construction.
-    A NaN threshold is rejected, and so is a resolution above
-    ``MAX_GRID_NODES``.
+    On a GridKernel (a PsiGrid is one) each sampled p is snapped to its
+    p node once per call and each sampled x floored to its row once, and
+    the bisection reads that row at those columns, the cells ``eval``
+    would read; any other kernel is read through ``eval``.  A NaN
+    threshold is rejected, and so are an x range whose ends or width
+    are not finite and a resolution above ``MAX_GRID_NODES``.
     """
     if math.isnan(threshold):
         raise ValueError("threshold must not be NaN")
     lo, hi = (float(x_range[0]), float(x_range[1]))
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"x range must be a finite interval, got {x_range}")
+    if not math.isfinite(hi - lo):  # the samples scale by the width
+        raise ValueError(f"x range must have a finite width, got {x_range}")
     if not 2 <= resolution <= MAX_GRID_NODES:
         raise ValueError(f"resolution must be from 2 to {MAX_GRID_NODES}, got {resolution}")
     steps = resolution - 1
     xs = [lo + (hi - lo) * k / steps for k in range(resolution)]
     ps = [k / steps for k in range(resolution)]
+    # psi falls in p, so the levels that meet the threshold are a prefix of ps
+    if isinstance(kernel, GridKernel):
+        cols = [kernel.nearest_p_index(p) for p in ps]
+        # the row left of the grid reads -inf, as eval does there
+        by_x = ((-INF,) * len(kernel.p_grid), *kernel.table)
+
+        def cut(x: float) -> int:
+            row = by_x[bisect_right(kernel.x_grid, x)]
+            return bisect_left(cols, True, key=lambda j: not row[j] >= threshold)
+    else:
+        def cut(x: float) -> int:
+            return bisect_left(ps, True, key=lambda p: not kernel.eval(x, p) >= threshold)
     rows: list[tuple[float, float | None, bool]] = []
     for x in xs:
-        # psi falls in p, so the levels that meet the threshold are a prefix of ps
-        k = bisect_left(ps, True, key=lambda p: not kernel.eval(x, p) >= threshold)
+        k = cut(x)
         boundary = ps[k - 1] if k else None
         rows.append((x, boundary, boundary is not None))
     return rows
@@ -466,7 +488,7 @@ def csv_num(v: float) -> str:
 
 
 def write_superlevel_csv(rows: list[tuple[float, float | None, bool]], fh: TextIO) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["x", "p_boundary", "reachable"])
-    for x, p, reachable in rows:
-        writer.writerow([csv_num(x), "none" if p is None else csv_num(p), "true" if reachable else "false"])
+    """The rows as CSV text under a header, in one write; no field needs quoting."""
+    fh.write("x,p_boundary,reachable\n" + "".join(
+        f"{csv_num(x)},{'none' if p is None else csv_num(p)},{'true' if reachable else 'false'}\n"
+        for x, p, reachable in rows))

@@ -340,6 +340,15 @@ class TestCheck:
             assert captured.out == ""
             assert captured.err == f"error [BAD_SCHEMA]: --trials for ls must be {bound}\n"
 
+    def test_limit_of_overflowing_width_is_an_input_error(self, capsys):
+        code = main(["check", "--measure", VAR03, "--axiom", "ls",
+                     "--dist", '{"family": "uniform", "a": -1e308, "b": 1e308}'])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error [BAD_SCHEMA]: uniform needs bounds a finite width apart, got -1e+308, 1e+308\n")
+
     def test_nan_tolerance_is_an_input_error(self, capsys):
         code = main(["check", "--measure", VAR03, "--axiom", "maxs", "--trials", "10",
                      "--tol", "nan"])
@@ -472,6 +481,14 @@ class TestSuperlevel:
         out = capsys.readouterr()
         assert out.out == ""
         assert "error [BAD_SCHEMA]: resolution must be from 2 to 1000000" in out.err
+
+    def test_x_range_of_overflowing_width_is_an_input_error(self, capsys):
+        code = main(["superlevel", "--kernel", VAR03, "--threshold", "0",
+                     "--x-range", "-1e308", "1e308", "--resolution", "3"])
+        assert code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error [BAD_SCHEMA]: x range must have a finite width, got (-1e+308, 1e+308)\n"
 
     @pytest.mark.parametrize("x_grid", [[0.0, "inf"], ["-inf", 0.0], [0.0, 1e999]])
     def test_non_finite_grid_axis_is_an_input_error(self, x_grid, tmp_path, capsys):

@@ -15,6 +15,16 @@ tiny level gains would break the lattice laws.
 The one-pass atom reader of ``parse_distribution_obj`` is checked
 against the per-atom route it replaced, on repeated points, signed zeros,
 odd values, junk entries and mass sums at the edge of the tolerance.
+The one-pass grid reader is checked the same way against the route that
+reads every entry through ``parse_num``: ints, bools, NaN in any of the
+three lists, junk after a NaN, non-list and ragged rows, rising rows.
+
+``superlevel_rows`` is checked against a scan of every sampled level,
+on every kernel kind a file can hold, grids that start right of the
+sampled range and p nodes that tie at a sampled level.  The cross-check
+of ``recover_lambda`` is checked against one ``cdf_left_limit`` read per
+node, on atoms on, between and beside the nodes and on curve estimates
+that rise.
 The shared tail's shortcut for strictly rising levels is checked against
 ``_rising``'s loop, on masses small enough to stall a level.
 
@@ -56,7 +66,14 @@ from fsdrisk.engine import (
     verify_representation,
 )
 from fsdrisk.harness import ext_gap
-from fsdrisk.jsonio import InputError, _parse_atom, parse_distribution_obj, superlevel_rows
+from fsdrisk.jsonio import (
+    InputError,
+    _parse_atom,
+    _parse_grid,
+    parse_distribution_obj,
+    parse_num,
+    superlevel_rows,
+)
 from fsdrisk.kernels import (
     BenchmarkLossKernel,
     DualLambdaKernel,
@@ -301,7 +318,10 @@ def steps_on(draw, points, direction, values, at_one=None):
 def grid_kernels(draw, xs, ps):
     """A GridKernel with nodes drawn from the sampled points or anywhere."""
     xg = sorted(set(draw(st.lists(st.one_of(st.sampled_from(xs), xs_), min_size=1, max_size=5))))
-    inner = draw(st.lists(st.one_of(st.sampled_from(ps), open_unit), max_size=4))
+    # p nodes on the sampled levels, anywhere, or a dyadic step either side
+    # of a sampled level, where nearest-p snapping meets exact ties
+    around = st.builds(operator.add, st.sampled_from(ps), st.sampled_from((-0.25, -0.125, 0.125, 0.25)))
+    inner = draw(st.lists(st.one_of(st.sampled_from(ps), open_unit, around), max_size=4))
     pg = [0.0, *sorted({p for p in inner if 0.0 < p < 1.0}), 1.0]
     value = st.one_of(xs_, st.sampled_from((INF, -INF, 0.0, 1.0)))
     table = [sorted(draw(st.lists(value, min_size=len(pg) - 1, max_size=len(pg) - 1)),
@@ -319,7 +339,7 @@ def superlevel_cases(draw):
     xs = [x_range[0] + (x_range[1] - x_range[0]) * k / steps for k in range(resolution)]
     ps = [j / steps for j in range(resolution)]
     level = st.one_of(st.sampled_from(ps), st.floats(0.0, 1.0))
-    kind = draw(st.sampled_from(["var", "benchmark_loss", "lambda", "pinned", "grid"]))
+    kind = draw(st.sampled_from(["var", "benchmark_loss", "lambda", "pinned", "grid", "psi_grid"]))
     if kind == "var":
         kernel = VarKernel(draw(st.one_of(st.sampled_from(ps[1:-1] or [0.5]), open_unit)))
     elif kind == "benchmark_loss":
@@ -330,14 +350,26 @@ def superlevel_cases(draw):
     elif kind == "pinned":
         g = draw(steps_on(ps, DEC, st.one_of(xs_, st.sampled_from((INF, -INF)))))
         kernel = PinnedKernel(draw(st.one_of(st.sampled_from(xs), xs_)), g)
-    else:
+    elif kind == "grid":
         kernel = draw(grid_kernels(xs, ps))
+    else:
+        kernel = draw(psi_grids())
     values = [kernel.eval(x, p) for x in xs for p in ps]
     threshold = draw(st.one_of(st.sampled_from(values), st.sampled_from((INF, -INF)), xs_))
     return kernel, threshold, x_range, resolution
 
 
+# the grid starts right of the sampled range, and the sampled level 0.5 sits
+# exactly between the p nodes 0.375 and 0.625, where snapping goes down
+TIE_AXES = ((0.5, 1.5), (0.0, 0.375, 0.625, 1.0), ((2.0, 1.0, 0.0, -INF), (INF, 2.0, 1.0, -INF)))
+TIE_GRID = GridKernel(*TIE_AXES)
+
+
 @given(superlevel_cases())
+@example((TIE_GRID, 1.0, (-2.0, 2.0), 5))
+@example((TIE_GRID, -INF, (-2.0, 2.0), 5))
+@example((TIE_GRID, INF, (-2.0, 2.0), 5))
+@example((PsiGrid(*TIE_AXES), 2.0, (-2.0, 2.0), 5))
 @settings(max_examples=500, deadline=None)
 def test_superlevel_bisection_equals_a_full_scan(case):
     kernel, threshold, x_range, resolution = case
@@ -437,6 +469,141 @@ def test_verify_representation_equals_a_node_scan(case):
     rho, psi, dists, tol = case
     want = representation_scan(rho, psi, dists, tol)
     assert repr(verify_representation(rho, psi, dists, tol)) == repr(want)
+
+
+def cross_check_scan(rho, psi, rec, probes):
+    """The cross-check errors with one ``cdf_left_limit`` read per node and probe."""
+    xg = psi.x_grid
+    sub_x = xg[0] - (xg[1] - xg[0]) if len(xg) > 1 else xg[0] - 1.0
+    sub_f = rho(point_mass(sub_x))
+    errors = []
+    for F in probes:
+        rebuilt = sub_f if F.cdf(sub_x) < rec.lam_hat[0] else -INF
+        for x, f_val, lam_val in zip(xg, rec.f_hat, rec.lam_hat):
+            if F.cdf_left_limit(x) < lam_val and f_val > rebuilt:
+                rebuilt = f_val
+        errors.append(ext_gap(rho(F), rebuilt))
+    return tuple(errors)
+
+
+@st.composite
+def node_probes(draw, psi):
+    """Atoms on nodes, between nodes and either side of the grid; levels on p nodes or anywhere."""
+    xg = psi.x_grid
+    mids = [0.5 * (a + b) for a, b in zip(xg, xg[1:])]
+    point = st.one_of(st.sampled_from(xg), st.sampled_from(mids or xg), xs_,
+                      st.floats(xg[0] - 3.0, xg[0], exclude_max=True),
+                      st.floats(xg[-1], xg[-1] + 3.0, exclude_min=True))
+    xs = sorted(set(draw(st.lists(point, min_size=1, max_size=5))))
+    level = st.one_of(st.sampled_from(psi.p_grid), open_unit)
+    inner = sorted(draw(st.lists(level, min_size=len(xs) - 1, max_size=len(xs) - 1)))
+    return DiscreteDist.from_levels(xs, inner + [1.0])
+
+
+# point-mass values rising, flat, infinite, or NaN right of 0, so that the
+# first of unordered values has to win as in the node loop
+CROSS_MEASURES = PROBE_MEASURES + (lambda F: math.nan if F.xs[0] > 0.0 else F.xs[0],
+                                   lambda F: -F.xs[-1])
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_cross_check_equals_a_left_limit_scan(data):
+    # psi_grids' rows step down by gaps around the tolerances, so the curve
+    # estimate rises and lam_violations is non-empty on many of them
+    psi = data.draw(psi_grids())
+    rho = data.draw(st.sampled_from(CROSS_MEASURES))
+    probes = data.draw(st.lists(node_probes(psi), max_size=4))
+    rec = recover_lambda(rho, psi, probes=probes, tol=data.draw(st.sampled_from((0.0, 1e-9, 0.5))))
+    assert repr(rec.cross_errors) == repr(cross_check_scan(rho, psi, rec, probes))
+
+
+# -- the one-pass grid reader against the per-entry route --------------------
+
+
+def per_entry_grid_read(obj, cls):
+    """Each grid entry through ``parse_num``, each row checked to be a list, then ``cls``."""
+    def nums(values, where):
+        return tuple(parse_num(v, f"{where}[{j}]") for j, v in enumerate(values))
+
+    xg, pg = nums(obj["x_grid"], "x_grid"), nums(obj["p_grid"], "p_grid")
+    table = []
+    for i, row in enumerate(obj["table"]):
+        if not isinstance(row, list):
+            raise InputError("BAD_SCHEMA", f"table[{i}] must be a list")
+        table.append(nums(row, f"table[{i}]"))
+    try:
+        return cls(xg, pg, tuple(table))
+    except ValueError as exc:
+        raise InputError("BAD_SCHEMA", f"kernel grid: {exc}") from None
+
+
+def grid_outcome(read, obj, cls):
+    """The type and bits of the grid ``read`` builds, or its error's code and message."""
+    try:
+        g = read(obj, cls)
+    except InputError as exc:
+        return "InputError", exc.code, exc.message
+    return type(g).__name__, [[v.hex() for v in vs] for vs in (g.x_grid, g.p_grid, *g.table)]
+
+
+# entries a grid file may hold in place of a float: ints, bools, NaN in both
+# spellings, other spellings of infinity, junk and unhashable values
+ODD_CELLS = (0, 1, -3, 10**400, True, False, math.nan, "nan", "NaN", "Inf", " -inf", "+inf",
+             None, "1.0", [1.0], {"a": 1.0})
+# rows that are not lists; the dict and tuple ones iterate as plain floats
+ODD_ROWS = ("row", None, 5, {"a": 1.0}, {0.0: 1.0, 1.0: -INF}, (0.0, -INF))
+
+
+@st.composite
+def grid_objs(draw):
+    """A grid object, infinities as floats or sentinels, at times with odd entries and rows.
+
+    Unchanged, the p = 0 column rises, so a PsiGrid takes it too.  The
+    changes put odd entries anywhere, swap rows for non-lists, make a row
+    ragged or make it rise along p; several may land in one grid, so the
+    first bad entry has to be the one named.
+    """
+    n_x = draw(st.integers(1, 4))
+    xg = sorted(draw(st.lists(xs_, min_size=n_x, max_size=n_x, unique=True)))
+    pg = [0.0, *sorted(set(draw(st.lists(open_unit, max_size=3)))), 1.0]
+    col0 = sorted(draw(st.lists(xs_, min_size=n_x, max_size=n_x, unique=True)))
+    value = st.one_of(xs_, st.sampled_from((INF, -INF)))
+    table = []
+    for c in col0:
+        rest = draw(st.lists(value, min_size=len(pg) - 2, max_size=len(pg) - 2))
+        table.append([c, *sorted((min(v, c) for v in rest), reverse=True), -INF])
+    spell = {INF: st.sampled_from((INF, "inf")), -INF: st.sampled_from((-INF, "-inf"))}
+    lists = [xg, pg, *table]
+    lists = [[draw(spell[v]) if v in spell else v for v in vs] for vs in lists]
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2, 3)))):
+        k = draw(st.integers(0, len(lists) - 1))
+        move = draw(st.sampled_from(("cell", "cell", "row", "ragged", "rise")))
+        if move == "row" and k >= 2:
+            lists[k] = draw(st.sampled_from(ODD_ROWS))
+        elif isinstance(lists[k], list) and lists[k]:
+            j = draw(st.integers(0, len(lists[k]) - 1))
+            if move == "ragged":
+                lists[k] = lists[k][:j] + lists[k][j + 1:] if draw(st.booleans()) else lists[k] + [-INF]
+            elif move == "rise" and j + 1 < len(lists[k]):
+                lists[k][j], lists[k][j + 1] = lists[k][j + 1], lists[k][j]
+            else:
+                lists[k][j] = draw(st.sampled_from(ODD_CELLS))
+    return {"x_grid": lists[0], "p_grid": lists[1], "table": lists[2:]}
+
+
+@given(grid_objs(), st.sampled_from((GridKernel, PsiGrid)))
+# a NaN before later junk: the NaN is named, with its own code
+@example({"x_grid": [0.0, 1.0], "p_grid": [0.0, 1.0], "table": [[math.nan, "-inf"], [1.0, [2.0]]]},
+         GridKernel)
+@example({"x_grid": [math.nan, 1.0], "p_grid": [0.0, 1.0], "table": [[0.0, "-inf"], "row"]}, PsiGrid)
+@example({"x_grid": [0.0], "p_grid": [0.0, math.nan, 1.0], "table": [[1.0, 0.0, "-inf"]]}, GridKernel)
+# a row that iterates as floats but is no list
+@example({"x_grid": [0.0], "p_grid": [0.0, 1.0], "table": [(1.0, -INF)]}, GridKernel)
+@example({"x_grid": [0, 1], "p_grid": [0, 1], "table": [[0, "-inf"], [1, "-inf"]]}, PsiGrid)
+@settings(max_examples=400, deadline=None)
+def test_one_pass_grid_read_equals_the_per_entry_route(obj, cls):
+    assert grid_outcome(_parse_grid, obj, cls) == grid_outcome(per_entry_grid_read, obj, cls)
 
 
 # -- the lattice against a pointwise reference -------------------------------

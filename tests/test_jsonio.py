@@ -169,6 +169,8 @@ class TestDistributionFormat:
             ({"atoms": [{"x": 0.0, "p": "nan"}]}, "NAN_VALUE"),
             ({"family": "uniform", "a": 2.0, "b": 1.0}, "BAD_SCHEMA"),
             ({"family": "beta", "a": 1.0, "b": 2.0}, "BAD_SCHEMA"),
+            # finite bounds whose width b - a overflows
+            ({"family": "uniform", "a": -1e308, "b": 1e308}, "BAD_SCHEMA"),
         ],
     )
     def test_rejections(self, obj, code):
@@ -536,3 +538,6 @@ class TestSuperlevel:
         # no level meets a NaN threshold, so it could only ever give None
         with pytest.raises(ValueError, match="threshold must not be NaN"):
             superlevel_rows(VarKernel(0.3), math.nan, (0.0, 1.0))
+        # finite ends whose width hi - lo overflows would sample NaN and inf
+        with pytest.raises(ValueError, match="x range must have a finite width"):
+            superlevel_rows(VarKernel(0.3), 0.0, (-1e308, 1e308), resolution=3)
