@@ -125,9 +125,11 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    if args.dist is not None and args.axiom != "ls":
+        raise InputError("BAD_SCHEMA", f"--dist is read only by --axiom ls, not --axiom {args.axiom}")
     measure = parse_measure_obj(_load_obj(args.measure))
     limit = ContinuousCDF.uniform(0.0, 1.0)
-    if args.axiom == "ls" and args.dist is not None:
+    if args.dist is not None:
         if len(args.dist) != 1:
             raise InputError("BAD_SCHEMA", "the limit probe takes a single --dist")
         parsed = parse_distribution_obj(_load_obj(args.dist[0]))
@@ -285,7 +287,7 @@ def _parser_and_options() -> tuple[argparse.ArgumentParser, dict[str, dict[str, 
     add("--seed", type=int, default=12345)
     add("--tol", type=float, default=1e-9)
     add("--dist", action="extend", nargs="+", metavar="JSON|PATH",
-        help="continuous limit for ls (default: uniform on [0, 1])")
+        help="continuous limit for ls, the only axiom that reads it (default: uniform on [0, 1])")
     add("--out", metavar="PATH", help="write the JSON report here")
 
     add = command("construct-psi", "tabulate a kernel from a max-stable measure",

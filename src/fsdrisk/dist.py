@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 from operator import lt
 from typing import Callable, Iterable, Sequence
 
@@ -75,13 +75,13 @@ class DiscreteDist:
 
     @classmethod
     def from_atoms(cls, atoms: Iterable[tuple[float, float]]) -> "DiscreteDist":
-        """Build from ``(x, mass)`` pairs.
+        """Build from ``(x, mass)`` pairs, through ``_from_merged``'s mass rule.
 
-        Equal support points are merged by adding their masses.  The total
-        mass must be 1 up to ``MASS_TOL``; inside that band the masses are
-        renormalized so the final cumulative level is exactly 1.0.
+        Each point's masses are summed exactly, and the input's own mass
+        sum must be 1 up to ``MASS_TOL``.
         """
         merged: dict[float, float] = {}
+        repeats: list[tuple[float, float]] = []
         for x, p in atoms:
             x = float(x)
             p = float(p)
@@ -91,10 +91,13 @@ class DiscreteDist:
                 raise ValueError(f"atom mass must be positive, got {p}")
             if not math.isfinite(x):
                 raise ValueError(f"support point must be finite, got {x}")
-            merged[x] = merged.get(x, 0.0) + p
+            if x in merged:
+                repeats.append((x, p))
+            else:
+                merged[x] = p
         if not merged:
             raise ValueError("a distribution needs at least one atom")
-        return _from_merged(merged)
+        return _from_merged(merged, repeats)
 
     @classmethod
     def from_levels(cls, xs: Sequence[float], levels: Sequence[float]) -> "DiscreteDist":
@@ -195,18 +198,29 @@ def _rising(points_levels: Iterable[tuple[float, float]]) -> DiscreteDist:
     return _trusted(tuple(xs), tuple(cum))
 
 
-def _from_merged(merged: dict[float, float]) -> DiscreteDist:
-    """The step CDF of a non-empty ``{point: mass}`` dict.
+def _from_merged(merged: dict[float, float], repeats: Sequence[tuple[float, float]] = ()) -> DiscreteDist:
+    """The step CDF of an atom list; the one place that decides its mass sum.
 
-    Points are finite and masses positive; the caller checks both.  The
-    total mass must be 1 up to ``MASS_TOL``; inside that band the masses
-    are renormalized so the final cumulative level is exactly 1.0.
+    ``merged`` maps each point to the first mass seen there, and
+    ``repeats`` holds the later ``(point, mass)`` pairs at those points;
+    the caller checks that points are finite and masses positive.  Each
+    point's masses are summed with ``fsum``.  The input's own sum, the
+    ``fsum`` of every mass, must be 1 up to ``MASS_TOL``; inside that
+    band the masses are renormalized so the final cumulative level is
+    exactly 1.0.
     """
     xs = sorted(merged)
-    ps = [merged[x] for x in xs]
-    total = math.fsum(ps)
+    if repeats:
+        runs = {x: [p] for x, p in merged.items()}
+        for x, p in repeats:
+            runs[x].append(p)
+        ps = [math.fsum(runs[x]) for x in xs]
+        total = math.fsum(chain(merged.values(), (p for _, p in repeats)))
+    else:
+        ps = [merged[x] for x in xs]
+        total = math.fsum(ps)
     if abs(total - 1.0) > MASS_TOL:
-        raise ValueError(f"atom masses sum to {total!r}, outside 1 +/- {MASS_TOL}")
+        raise ValueError(f"atom masses sum to {total!r}, need 1 within {MASS_TOL}")
     levels = [acc / total for acc in accumulate(ps)]
     levels[-1] = 1.0
     # the running sum can reach 1.0 early, or pass it; the first level
@@ -345,12 +359,13 @@ class ContinuousCDF:
 
     support: tuple[float, float]
     fn: Callable[[float], float]
-    name: str = "custom"
 
     def __post_init__(self):
         lo, hi = (float(self.support[0]), float(self.support[1]))
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
             raise ValueError(f"support must be a finite interval, got {self.support}")
+        if not math.isfinite(hi - lo):  # the probes scale by the width
+            raise ValueError(f"support width {hi - lo} must be finite, got {self.support}")
         object.__setattr__(self, "support", (lo, hi))
         if hi > lo:
             probes = [lo + (hi - lo) * k / 32 for k in range(33)]
@@ -376,8 +391,8 @@ class ContinuousCDF:
         if b < a:
             raise ValueError(f"uniform needs a <= b, got a={a}, b={b}")
         if b == a:
-            return cls((a, a), lambda x: 1.0, name=f"uniform({a}, {b})")
-        return cls((a, b), lambda x: (x - a) / (b - a), name=f"uniform({a}, {b})")
+            return cls((a, a), lambda x: 1.0)
+        return cls((a, b), lambda x: (x - a) / (b - a))
 
 
 def discretize(f: ContinuousCDF, n: int) -> DiscreteDist:

@@ -34,6 +34,7 @@ INF = math.inf
 
 GATE_SEED = 413279
 _PROBE_SEED = 977003
+_PROBE_COUNT = 200  # recover_lambda's default probes
 
 
 class StabilityGateError(ValueError):
@@ -220,27 +221,20 @@ def verify_representation(
 
     The grid supremum of F is max over grid nodes x of the tabulated
     value at (x, F(x-)), the level snapped to the nearest p node; rows
-    fall along p, so the value at (x, F(x)) never exceeds it.  Inputs
-    must live on the grid: every atom exactly on an x node, every CDF
-    level within one p spacing of a p node; off-grid atoms are rejected
-    by name rather than silently snapped, and so is a NaN, negative or
-    infinite tol.  One running-max read per atom a_j, at level F(a_{j-1})
-    with F(a_0) = 0, covers the nodes in (a_{j-1}, a_j]; a node further
-    left is read at a level no lower than its own, so no read overshoots,
-    and past the last atom the level is 1, where the kernel is -inf.
+    fall along p, so the value at (x, F(x)) never exceeds it.  Every atom
+    must sit exactly on an x node: an off-grid atom is rejected by name
+    rather than silently snapped, and so is a NaN, negative or infinite
+    tol.  One running-max read per atom a_j, at level F(a_{j-1}) with
+    F(a_0) = 0, covers the nodes in (a_{j-1}, a_j]; a node further left
+    is read at a level no lower than its own, so no read overshoots, and
+    past the last atom the level is 1, where the kernel is -inf.
     """
     _check_tol(tol)
     node = {x: i for i, x in enumerate(psi.x_grid)}
-    spacing = max(psi.p_grid[j + 1] - psi.p_grid[j] for j in range(len(psi.p_grid) - 1))
     for idx, F in enumerate(dists):
         for x in F.xs:
             if x not in node:
                 raise ValueError(f"distribution {idx} has an atom at {x!r} off the x-grid")
-        for c in F.cum:
-            if abs(c - psi.p_grid[psi.nearest_p_index(c)]) > spacing:
-                raise ValueError(
-                    f"distribution {idx} has CDF level {c!r} farther than one spacing from the p-grid"
-                )
     runmax = psi._runmax
     max_error = 0.0
     worst = None
@@ -285,9 +279,7 @@ class RecoveredLambda:
     cross_max_error: float
 
 
-def _default_probes(
-    x_grid: tuple[float, ...], p_grid: tuple[float, ...], count: int
-) -> list[DiscreteDist]:
+def _default_probes(x_grid: tuple[float, ...], p_grid: tuple[float, ...]) -> list[DiscreteDist]:
     # atoms on the grid, CDF levels at p-cell midpoints: keeps nearest-p
     # snapping unambiguous for any table built on the same p-grid
     rng = random.Random(_PROBE_SEED)
@@ -296,7 +288,7 @@ def _default_probes(
     if largest < 2:
         raise ValueError("grids too coarse for default probes; pass probes explicitly")
     probes = []
-    for _ in range(count):
+    for _ in range(_PROBE_COUNT):
         n = rng.randint(2, largest)
         xs = sorted(rng.sample(range(len(x_grid)), n))
         levels = sorted(rng.sample(mids, n - 1)) + [1.0]
@@ -308,7 +300,6 @@ def recover_lambda(
     rho: Callable[[DiscreteDist], float],
     psi: PsiGrid,
     probes: Sequence[DiscreteDist] | None = None,
-    probe_count: int = 200,
     tol: float = 1e-9,
 ) -> RecoveredLambda:
     """Read the level curve off a tabulated kernel and cross-check it.
@@ -318,16 +309,18 @@ def recover_lambda(
     exactly, finite values within tol.  The cross-check then re-derives
     the measure from the estimate alone, as the largest point-mass value
     whose grid node stays strictly below the curve, and records the gap
-    to the direct evaluation on every probe.  A probe's F(x-) at every
-    node comes from one walk over its atoms, one bisection into the
-    x-grid per atom; the estimate is compared node by node, so it need
-    not be monotone.  One extra node below the grid keeps that sup
+    to the direct evaluation on every probe.  Without ``probes``, 200
+    seeded probes are drawn, atoms on x nodes and levels at p-cell
+    midpoints; ``probe_count`` reports how many ran.  A probe's F(x-) at
+    every node comes from one walk over its atoms, one bisection into
+    the x-grid per atom; the estimate is compared node by node, so it
+    need not be monotone.  One extra node below the grid keeps that sup
     finite when a probe's quantile lands inside the first cell.  A NaN,
     negative or infinite tol is rejected.
     """
     _check_tol(tol)
     if probes is None:
-        probes = _default_probes(psi.x_grid, psi.p_grid, probe_count)
+        probes = _default_probes(psi.x_grid, psi.p_grid)
     # one node below the grid mirrors the construction anchors: when a
     # probe's quantile falls inside the first cell no grid node is alive
     # and the rebuilt sup would collapse to -inf without it; the curve

@@ -14,11 +14,13 @@ command line can map them to exit status and a terse message:
     NAN_VALUE   a NaN appeared where a value was expected
     MASS_SUM    atom masses do not sum to one
 
-Measure and kernel objects are {"kind": ..., <parameters>}, read and
-written generically off ``measures.FAMILIES``: each family's entry names
-its kind and its parameters' keys and types (number or step curve).
+Measure and kernel objects are {"kind": ..., <parameters>}, read
+generically off ``measures.FAMILIES``: each family's entry names its
+kind and its parameters' keys and types (number or step curve).  Measure
+objects are written the same way; kernel objects are only read.
 Adding a family means adding its closed form, parameter check and
 psi-kernel class, and one entry to that table; nothing here changes.
+``dist._from_merged`` alone decides an atom list's mass sum.
 A kernel grid file is read in one checked pass, and the superlevel CSV
 reads a grid's cells directly, each sampled p snapped to its column once.
 """
@@ -30,15 +32,14 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import fields
 from itertools import chain
-from math import fsum
 from pathlib import Path
 from typing import Any, TextIO, Union, get_type_hints
 
-from .dist import MASS_TOL, ContinuousCDF, DiscreteDist, _from_merged
+from .dist import ContinuousCDF, DiscreteDist, _from_merged
 from .engine import PsiGrid
 from .harness import PairWitness, PointWitness, ProbeWitness, StabilityReport, Witness
 from .kernels import GridKernel, PsiKernel
-from .measures import FAMILIES, STEP, Family, RiskMeasure
+from .measures import FAMILIES, STEP, RiskMeasure
 from .steps import DEC, INC, MonotoneStep
 
 INF = math.inf
@@ -149,12 +150,7 @@ def _dump(obj: Any, nl: str) -> str:
 # -- distributions --------------------------------------------------------
 
 
-def distribution_to_obj(dist: Distribution) -> dict:
-    if isinstance(dist, ContinuousCDF):
-        if not dist.name.startswith("uniform"):
-            raise ValueError(f"no file form for continuous family {dist.name!r}")
-        lo, hi = dist.support
-        return {"family": "uniform", "a": lo, "b": hi}
+def distribution_to_obj(dist: DiscreteDist) -> dict:
     return {"atoms": [{"x": dump_num(x), "p": dump_num(p)} for x, p in dist.atoms]}
 
 
@@ -168,23 +164,19 @@ def parse_distribution_obj(obj: Any) -> Distribution:
         # one pass: a plain float x, finite, and a plain float p in (0, 1]
         # go straight in; any other entry takes _parse_atom's checks
         merged: dict[float, float] = {}
+        repeats: list[tuple[float, float]] = []
         for i, entry in enumerate(raw):
             if not (type(entry) is dict and type(x := entry.get("x")) is float
                     and type(p := entry.get("p")) is float and -INF < x < INF and 0.0 < p <= 1.0):
                 x, p = _parse_atom(i, entry)
             if x in merged:
-                p += merged[x]
-            merged[x] = p
-        # the tail checks the sum of the merged masses: unless atoms were
-        # merged, that is the input's own sum, which a MASS_SUM error reports
+                repeats.append((x, p))
+            else:
+                merged[x] = p
         try:
-            dist = _from_merged(merged)
-        except ValueError:
-            _check_mass_sum(raw)
-            raise
-        if len(merged) < len(raw):
-            _check_mass_sum(raw)
-        return dist
+            return _from_merged(merged, repeats)
+        except ValueError as exc:  # the input's own mass sum is out of band
+            raise InputError("MASS_SUM", str(exc)) from None
     if obj.get("family") == "uniform":
         a = parse_num(obj.get("a"), "uniform bound a")
         b = parse_num(obj.get("b"), "uniform bound b")
@@ -207,13 +199,6 @@ def _parse_atom(i: int, entry: Any) -> tuple[float, float]:
     if not 0.0 < p <= 1.0:
         raise InputError("BAD_SCHEMA", f"atom {i}: mass must lie in (0, 1], got {p}")
     return x, p
-
-
-def _check_mass_sum(raw: list) -> None:
-    """Reject an atom list, each entry already read as valid, by its own mass sum."""
-    total = fsum(_parse_atom(i, entry)[1] for i, entry in enumerate(raw))
-    if abs(total - 1.0) > MASS_TOL:
-        raise InputError("MASS_SUM", f"atom masses sum to {total!r}, need 1 within {MASS_TOL}")
 
 
 # -- step curves ----------------------------------------------------------
@@ -249,18 +234,6 @@ def parse_step_obj(obj: Any, where: str = "step") -> MonotoneStep:
 
 
 # -- kernels and measures -------------------------------------------------
-
-
-def _family_to_obj(family: Family, values: list) -> dict:
-    obj: dict[str, Any] = {"kind": family.kind}
-    for (key, typ), value in zip(family.params, values):
-        if typ != STEP:
-            obj[key] = dump_num(value)
-        elif isinstance(value, MonotoneStep):
-            obj[key] = step_to_obj(value)
-        else:
-            raise ValueError(f"{family.kind} parameter {key!r} has no JSON form: not a step curve")
-    return obj
 
 
 def _parse_family_obj(obj: Any, what: str) -> Any:
@@ -300,15 +273,6 @@ def _grid_to_obj(grid: GridKernel) -> dict:
         "p_grid": nums(grid.p_grid),
         "table": [nums(row) for row in grid.table],
     }
-
-
-def kernel_to_obj(kernel: PsiKernel) -> dict:
-    if isinstance(kernel, GridKernel):
-        return _grid_to_obj(kernel)
-    for family in FAMILIES.values():
-        if type(kernel) is family.kernel:
-            return _family_to_obj(family, [getattr(kernel, f.name) for f in fields(kernel)])
-    raise ValueError(f"no JSON form for kernel type {type(kernel).__name__}")
 
 
 def parse_kernel_obj(obj: Any) -> PsiKernel:
@@ -365,8 +329,17 @@ def parse_measure_obj(obj: Any) -> RiskMeasure:
 
 def measure_to_obj(measure: RiskMeasure) -> dict:
     for family in FAMILIES.values():
-        if measure.name == family.name:
-            return _family_to_obj(family, [value for _, value in measure.params])
+        if measure.name != family.name:
+            continue
+        obj: dict[str, Any] = {"kind": family.kind}
+        for (key, typ), (_, value) in zip(family.params, measure.params):
+            if typ != STEP:
+                obj[key] = dump_num(value)
+            elif isinstance(value, MonotoneStep):
+                obj[key] = step_to_obj(value)
+            else:
+                raise ValueError(f"{family.kind} parameter {key!r} has no JSON form: not a step curve")
+        return obj
     raise ValueError(f"no JSON form for measure {measure.name!r}")
 
 

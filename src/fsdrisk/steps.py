@@ -73,10 +73,6 @@ class MonotoneStep:
                 raise ValueError("at_one above the last piece breaks monotonicity")
             object.__setattr__(self, "at_one", a1)
 
-    @classmethod
-    def constant(cls, value: float, direction: str = INC, at_one: float | None = None) -> "MonotoneStep":
-        return cls((), (value,), direction, at_one)
-
     def __call__(self, t: float) -> float:
         if self.at_one is not None and t >= 1.0:
             return self.at_one

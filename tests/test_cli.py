@@ -47,6 +47,14 @@ class TestEval:
         payload = json.loads(opath.read_text())
         assert payload == {"measure": {"alpha": 0.3, "kind": "var"}, "values": [1.0]}
 
+    def test_own_mass_sum_inside_the_band_builds(self, capsys):
+        # the masses sum to 1 + 9.9987e-13; adding the two at x = 0 first
+        # would round the sum out of the band
+        dist = ('{"atoms": [{"x": 0.0, "p": 0.5507295311759609}, {"x": 0.0, "p": 0.11491506018575802},'
+                ' {"x": 1.0, "p": 0.33435540863928104}]}')
+        assert main(["eval", "--measure", VAR03, "--dist", dist]) == 0
+        assert capsys.readouterr().out == "0.0\n"
+
     def test_continuous_distribution_is_refused(self, capsys):
         code = main(["eval", "--measure", VAR03, "--dist", '{"family": "uniform", "a": 0.0, "b": 1.0}'])
         assert code == 2
@@ -348,6 +356,16 @@ class TestCheck:
         assert captured.out == ""
         assert captured.err == (
             "error [BAD_SCHEMA]: uniform needs bounds a finite width apart, got -1e+308, 1e+308\n")
+
+    @pytest.mark.parametrize("axiom", ["maxs", "mins", "nd", "fsd"])
+    def test_dist_off_the_limit_probe_is_an_input_error(self, axiom, tmp_path, capsys):
+        # refused before either file is read: neither exists
+        missing = str(tmp_path / "missing.json")
+        code = main(["check", "--measure", missing, "--axiom", axiom, "--dist", missing])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error [BAD_SCHEMA]: --dist is read only by --axiom ls, not --axiom {axiom}\n"
 
     def test_nan_tolerance_is_an_input_error(self, capsys):
         code = main(["check", "--measure", VAR03, "--axiom", "maxs", "--trials", "10",

@@ -15,6 +15,8 @@ tiny level gains would break the lattice laws.
 The one-pass atom reader of ``parse_distribution_obj`` is checked
 against the per-atom route it replaced, on repeated points, signed zeros,
 odd values, junk entries and mass sums at the edge of the tolerance.
+Both it and ``from_atoms`` are checked against the input's own mass sum
+on long runs of one repeated point, where a running sum drifts.
 The one-pass grid reader is checked the same way against the route that
 reads every entry through ``parse_num``: ints, bools, NaN in any of the
 three lists, junk after a NaN, non-list and ragged rows, rising rows.
@@ -726,27 +728,21 @@ def test_a_last_gain_of_a_few_ulps_is_kept():
 # -- the one-pass atom reader against the per-atom route ---------------------
 
 
+def mass_sum_error(masses):
+    """The MASS_SUM message for masses whose own sum is out of band, else None."""
+    total = math.fsum(masses)
+    if abs(total - 1.0) > MASS_TOL:
+        return f"atom masses sum to {total!r}, need 1 within {MASS_TOL}"
+    return None
+
+
 def per_atom_read(raw):
-    """Each atom checked on its own, then ``from_atoms``.
-
-    ``from_atoms`` checks the sum of the merged masses; when atoms merged
-    or it rejects the sum, the input's own sum decides MASS_SUM.
-    """
+    """Each atom checked on its own, then the input's own mass sum, then ``from_atoms``."""
     atoms = [_parse_atom(i, entry) for i, entry in enumerate(raw)]
-
-    def check_own_sum():
-        total = math.fsum(p for _, p in atoms)
-        if abs(total - 1.0) > MASS_TOL:
-            raise InputError("MASS_SUM", f"atom masses sum to {total!r}, need 1 within {MASS_TOL}")
-
-    try:
-        dist = DiscreteDist.from_atoms(atoms)
-    except ValueError:
-        check_own_sum()
-        raise
-    if dist.n_atoms < len(atoms):
-        check_own_sum()
-    return dist
+    message = mass_sum_error(p for _, p in atoms)
+    if message is not None:
+        raise InputError("MASS_SUM", message)
+    return DiscreteDist.from_atoms(atoms)
 
 
 def read_outcome(read, raw):
@@ -801,6 +797,40 @@ def atom_lists(draw):
 def test_one_pass_atom_read_equals_the_per_atom_route(raw):
     got = read_outcome(lambda r: parse_distribution_obj({"atoms": r}), raw)
     assert got == read_outcome(per_atom_read, raw)
+
+
+@st.composite
+def repeat_runs(draw):
+    """A run of up to 3,000 copies of one atom among a few others, shuffled.
+
+    The masses are scaled so their sum moves by one of ``SUM_MOVES``; a
+    running sum over the run drifts by more than the band.
+    """
+    w = draw(st.floats(1e-3, 1.0))
+    pairs = [(draw(st.sampled_from(ATOM_POINTS)), w)] * draw(st.integers(2, 3000))
+    pairs += draw(st.lists(st.tuples(st.sampled_from(ATOM_POINTS), st.floats(1e-3, 1.0)), max_size=4))
+    scale = (1.0 + draw(st.sampled_from(SUM_MOVES))) / math.fsum(p for _, p in pairs)
+    pairs = [(x, p * scale) for x, p in pairs]
+    draw(st.randoms(use_true_random=False)).shuffle(pairs)
+    return pairs
+
+
+@given(repeat_runs())
+@example([(0.0, 0.5507295311759609), (0.0, 0.11491506018575802), (1.0, 0.33435540863928104)])
+@example([(0.0, 1e-5)] * 100_000)
+@settings(max_examples=100, deadline=None)
+def test_an_atom_list_builds_exactly_when_its_own_sum_is_in_band(pairs):
+    message = mass_sum_error(p for _, p in pairs)
+    raw = [{"x": x, "p": p} for x, p in pairs]
+    if message is None:
+        assert exact(parse_distribution_obj({"atoms": raw})) == exact(DiscreteDist.from_atoms(pairs))
+        return
+    with pytest.raises(InputError) as e:
+        parse_distribution_obj({"atoms": raw})
+    assert (e.value.code, e.value.message) == ("MASS_SUM", message)
+    with pytest.raises(ValueError) as e:
+        DiscreteDist.from_atoms(pairs)
+    assert str(e.value) == message
 
 
 def rising_tail(merged):

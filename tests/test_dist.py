@@ -38,6 +38,11 @@ class TestConstruction:
         d = DiscreteDist.from_atoms([(0.0, 0.5), (1.0, 0.5 + 1e-13)])
         assert d.cum[-1] == 1.0
 
+    def test_a_long_run_at_one_point_is_a_point_mass(self):
+        # a running sum of 100,000 masses of 1e-5 drifts out of the band;
+        # the masses at one point are summed exactly
+        assert DiscreteDist.from_atoms([(0.0, 1e-5)] * 100_000) == point_mass(0.0)
+
     @pytest.mark.parametrize(
         "pairs",
         [
@@ -380,13 +385,14 @@ def test_from_levels_equals_a_keep_loop(xs_levels):
 @settings(max_examples=300, deadline=None)
 def test_from_atoms_equals_its_from_levels_route(pairs):
     # from_atoms builds its levels itself; handing them to from_levels,
-    # which re-checks them, gives the same bits
-    merged = {}
+    # which re-checks them, gives the same bits; each point's masses and
+    # the input's own total are summed exactly
+    runs = {}
     for x, p in pairs:
-        merged[float(x)] = merged.get(float(x), 0.0) + p
-    xs = sorted(merged)
-    ps = [merged[x] for x in xs]
-    total = math.fsum(ps)
+        runs.setdefault(float(x), []).append(p)
+    xs = sorted(runs)
+    ps = [math.fsum(runs[x]) for x in xs]
+    total = math.fsum(p for _, p in pairs)
     levels, acc = [], 0.0
     for m in ps:
         acc += m
@@ -464,3 +470,8 @@ class TestDiscretize:
     def test_continuous_cdf_rejects_non_monotone(self):
         with pytest.raises(ValueError):
             ContinuousCDF((0.0, 1.0), lambda x: 1.0 - x)
+
+    def test_continuous_cdf_names_an_overflowing_width(self):
+        # both ends are finite, but hi - lo is not
+        with pytest.raises(ValueError, match=r"^support width inf must be finite"):
+            ContinuousCDF.uniform(-1e308, 1e308)

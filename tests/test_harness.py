@@ -408,7 +408,7 @@ class TestNondegeneracy:
 
     def test_constant_infinite_values_fall_short_by_infinity(self):
         # Lambda = 0 puts every value at -inf: equal infinities gain nothing
-        rep = check_nondegeneracy(lambda_quantile_measure(MonotoneStep.constant(0.0, DEC)),
+        rep = check_nondegeneracy(lambda_quantile_measure(MonotoneStep((), (0.0,), DEC)),
                                   [-1.0, 0.0, 1.0])
         assert rep.violations == 2
         assert rep.worst_gap == INF

@@ -68,7 +68,7 @@ class TestBenchmarkLoss:
         assert benchmark_loss_var(atoms((-1.0, 0.5), (0.6, 0.5)), h) == -0.4
 
     def test_flat_benchmark_reaches_max_support(self):
-        h = MonotoneStep.constant(0.0, at_one=INF)
+        h = MonotoneStep((), (0.0,), at_one=INF)
         assert benchmark_loss_var(HALF, h) == 1.0
 
     def test_step_benchmark_reduces_to_var(self):
@@ -92,12 +92,12 @@ class TestLambdaQuantile:
         assert lambda_quantile(atoms((0.0, 0.5), (2.0, 0.5)), self.LAM) == 1.0
 
     def test_constant_curve_reduces_to_var(self):
-        lam = MonotoneStep.constant(0.35, direction=DEC)
+        lam = MonotoneStep((), (0.35,), direction=DEC)
         for F in random_dists(303, 300):
             assert lambda_quantile(F, lam) == var(F, 0.35)
 
     def test_curve_at_one_reaches_max_support(self):
-        lam = MonotoneStep.constant(1.0, direction=DEC)
+        lam = MonotoneStep((), (1.0,), direction=DEC)
         for F in random_dists(404, 100):
             assert lambda_quantile(F, lam) == F.xs[-1]
 

@@ -20,7 +20,7 @@ def test_eval_is_right_continuous():
 
 
 def test_constant_step():
-    f = MonotoneStep.constant(0.7, direction=DEC)
+    f = MonotoneStep((), (0.7,), direction=DEC)
     assert f(-100.0) == 0.7
     assert f(100.0) == 0.7
     assert f.breakpoints == ()
