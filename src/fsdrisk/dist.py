@@ -77,18 +77,18 @@ class DiscreteDist:
     def from_atoms(cls, atoms: Iterable[tuple[float, float]]) -> "DiscreteDist":
         """Build from ``(x, mass)`` pairs, through ``_from_merged``'s mass rule.
 
-        Each point's masses are summed exactly, and the input's own mass
-        sum must be 1 up to ``MASS_TOL``.
+        Masses must lie in (0, 1] and sum to 1, both up to ``MASS_TOL``;
+        each point's masses are summed exactly.
         """
         merged: dict[float, float] = {}
         repeats: list[tuple[float, float]] = []
         for x, p in atoms:
             x = float(x)
             p = float(p)
-            if not p > 0.0:
+            if not 0.0 < p <= 1.0 + MASS_TOL:
                 if math.isnan(p):
                     raise ValueError("atom mass must not be NaN")
-                raise ValueError(f"atom mass must be positive, got {p}")
+                raise ValueError(f"atom mass must lie in (0, 1], got {p}")
             if not math.isfinite(x):
                 raise ValueError(f"support point must be finite, got {x}")
             if x in merged:

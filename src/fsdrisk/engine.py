@@ -3,9 +3,10 @@
 Any max-stable measure with strictly increasing values on point masses
 is determined by what it does on two-point distributions.  The engine
 exploits that: ``construct_psi`` tabulates the measure on mixtures of
-one anchor below the grid and each node, and its docstring holds the
-argument for the single anchor and for ending each row at its first
-dead node.  The table can then be checked against the measure on
+one anchor below the grid and each node.  Its rows fall along p: a row
+ends at its first dead node, and two equal nodes pin every node between
+them, so a row skips runs of equal values (its docstring holds the
+argument).  The table can then be checked against the measure on
 arbitrary grid-snapped distributions, and its level curve read back off
 it.
 The table builds each mixture in place; ``two_point_eval`` and
@@ -22,6 +23,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cache
 from itertools import compress, repeat
 from operator import lt
 from typing import Callable, Sequence
@@ -132,10 +134,10 @@ def construct_psi(
     arguments; a scan that finds no higher anchor ends at a itself.
     The identity holds bit for bit for an exactly max-stable measure;
     one that passes the gate only within its 1e-9 tolerance may give a
-    table differing from such a scan in the last bits.
+    table differing in the last bits from such a scan or a call per node.
 
     Each row ends at its first dead node, and the nodes after it read
-    -inf without a measure call.  Max-stability makes the measure
+    -inf without a call from the walk.  Max-stability makes the measure
     monotone in first-order dominance: F <= G gives F v G = G, so
     rho(G) = max(rho(F), rho(G)) >= rho(F).  For p < p',
     two_point(a, y, p') is dominated by two_point(a, y, p), so once a
@@ -143,8 +145,15 @@ def construct_psi(
     too; monotonicity alone is what this relies on.  With the gate off
     (``stability_trials=0``), a measure that is not monotone along a
     row, dead at one node and live at a later one, is no longer refused
-    as a table rising along p: the nodes past the first dead one are
-    never evaluated and read -inf.
+    as a table rising along p: the nodes past the first dead one read -inf.
+
+    Runs of equal values are skipped for the same reason: a falling row
+    holds v at every node between two that hold v.  After two equal
+    neighbours the walk gallops 1, 2, 4, ... nodes ahead, bisects back to
+    the run's last node and fills the run, reading no node twice.  Ends
+    are compared by bits, so a zero of the other sign between equal ends
+    is not read and takes their sign.  With the gate off, a measure not
+    monotone along a row can get values it never returned inside a run.
 
     Max-stability is a precondition, not an afterthought: without it the
     two-point values do not determine the measure.  A short seeded probe
@@ -179,12 +188,29 @@ def construct_psi(
                 "the two-point construction does not apply"
             )
 
-    # the lowest anchor stands for every anchor above it, and a row's
-    # live nodes are a prefix of it (see docstring)
+    def finish_row(y, row, v):
+        # row[-1] equals the next node's v: gallop 1, 2, 4, ... nodes to one not
+        # holding v's float, bisect back, fill the run, go on; none read twice
+        at = cache(lambda k: rho(_trusted((a, y), (pg[k], 1.0)) if pg[k] < 1.0 else point_mass(a)))
+        j = len(row)
+        while v > base:
+            lo, hi, step = j, len(pg), 1
+            while hi - lo > 1:
+                k = lo + step if lo + step < hi else (lo + hi) // 2
+                if (u := at(k)) == v and math.copysign(1.0, u) == math.copysign(1.0, v):
+                    lo, step = k, 2 * step
+                else:
+                    hi = k
+            row += repeat(v, hi - j)
+            j, v = hi, (at(hi) if hi < len(pg) else -INF)
+
+    # the lowest anchor stands for every anchor above it, a row's live
+    # nodes are a prefix of it, and equal nodes pin those between (see docstring)
     base = rho(point_mass(a))
     rows = []
     for y in xg:
         row = []
+        prev = math.nan
         for p in pg:
             # two_point(a, y, p), built without its checks: the axes and
             # the finite span give a < y, both finite, and p in [0, 1]
@@ -192,9 +218,13 @@ def construct_psi(
                 v = rho(_trusted((a, y), (p, 1.0)))
             else:
                 v = rho(point_mass(y if p <= 0.0 else a))
+            if v == prev:  # two equal neighbours: skip the run from here
+                finish_row(y, row, v)
+                break
             if not v > base:
                 break
             row.append(v)
+            prev = v
         rows.append(tuple(row) + (-INF,) * (len(pg) - len(row)))
     return PsiGrid(xg, pg, tuple(rows))
 

@@ -35,13 +35,17 @@ scan that walks each row's anchor down the x-grid, on small grids near
 zero and near 1e15.  Its rows, which end at their first dead node, are
 checked against a one-call-per-node scan at the same anchor, also for
 expected shortfall: monotone in the dominance order but not max-stable.
-The mixtures the table builds in place are checked, call by call and bit
-for bit, against those ``two_point_eval`` builds on the same route.
+Those rows skip runs of equal values; they are also checked against the
+scan on lookup measures whose rows fall in long runs, runs of one node,
+runs up to the p = 1 node and zeros of both signs.  The mixtures the
+table builds in place are checked, by type and bit for bit, against
+those ``two_point_eval`` builds at every node, with no node read twice.
 """
 
 import math
 import operator
 from bisect import bisect_left
+from collections import Counter
 from itertools import accumulate
 
 import pytest
@@ -993,17 +997,96 @@ def test_row_cutoff_equals_the_full_scan(case):
         assert repr(got) == repr(want if falls else cut_at_first_dead(want))
 
 
+# -- skipping runs of equal values along a row against the full scan --------
+
+
+def lookup_measure(xg, pg, rows, base):
+    """The measure reading ``rows[i][j]`` at node (xg[i], pg[j]) and ``base`` at the anchor."""
+    a = xg[0] - (xg[1] - xg[0])
+    key = lambda F: (F.xs, F.cum)
+    cells = {key(two_point(a, y, p)): v for y, row in zip(xg, rows) for p, v in zip(pg, row)}
+    # every row's p = 1 node is the anchor's point mass
+    cells[key(point_mass(a))] = base
+    return lambda F: cells[key(F)]
+
+
+# live values falling in blocks of one float each: ties that are not the
+# same float, 0.0 and -0.0, sit side by side
+BLOCK_VALUES = (4.0, 2.5, 1.0, 0.0, -0.0, -5e-324, -1.0)
+DEAD_VALUES = (-2.0, -3.0, -INF)  # at or below the base, -2.0
+
+
+@st.composite
+def lookup_cases(draw):
+    """A lookup measure on up to 60 p nodes whose rows fall with runs.
+
+    Each row holds live blocks of one float each: long runs, runs of one
+    node, and runs up to the node before p = 1, and then dead values.
+    The p = 0 column rises, so the point masses stay apart.
+    """
+    xg = [float(k) for k in range(draw(st.integers(2, 4)))]
+    pg = [0.0, *sorted(set(draw(st.lists(open_unit, min_size=1, max_size=60)))), 1.0]
+    rows = []
+    for i in range(len(xg)):
+        values = [10.0 + i, *sorted(draw(st.lists(st.sampled_from(BLOCK_VALUES), unique_by=float.hex,
+                                                  max_size=4)), reverse=True)]
+        live = draw(st.integers(1, len(pg) - 1))
+        cuts = sorted(set(draw(st.lists(st.integers(1, live), max_size=len(values) - 1))))
+        row = [values[bisect_left(cuts, j + 1)] for j in range(live)]
+        row += draw(st.lists(st.sampled_from(DEAD_VALUES), min_size=len(pg) - live,
+                             max_size=len(pg) - live))
+        rows.append(row)
+    return lookup_measure(xg, pg, rows, -2.0), xg, pg
+
+
+P11 = [k / 10 for k in range(10)] + [1.0]
+
+
+@given(lookup_cases())
+# one run from p = 0 up to the node before p = 1
+@example((lookup_measure([0.0, 1.0], P11, [[1.0] * 10 + [-2.0], [2.0] * 10 + [-2.0]], -2.0),
+          [0.0, 1.0], P11))
+# runs of one node each, then a run of 0.0 and a run of -0.0
+@example((lookup_measure([0.0, 1.0], P11, [[5.0, 4.0, 3.0, 0.0, 0.0, 0.0, -0.0, -0.0, -0.0, -INF, -2.0],
+                                           [6.0, 5.0, 5.0, 5.0, 4.0, 3.0, 2.0, 1.0, -0.0, 0.0, -2.0]],
+                          -2.0), [0.0, 1.0], P11))
+@settings(max_examples=400, deadline=None)
+def test_skipped_runs_equal_the_full_scan(case):
+    # rows fall, so a run between two nodes holding the same float holds
+    # it throughout: skipping its inside changes no bit of the table.  The
+    # table and monotone cases take the same path in
+    # test_row_cutoff_equals_the_full_scan
+    rho, xg, pg = case
+    got = construct_psi(rho, xg, pg, stability_trials=0).table
+    assert repr(got) == repr(cut_at_first_dead(full_scan_table(rho, xg, pg)))
+
+
+def test_a_zero_of_the_other_sign_inside_a_run_takes_the_run_value():
+    # the run's ends, nodes 1 and 9, are both 0.0; the -0.0 at node 4
+    # lies between them, is never read, and reads 0.0 (documented)
+    row = [1.0, 0.0, 0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -2.0]
+    rho = lookup_measure([0.0, 1.0], P11, [row, [2.0] + [-2.0] * 10], -2.0)
+    calls = []
+    got = construct_psi(recording(rho, calls), [0.0, 1.0], P11, stability_trials=0).table
+    want = cut_at_first_dead(full_scan_table(rho, [0.0, 1.0], P11))
+    assert repr(got[0]) == repr((1.0, *[0.0] * 9, -INF))
+    assert [i for i in range(11) if repr(got[0][i]) != repr(want[0][i])] == [4]
+    node4 = []
+    recording(rho, node4)(two_point(-1.0, 0.0, P11[4]))
+    assert node4[0] not in calls
+    assert got[1] == want[1]
+
+
 # -- the in-place mixtures against the two_point_eval route ------------------
 
 
 def two_point_eval_route(rho, xg, pg):
-    """The table's calls made through two_point_eval, each row cut at its first dead node."""
+    """The baseline's call, then one call per node made through two_point_eval."""
     a = xg[0] - (xg[1] - xg[0])
-    base = rho(point_mass(a))
+    rho(point_mass(a))
     for y in xg:
         for p in pg:
-            if not two_point_eval(rho, a, y, p) > base:
-                break
+            two_point_eval(rho, a, y, p)
 
 
 def recording(rho, calls):
@@ -1037,4 +1120,9 @@ def test_in_place_mixtures_equal_the_two_point_eval_route(case):
     except ValueError as exc:
         # refused only once every node is read
         assert "separate point masses" in str(exc)
-    assert got == want
+    # a run skip reads nodes out of p order and may read past a row's
+    # first dead node, but each input is one the full route makes, and
+    # no node is read twice: the anchor's point mass, which is also every
+    # p = 1 node's, is read no more often than the route reads it
+    assert got[0] == want[0]
+    assert not Counter(got) - Counter(want)

@@ -60,6 +60,22 @@ class TestConstruction:
         with pytest.raises(ValueError, match=None if finite else "support point must be finite"):
             DiscreteDist.from_atoms(pairs)
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(0.0, 1e308), (1.0, 1e308)],  # the sum would overflow fsum
+            [(0.0, math.inf)],
+            [(0.0, 1.0 + 2e-12)],
+            [(0.0, 0.5), (1.0, 1.5)],
+        ],
+    )
+    def test_a_mass_above_one_is_rejected_by_name(self, pairs):
+        with pytest.raises(ValueError, match=r"atom mass must lie in \(0, 1\], got "):
+            DiscreteDist.from_atoms(pairs)
+
+    def test_a_mass_inside_the_band_above_one_builds(self):
+        assert DiscreteDist.from_atoms([(0.0, 1.0 + 5e-13)]) == point_mass(0.0)
+
     def test_from_levels_rejects_decreasing_and_nan(self):
         with pytest.raises(ValueError):
             DiscreteDist.from_levels([0.0, 1.0], [0.6, 0.5])
