@@ -137,9 +137,11 @@ def construct_psi(
     table differing in the last bits from such a scan or a call per node.
 
     Each row ends at its first dead node, and the nodes after it read
-    -inf without a call from the walk.  Max-stability makes the measure
-    monotone in first-order dominance: F <= G gives F v G = G, so
-    rho(G) = max(rho(F), rho(G)) >= rho(F).  For p < p',
+    -inf without a call from the walk.  The p = 1 node's mixture is the
+    anchor's point mass, which a pure measure maps to the baseline, so
+    that node is dead in every row and never called.  Max-stability
+    makes the measure monotone in first-order dominance: F <= G gives
+    F v G = G, so rho(G) = max(rho(F), rho(G)) >= rho(F).  For p < p',
     two_point(a, y, p') is dominated by two_point(a, y, p), so once a
     node fails the strict test every later node of its row fails it
     too; monotonicity alone is what this relies on.  With the gate off
@@ -191,10 +193,10 @@ def construct_psi(
     def finish_row(y, row, v):
         # row[-1] equals the next node's v: gallop 1, 2, 4, ... nodes to one not
         # holding v's float, bisect back, fill the run, go on; none read twice
-        at = cache(lambda k: rho(_trusted((a, y), (pg[k], 1.0)) if pg[k] < 1.0 else point_mass(a)))
+        at = cache(lambda k: rho(_trusted((a, y), (pg[k], 1.0))))
         j = len(row)
         while v > base:
-            lo, hi, step = j, len(pg), 1
+            lo, hi, step = j, last, 1
             while hi - lo > 1:
                 k = lo + step if lo + step < hi else (lo + hi) // 2
                 if (u := at(k)) == v and math.copysign(1.0, u) == math.copysign(1.0, v):
@@ -202,22 +204,20 @@ def construct_psi(
                 else:
                     hi = k
             row += repeat(v, hi - j)
-            j, v = hi, (at(hi) if hi < len(pg) else -INF)
+            j, v = hi, (at(hi) if hi < last else -INF)
 
     # the lowest anchor stands for every anchor above it, a row's live
     # nodes are a prefix of it, and equal nodes pin those between (see docstring)
     base = rho(point_mass(a))
+    last = len(pg) - 1  # the p = 1 node is dead (see docstring)
     rows = []
     for y in xg:
         row = []
         prev = math.nan
-        for p in pg:
+        for p in pg[:last]:
             # two_point(a, y, p), built without its checks: the axes and
-            # the finite span give a < y, both finite, and p in [0, 1]
-            if 0.0 < p < 1.0:
-                v = rho(_trusted((a, y), (p, 1.0)))
-            else:
-                v = rho(point_mass(y if p <= 0.0 else a))
+            # the finite span give a < y, both finite, and p in [0, 1)
+            v = rho(_trusted((a, y), (p, 1.0)) if p > 0.0 else point_mass(y))
             if v == prev:  # two equal neighbours: skip the run from here
                 finish_row(y, row, v)
                 break

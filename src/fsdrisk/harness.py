@@ -9,6 +9,8 @@ from its config alone, trial by trial, in any order.
 that replays any witness from its trial index.  The check loops compute
 the seed states in bulk, a block of trials per numpy pass, and read
 each atom count and support point from raw PCG64 words as numpy would.
+Each trial's generator draws its own words; numpy computes a pass of
+trials' points, masses and levels, as the reference orders its sums.
 
 Gaps are measured in extended reals with equal infinities counting as
 zero; all shipped measures are breakpoint-exact, so the default
@@ -19,12 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .dist import ContinuousCDF, DiscreteDist, _from_merged, discretize, fsd_join, fsd_meet, point_mass
+from .dist import MASS_TOL, _trusted
 
 INF = math.inf
 _MASK32 = (1 << 32) - 1
@@ -103,6 +107,8 @@ _POOL_WORDS = 4
 # trials per bulk pass: memory stays flat for any trial count, and a
 # search that stops at its first witness wastes at most one block
 _BLOCK = 1024
+# padded cells per sampling pass, so a pass's arrays stay small for any max_atoms
+_PASS_CELLS = 1024
 
 
 def _seed_states(words: list[np.ndarray]) -> np.ndarray:
@@ -186,33 +192,67 @@ def _generators(seed: int, trials: range, role: int) -> Iterator[np.random.Gener
 def _samples(cfg: SamplerConfig, role: int) -> Iterator[DiscreteDist]:
     """``sample_distribution(cfg, t, role)`` for every trial t of ``cfg``.
 
-    The count n = 1 + (lo32 * max_atoms >> 32) is ``integers``' Lemire
-    step on one word's low half (no word for one atom), each point is
-    ``uniform``'s lo + width * ((w >> 11) * 2**-53) on one word, and the
-    masses are the reference's.  A count word where numpy may read a
-    second one, a zero mass, a repeated point or max_atoms >= 2**32 takes
-    the reference draw.
+    Per trial, its own generator gives the count n = 1 + (lo32 *
+    max_atoms >> 32), ``integers``' Lemire step on one word's low half
+    (no word for one atom), then n raw words and n exponentials.  Per
+    pass, numpy computes on a zero-padded (trials, widest count) array
+    each point as ``uniform``'s lo + width * ((w >> 11) * 2**-53), the
+    masses over their left-to-right sum, the sort and the levels, as the
+    scalar code orders them.  A row whose levels rise strictly to 1 is
+    canonical; any other goes through ``_from_merged``.  A count word
+    where numpy may read a second one, a zero mass, a repeated point or
+    max_atoms >= 2**32 takes the reference draw.
     """
     lo, hi = cfg.support_range
     width = hi - lo
     m = cfg.max_atoms
-    for trial, rng in enumerate(_generators(cfg.seed, range(cfg.trials), role)):
-        bits = rng.bit_generator
-        n = 1
-        if m > 1:
-            prod = (bits.random_raw() & _MASK32) * m
-            # always under m from 2**32 atoms on, where numpy counts another way
-            if prod & _MASK32 < m:
+    per_pass = max(1, _PASS_CELLS // m)
+    rngs = iter(_generators(cfg.seed, range(cfg.trials), role))
+    for start in range(0, cfg.trials, per_pass):
+        counts, words, exps = [], [], []
+        for rng in islice(rngs, per_pass):
+            bits = rng.bit_generator
+            n = 1
+            if m > 1:
+                prod = (bits.random_raw() & _MASK32) * m
+                # always under m from 2**32 atoms on, where numpy counts
+                # another way; a gated trial draws no atoms here
+                n = 0 if prod & _MASK32 < m else 1 + (prod >> 32)
+            counts.append(n)
+            words.append(bits.random_raw(n))
+            exps.append(rng.standard_exponential(n))
+        ns = np.array(counts)[:, None]
+        cols = np.arange(ns.max())
+        filled = cols < ns
+        w = np.zeros(filled.shape, np.uint64)
+        w[filled] = np.concatenate(words)
+        e = np.zeros(filled.shape)
+        e[filled] = np.concatenate(exps)
+        # padded points sort last; a row with no atoms has masses 0 / 0
+        xs = np.where(filled, lo + width * ((w >> np.uint64(11)) * 2.0**-53), INF)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ps = e * (1.0 / np.cumsum(e, axis=1)[:, -1:])
+            order = np.argsort(xs, axis=1, kind="stable")
+            xs = np.take_along_axis(xs, order, 1)
+            ps = np.take_along_axis(ps, order, 1)
+            pl = ps.tolist()
+            totals = np.array([math.fsum(row) for row in pl])
+            levels = np.cumsum(ps, axis=1) / totals[:, None]
+        levels[cols == ns - 1] = 1.0
+        # distinct points and positive masses: the reference would draw the same
+        usable = (ns[:, 0] > 0) & np.all((ps > 0.0) | ~filled, axis=1)
+        usable &= np.all((xs[:, 1:] > xs[:, :-1]) | ~filled[:, 1:], axis=1)
+        # levels rising strictly to 1.0 are the canonical form _from_merged returns
+        canon = usable & (np.abs(totals - 1.0) <= MASS_TOL)
+        canon &= np.all((np.diff(levels, axis=1, prepend=0.0) > 0.0) | ~filled, axis=1)
+        rows = zip(counts, usable.tolist(), canon.tolist(), xs.tolist(), pl, levels.tolist())
+        for trial, (n, use, ok, xr, pr, lr) in enumerate(rows, start):
+            if ok:
+                yield _trusted(tuple(xr[:n]), tuple(lr[:n]))
+            elif use:
+                yield _from_merged(dict(zip(xr[:n], pr[:n])))
+            else:
                 yield sample_distribution(cfg, trial, role)
-                continue
-            n += prod >> 32
-        xs = [lo + width * ((w >> 11) * 2.0**-53) for w in bits.random_raw(n).tolist()]
-        ps = _flat_dirichlet(rng, n)
-        merged = dict(zip(xs, ps))
-        if len(merged) < n or min(ps) <= 0.0:
-            yield sample_distribution(cfg, trial, role)
-        else:
-            yield _from_merged(merged)
 
 
 def ext_gap(a: float, b: float) -> float:

@@ -220,10 +220,12 @@ class TestConstructPsiCallCounts:
     p = 1 node is always dead, as its mixture is the anchor's point
     mass); with 1 call for the anchor's baseline and the 450 calls of the
     default 150-trial gate that is ``walk``.  Skipping runs of equal
-    values costs no more than that on these tables, and exactly that on
-    the affine one, whose rows hold distinct values.  ``before`` is what a threshold
-    search per (anchor, p) pair followed by a scan over all anchors at
-    each node costs on the same tables.
+    values costs no more than that on these tables.  The table never
+    calls the p = 1 node, so each of the 162 affine rows, which hold
+    distinct values, that stay live up to it costs one call less than
+    ``walk`` counts.  ``before`` is what a threshold search per
+    (anchor, p) pair followed by a scan over all anchors at each node
+    costs on the same tables.
     """
 
     @pytest.mark.parametrize(
@@ -231,7 +233,7 @@ class TestConstructPsiCallCounts:
         [
             (var_measure(0.3), 2_662, 6_682, 858_064),
             (lambda_quantile_measure(LAM3), 4_684, 16_732, 1_662_374),
-            (benchmark_loss_measure(affine_benchmark(2.0)), 18_812, 18_812, 2_398_524),
+            (benchmark_loss_measure(affine_benchmark(2.0)), 18_650, 18_812, 2_398_524),
         ],
         ids=["var", "lambda", "affine"],
     )
@@ -296,6 +298,18 @@ class TestRowCutoff:
         psi = construct_psi(rho, self.XG, self.PG, stability_trials=0)
         assert psi.table == tuple((x, -INF, -INF, -INF, -INF) for x in self.XG)
         assert len(seen) == 1 + 2 * len(self.XG)
+
+    def test_the_p_one_node_is_never_called(self):
+        # its mixture is the anchor's point mass, the baseline; both rows
+        # skip a run whose gallop stops at the node before it
+        rho, seen = self.recording(
+            benchmark_loss_measure(MonotoneStep((0.5,), (0.0, 1.0), "inc", at_one=INF)).fn
+        )
+        xg = (999999999999992.0, 999999999999993.0)
+        psi = construct_psi(rho, xg, (0.0, 0.125, 0.25, 0.5, 1.0), stability_trials=0)
+        assert psi.table == ((xg[0], xg[0], xg[0], -INF, -INF), (xg[1], xg[1], xg[1], xg[0], -INF))
+        assert len(seen) == 9
+        assert seen.count(point_mass(999999999999991.0)) == 1
 
 
 class TestVerifyRepresentation:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 from bisect import bisect_right
 
 import numpy as np
@@ -11,6 +12,7 @@ from fsdrisk import harness
 from fsdrisk.dist import (
     ContinuousCDF,
     DiscreteDist,
+    _from_merged,
     discretize,
     fsd_join,
     fsd_leq,
@@ -50,6 +52,11 @@ LAM3 = MonotoneStep((-2.0, 2.0), (0.8, 0.5, 0.2), direction=DEC)
 ND_GRID = [-10.0 + 20.0 * k / 49 for k in range(50)]
 # falls as mass moves up: the stock measure that is not FSD-consistent
 NEG_MEDIAN = RiskMeasure("neg_median", lambda F: -var(F, 0.5))
+
+
+def hexes(F: DiscreteDist) -> tuple[list[str], list[str]]:
+    """Support points and levels, bit for bit."""
+    return [x.hex() for x in F.xs], [c.hex() for c in F.cum]
 
 
 class TestSampler:
@@ -131,6 +138,22 @@ class TestSampler:
         for trial, F in enumerate(got):
             assert F == sample_distribution(cfg, trial, role)
 
+    @pytest.mark.parametrize("max_atoms", [1, 2, 6, 64, 300])
+    def test_passes_draw_the_reference_bit_for_bit(self, max_atoms):
+        # one trial, a pass but one, a pass, a pass and one, and many
+        # passes; a pass computes its rows in numpy, the reference one
+        # trial at a time, and no numpy warning may escape either
+        per_pass = max(1, harness._PASS_CELLS // max_atoms)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for trials in sorted({1, max(1, per_pass - 1), per_pass, per_pass + 1, 2051}):
+                cfg = SamplerConfig(seed=trials * max_atoms, max_atoms=max_atoms,
+                                    support_range=(-3.0, 7.5), trials=trials)
+                got = list(harness._samples(cfg, 1))
+                assert len(got) == trials
+                for trial, F in enumerate(got):
+                    assert hexes(F) == hexes(sample_distribution(cfg, trial, 1))
+
 
 _M64 = (1 << 64) - 1
 _M128 = (1 << 128) - 1
@@ -193,9 +216,16 @@ class TestRawRoute:
         got = list(harness._samples(cfg, 0))
         monkeypatch.undo()
         for trial, F in enumerate(got):
-            want = harness._draw(make(trial), cfg)
-            assert (F.xs, F.cum) == (want.xs, want.cum)
+            assert hexes(F) == hexes(harness._draw(make(trial), cfg))
         return fell_back
+
+    @staticmethod
+    def first_hi(position, word, ok, hi):
+        """The first high half after ``hi`` whose crafted generator passes ``ok``."""
+        while True:
+            hi = hi * 0x9E3779B97F4A7C15 + 1 & _M64
+            if ok(crafted_rng(position, word, hi)):
+                return hi
 
     def test_crafted_words_reach_the_plain_route(self, monkeypatch):
         # counts 1 to 6 straight from the low half, no fallback
@@ -244,6 +274,57 @@ class TestRawRoute:
             return crafted_rng(1, trial << 32 | 0xFFFFFFFF, (trial + 3) << 58)
 
         assert self.route(monkeypatch, cfg, make) == list(range(5))
+
+    def test_fallbacks_mid_pass_and_last_in_a_pass(self, monkeypatch):
+        # two floats of support, 0.0 and 5e-324, and up to two atoms: a
+        # natural trial draws one point, both, or one twice, a repeated
+        # point that takes the reference draw; crafted trials sit mid-pass,
+        # last in a pass and alone in the last pass
+        per = harness._PASS_CELLS // 2
+        cfg = SamplerConfig(seed=1, max_atoms=2, support_range=(0.0, 5e-324), trials=2 * per + 1)
+        two = 2**31 + 5  # a count word's low half reading two atoms
+
+        def reads_two(rng):
+            return int(rng.integers(1, 3)) == 2
+
+        def repeats(rng):
+            return reads_two(rng) and len(set(rng.uniform(0.0, 5e-324, 2).tolist())) == 1
+
+        def tiny_on_top(rng):
+            # the word 2**11 | 1 << 3 is an exponential of 7.1e-18; on the
+            # higher point, the level before it already rounds to 1.0
+            if not reads_two(rng):
+                return False
+            xs, es = rng.uniform(0.0, 5e-324, 2), rng.standard_exponential(2)
+            return xs[0] > xs[1] and 0.0 < es[0] < es[1] * 2.0**-56
+
+        crafted = {}
+        for t in (per // 5, 2 * per):  # a gated count word
+            crafted[t] = (1, (t + 1) << 40, t << 48)
+        for t in (per * 3 // 5, 2 * per - 1):  # a zero exponential
+            crafted[t] = (4, 0, self.first_hi(4, 0, reads_two, t))
+        for t in (per + per // 3, per - 1):  # a repeated point
+            crafted[t] = (1, t << 32 | two, self.first_hi(1, t << 32 | two, repeats, t))
+        tiny = (per, per + per // 2)  # distinct points, levels not rising strictly
+        for t in tiny:
+            crafted[t] = (4, 2056, self.first_hi(4, 2056, tiny_on_top, t))
+
+        def make(trial):
+            if trial in crafted:
+                return crafted_rng(*crafted[trial])
+            return np.random.default_rng([3, trial])
+
+        natural = [t for t in range(cfg.trials) if t not in crafted and repeats(make(t))]
+        assert len(natural) > 100
+        merged = []
+        monkeypatch.setattr(harness, "_from_merged", lambda m: merged.append(m) or _from_merged(m))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fell_back = self.route(monkeypatch, cfg, make)
+        assert fell_back == sorted(natural + [t for t in crafted if t not in tiny])
+        assert [len(m) for m in merged] == [2, 2]
+        for t in tiny:
+            assert harness._draw(make(t), cfg).xs == (0.0,)
 
     def test_max_atoms_past_32_bits_takes_the_reference(self, monkeypatch):
         # numpy's count then reads the whole low half, and draws up to
