@@ -23,6 +23,9 @@ psi-kernel class, and one entry to that table; nothing here changes.
 ``dist._from_merged`` alone decides an atom list's mass sum.
 A kernel grid file is read in one checked pass, and the superlevel CSV
 reads a grid's cells directly, each sampled p snapped to its column once.
+The writer encodes each run of equal cells in a list (a step kernel's
+table row holds two or three) once; 0.0 and -0.0 are equal but print
+apart, so a list holding a zero is not merged.
 """
 
 from __future__ import annotations
@@ -31,7 +34,8 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import fields
-from itertools import chain
+from itertools import chain, groupby
+from operator import ne
 from pathlib import Path
 from typing import Any, TextIO, Union, get_type_hints
 
@@ -124,7 +128,10 @@ def dump_json(obj: Any) -> str:
     pure-Python encoder, so each list of floats and strings (a grid axis
     or table row, infinities as "inf" and "-inf") is encoded by the C
     encoder in one call instead, and its ", " separators become the
-    newline and indent.
+    newline and indent.  A list with few runs of equal cells, such as a
+    step kernel's row, has only each run's first cell encoded, and each
+    run laid out by repeating it; 0.0 and -0.0 are equal but print apart,
+    so a list holding a zero has every cell encoded.
     """
     return _dump(obj, "\n") + "\n"
 
@@ -132,16 +139,26 @@ def dump_json(obj: Any) -> str:
 def _dump(obj: Any, nl: str) -> str:
     """``obj`` as the indented dump renders it after ``nl``, a newline and indent."""
     inner = nl + "  "
+    sep = "," + inner
     if isinstance(obj, (list, tuple)) and obj:
         if {float, str}.issuperset(map(type, obj)):
-            text = json.dumps(obj)
+            heads, counts = obj, ()
+            # encode runs when fewer than one neighbour pair in four differs
+            if 4 * sum(map(ne, obj, obj[1:])) < len(obj):
+                heads, counts = zip(*[(head, len(list(run))) for head, run in groupby(obj)])
+                if 0.0 in heads:  # equal to -0.0, which prints apart
+                    heads, counts = obj, ()
+            text = json.dumps(heads)
             # a float never holds ", ", so unless a string does ("inf"
             # and "-inf" do not), each ", " is a separator
-            if text.count(", ") == len(obj) - 1:
-                return "[" + inner + text[1:-1].replace(", ", "," + inner) + nl + "]"
-        return "[" + inner + ("," + inner).join(_dump(v, inner) for v in obj) + nl + "]"
+            if text.count(", ") == len(heads) - 1:
+                if counts:
+                    body = "".join((cell + sep) * k for cell, k in zip(text[1:-1].split(", "), counts))
+                    return "[" + inner + body[: -len(sep)] + nl + "]"
+                return "[" + inner + text[1:-1].replace(", ", sep) + nl + "]"
+        return "[" + inner + sep.join(_dump(v, inner) for v in obj) + nl + "]"
     if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
-        return "{" + inner + ("," + inner).join(
+        return "{" + inner + sep.join(
             json.dumps(k) + ": " + _dump(obj[k], inner) for k in sorted(obj)) + nl + "}"
     # anything else as json renders it; its newlines are all layout
     return json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl)

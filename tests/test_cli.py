@@ -669,6 +669,7 @@ LAM3 = (
     ' "values": [0.8, 0.5, 0.2], "direction": "dec"}}'
 )
 GRID_ARGS = ["--x-range", "-2", "2", "--x-step", "0.25", "--p-step", "0.05"]
+README_GRID = ["--x-range", "-5", "5", "--x-step", "0.05", "--p-step", "0.01"]
 SHORTFALL = '{"kind": "expected_shortfall", "alpha": 0.5}'
 F2 = '{"atoms": [{"x": -1.5, "p": 0.6}, {"x": 2.5, "p": 0.4}]}'
 
@@ -683,6 +684,16 @@ GOLDEN = {
     "construct_lam3": (
         ["construct-psi", "--measure", LAM3, *GRID_ARGS], 0,
         "dc89cf92269e97c7f01ad44fd65eebf507b2142b810b7220bb1799411708a56f", None),
+    # the README grid's tables, as the README and CI build them; stdout
+    # holds only the gate line
+    "construct_var_readme": (
+        ["construct-psi", "--measure", VAR03, *README_GRID], 0,
+        "832dfb85d768631be5acdf222fb0f2e134eb116b033728ad253afd970bfe9890",
+        "98dc9e22075773a47e9955d8e36caac3d18e9e576474f2abd8c2e5e140fcd303"),
+    "construct_lam3_readme": (
+        ["construct-psi", "--measure", LAM3, *README_GRID], 0,
+        "832dfb85d768631be5acdf222fb0f2e134eb116b033728ad253afd970bfe9890",
+        "35534bd423f779de30dd12dd9a25e2c1b68ed68eae274db640206501ff7eef72"),
     "check_pair_witness": (
         ["check", "--measure", SHORTFALL, "--axiom", "maxs", "--trials", "200"], 1,
         "e4a28e898fab25a864cbc2ca75090188d5b58f2c7db78bf24f030a94332aa4bc",

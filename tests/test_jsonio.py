@@ -1,6 +1,7 @@
 """File formats: JSON objects, error codes, CSV region dumps."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -35,7 +36,13 @@ from fsdrisk.jsonio import (
     write_superlevel_csv,
 )
 from fsdrisk.kernels import GridKernel, VarKernel
-from fsdrisk.measures import FAMILIES, expected_shortfall_measure, var_measure
+from fsdrisk.measures import (
+    FAMILIES,
+    affine_benchmark,
+    benchmark_loss_measure,
+    expected_shortfall_measure,
+    var_measure,
+)
 from fsdrisk.steps import DEC, MonotoneStep
 
 INF = math.inf
@@ -93,10 +100,25 @@ JSON_STRINGS = st.one_of(
     st.text(),
 )
 JSON_SCALARS = st.one_of(JSON_FLOATS, JSON_STRINGS, st.integers(), st.booleans(), st.none())
+# lists of a few drawn cells, each repeated 1 to 40 times, as a step
+# kernel's table rows are: zeros of both signs are equal but print apart,
+# and NaN equals nothing
+JSON_RUNS = st.lists(
+    st.tuples(
+        st.one_of(
+            st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, "inf", "-inf", "a, b"]),
+            JSON_FLOATS,
+        ),
+        st.integers(1, 40),
+    ),
+    min_size=1,
+    max_size=6,
+).map(lambda runs: [cell for cell, k in runs for _ in range(k)])
 JSON_TREES = st.recursive(
     JSON_SCALARS,
     lambda children: st.one_of(
         st.lists(st.one_of(JSON_FLOATS, st.sampled_from(["inf", "-inf"]))),
+        JSON_RUNS,
         st.lists(children),
         st.lists(children).map(tuple),
         st.dictionaries(JSON_STRINGS, children),
@@ -141,6 +163,13 @@ class TestJsonPlumbing:
     @given(JSON_TREES)
     @example({"table": [[1.0, "-inf"], ["inf", -0.0]], "x_grid": (5e-324, 1e16), "tol": 1e-7})
     @example([["inf", ", "], [", ", "-inf"], [math.nan, -math.inf, math.inf]])
+    @example([0.0, -0.0])
+    @example([-0.0] * 5 + [0.0] * 5)
+    @example(["a, b"] * 6)
+    @example([math.nan] * 6)
+    # two changes between neighbours: 8 cells are written cell by cell, 9 as runs
+    @example([1.0] * 3 + [2.0] * 3 + ["inf"] * 2)
+    @example([1.0] * 3 + [2.0] * 3 + ["inf"] * 3)
     def test_dump_json_is_the_indented_json_dump(self, obj):
         assert dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
@@ -418,6 +447,18 @@ class TestPsiGridFormat:
         kernel = parse_kernel_obj(obj)
         assert type(kernel) is GridKernel
         assert (kernel.x_grid, kernel.p_grid, kernel.table) == (psi.x_grid, psi.p_grid, psi.table)
+
+    def test_affine_readme_table_keeps_its_digest(self):
+        # the README grid's affine benchmark table, whose rows hold no run;
+        # a callable curve has no JSON form, so it is written through the
+        # library as construct-psi writes the var and LAM3 tables
+        psi = construct_psi(
+            benchmark_loss_measure(affine_benchmark(2.0)),
+            [-5.0 + k * 0.05 for k in range(200)] + [5.0],
+            [k * 0.01 for k in range(100)] + [1.0],
+        )
+        digest = hashlib.sha256(dump_json(psi_grid_to_obj(psi)).encode()).hexdigest()
+        assert digest == "2ea3741d7c6f060823dea5b4b2bdf92cc074897e1bcdde0ed845fdd57a330693"
 
     def test_defaults_fill_in(self):
         obj = {
