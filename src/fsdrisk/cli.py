@@ -5,7 +5,9 @@ Five subcommands: eval (measure values on distributions), lattice
 verification), construct-psi (tabulate a kernel from a measure) and
 superlevel (CSV boundary of a kernel's superlevel set).  Arguments that
 take JSON accept either an inline object (anything starting with "{")
-or a path to a file holding one.
+or a path to a file holding one.  A token that starts with "-" and that
+``float`` reads is a value, never an option, so ``--threshold -1e-3``
+and ``--x-range -1e-1 1e-1`` parse as typed.
 
 Exit status: 0 on success and passing checks, 1 when a check finds a
 violation or the construction gate rejects the measure, 2 on any input
@@ -18,6 +20,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import re
 import sys
 import traceback
 from pathlib import Path
@@ -54,6 +57,16 @@ from .jsonio import (
 )
 
 _ND_GRID_POINTS = 50
+
+# argparse reads a "-" token as an option unless its negative-number
+# pattern matches, and the stock one misses -1e-3, -inf and -1_0; this one
+# matches exactly the "-" tokens float reads, trailing whitespace included
+# (float strips all but the separators \x1c-\x1f)
+_DIGITS = r"\d(?:_?\d)*"
+_NEGATIVE_NUMBER = re.compile(
+    rf"-(?:(?:{_DIGITS}(?:\.(?:{_DIGITS})?)?|\.{_DIGITS})(?:[eE][+-]?{_DIGITS})?"
+    r"|(?ai:inf(?:inity)?|nan))[^\S\x1c-\x1f]*\Z"
+)
 
 
 def _load_obj(text_or_path: str) -> Any:
@@ -178,7 +191,9 @@ def _regular_grid(lo: float, hi: float, step: float, label: str) -> list[float]:
             "BAD_SCHEMA", f"{label} range {lo} {hi} spans no finite number of steps of {step}"
         )
     count = round(cells)
-    if count < 1 or abs(lo + count * step - hi) > 1e-9:
+    # an absolute 1e-9 is below one ulp of the range's ends from about 1e7 up
+    tol = max(1e-9, 4 * math.ulp(max(abs(lo), abs(hi))))
+    if count < 1 or abs(lo + count * step - hi) > tol:
         raise InputError("BAD_SCHEMA", f"{label} range is not a whole number of steps of {step}")
     if count + 1 > MAX_GRID_NODES:
         raise InputError(
@@ -238,34 +253,18 @@ def _cmd_superlevel(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """A fresh parser; ``main`` parses with the one built at import."""
-    return _parser_and_options()[0]
-
-
-def _parser_and_options() -> tuple[argparse.ArgumentParser, dict[str, dict[str, int]]]:
-    """The parser, and per subcommand its long options, each with the floats it takes.
-
-    The options are read off the actions ``add_argument`` returns; one
-    that does not take floats maps to 0.
-    """
     parser = argparse.ArgumentParser(
         prog="fsdrisk",
         description="risk functionals on finite loss distributions: "
         "evaluation, order lattice, axiom checks, kernel tables",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    options: dict[str, dict[str, int]] = {}
 
     def command(name: str, help: str, func: Callable[[argparse.Namespace], int]):
         p = sub.add_parser(name, help=help)
+        p._negative_number_matcher = _NEGATIVE_NUMBER
         p.set_defaults(func=func)
-        own = options[name] = {"--help": 0}  # add_parser's own help option
-
-        def add(*flags: str, **kwargs: Any) -> None:
-            action = p.add_argument(*flags, **kwargs)
-            takes = (action.nargs or 1) if action.type is float else 0
-            own.update((s, takes) for s in action.option_strings if s.startswith("--"))
-
-        return add
+        return p.add_argument
 
     add = command("eval", "evaluate a measure on distributions", _cmd_eval)
     add("--dist", action="extend", nargs="+", required=True, metavar="JSON|PATH",
@@ -306,7 +305,7 @@ def _parser_and_options() -> tuple[argparse.ArgumentParser, dict[str, dict[str, 
     add("--resolution", type=int, default=101)
     add("--out", metavar="PATH")
 
-    return parser, options
+    return parser
 
 
 def fold_dist_flags(argv: list[str]) -> list[str]:
@@ -341,53 +340,13 @@ def fold_dist_flags(argv: list[str]) -> list[str]:
     return out
 
 
-# the parser main() parses with, built once, and per subcommand each long
-# option with how many floats it takes (0: none)
-_PARSER, LONG_OPTIONS = _parser_and_options()
-
-
-def _reads_as_float(tok: str) -> bool:
-    try:
-        float(tok)
-    except ValueError:
-        return False
-    return True
-
-
-def shield_float_values(argv: list[str]) -> list[str]:
-    """Put a space before each negative value of a float option.
-
-    argparse reads a token that starts with "-" as an option unless it
-    looks like ``-1`` or ``-.5``, so a negative number in exponent
-    notation, ``--threshold -1e-3``, failed as a missing value.  A token
-    that does not start with "-" is always a value, and ``float`` skips
-    the leading space, so the option gets the number as typed.  Only the
-    values right after a float option of the subcommand are shielded,
-    the option spelled in full or by a prefix that argparse resolves to
-    it, and none from "--" on; every argv argparse accepted parses as
-    before.
-    """
-    out = list(argv)
-    own = LONG_OPTIONS.get(argv[0], {}) if argv else {}
-    for i, tok in enumerate(argv):
-        if tok == "--":
-            break
-        takes = own.get(tok)
-        if takes is None and tok.startswith("--"):
-            # argparse reads a prefix of exactly one option as that option;
-            # a token holding "=" carries its own value and is no prefix
-            hits = [n for opt, n in own.items() if opt.startswith(tok)]
-            takes = hits[0] if len(hits) == 1 else 0
-        if takes:
-            for k in range(i + 1, min(i + 1 + takes, len(argv))):
-                if argv[k].startswith("-") and _reads_as_float(argv[k]):
-                    out[k] = " " + argv[k]
-    return out
+# the parser main() parses with, built once
+_PARSER = build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _PARSER.parse_args(fold_dist_flags(shield_float_values(argv)))
+    args = _PARSER.parse_args(fold_dist_flags(argv))
     try:
         return args.func(args)
     except InputError as exc:

@@ -5,13 +5,14 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fsdrisk.cli
-from fsdrisk.cli import LONG_OPTIONS, build_parser, fold_dist_flags, main, shield_float_values
+from fsdrisk.cli import build_parser, fold_dist_flags, main
 from fsdrisk.dist import ContinuousCDF
 from fsdrisk.harness import check_semicontinuity_probe
 from fsdrisk.jsonio import parse_distribution_obj, parse_measure_obj, parse_psi_grid_obj, report_to_json
@@ -28,8 +29,17 @@ PINNED = (
     ' "values": [1.0, 0.0], "direction": "dec"}}'
 )
 UNIFORM = '{"family": "uniform", "a": 0.0, "b": 1.0}'
+
+
+def _subcommands(parser):
+    """Each subcommand's parser, by name."""
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+
+
 # the options that take floats, and how many values each takes
-FLOAT_FLAGS = {opt: n for own in LONG_OPTIONS.values() for opt, n in own.items() if n}
+FLOAT_FLAGS = {opt: action.nargs or 1 for sub in _subcommands(build_parser()).values()
+               for action in sub._actions if action.type is float
+               for opt in action.option_strings}
 
 
 class TestEval:
@@ -131,13 +141,22 @@ class TestDistFold:
         assert len(argv) == 3 + 1 + 10_000
 
 
-def _parsed(argv):
+def _parsed(argv, parser=None):
     """The namespace argparse makes of ``argv``, or None when it rejects it."""
     with contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(build_parser().parse_args(argv))
+            return vars((parser or build_parser()).parse_args(argv))
         except SystemExit:
             return None
+
+
+def _stock_parser():
+    """``build_parser()`` with argparse's own negative-number pattern on each subcommand."""
+    parser = build_parser()
+    stock = argparse.ArgumentParser()._negative_number_matcher
+    for sub in _subcommands(parser).values():
+        sub._negative_number_matcher = stock
+    return parser
 
 
 # one command line per subcommand that names every numeric option once;
@@ -157,6 +176,24 @@ NUMERIC_ARGV = {
                      "--resolution", "{}"],
 }
 NUMBER_TOKENS = ["-1e-1", "-1.5E+3", "-.5e2", "-2e0", "-1", "-.5", "-0.25", "1e-1", "-inf", "-1_0"]
+# one accepted command line per subcommand, which the tails below extend
+HEADS = [
+    ["eval", "--measure", VAR03, "--dist", F3],
+    ["lattice", "--dist", F3],
+    ["check", "--measure", VAR03, "--axiom", "maxs"],
+    ["construct-psi", "--measure", VAR03, "--x-range", "0", "1", "--x-step", "0.5",
+     "--p-step", "0.5"],
+    ["superlevel", "--kernel", VAR03, "--threshold", "0", "--x-range", "0", "1"],
+]
+STOCK_PARSER = _stock_parser()
+
+
+def _reads_as_float(tok):
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
 
 
 class TestNegativeNumbers:
@@ -169,17 +206,20 @@ class TestNegativeNumbers:
     def test_numeric_option_values(self, flag, token):
         argv = [token if a == "{}" else a for a in NUMERIC_ARGV[flag]]
         dest = flag[2:].replace("-", "_")
-        got = _parsed(shield_float_values(argv))
+        got = _parsed(argv)
         if flag in FLOAT_FLAGS:
             # every number float() reads, exponent notation included
             want = float(token)
             assert got is not None
             assert got[dest] == (want if FLOAT_FLAGS[flag] == 1 else [want, want])
-        elif _parsed(argv) is None:
-            # an integer option takes what it took before, and no more
-            assert got is None
         else:
-            assert got[dest] == int(token)
+            # an integer option takes what int() reads, -1_0 included
+            try:
+                want = int(token)
+            except ValueError:
+                assert got is None
+            else:
+                assert got[dest] == want
 
     def test_negative_exponents_reach_the_commands(self, capsys):
         code = main(["construct-psi", "--measure", VAR03, "--x-range", "-1e-1", "1e-1",
@@ -193,40 +233,65 @@ class TestNegativeNumbers:
         assert capsys.readouterr().out.splitlines()[1:] == [
             "-0.1,none,false", "0.0,0.0,true", "0.1,0.0,true"]
 
-    def test_shield_touches_only_float_values(self):
-        argv = ["superlevel", "--kernel", "-1e-1", "--threshold", "-1e-3", "--x-range",
-                "-1e-1", "-2", "--resolution", "-1e3", "--out", "-1e-1", "--thresh", "-1e-3",
-                "--", "--threshold", "-1e-3"]
-        assert shield_float_values(argv) == [
-            "superlevel", "--kernel", "-1e-1", "--threshold", " -1e-3", "--x-range",
-            " -1e-1", " -2", "--resolution", "-1e3", "--out", "-1e-1", "--thresh", " -1e-3",
-            "--", "--threshold", "-1e-3"]
+    def test_a_float_like_token_is_a_value_of_any_option(self, tmp_path, monkeypatch, capsys):
+        # stock argparse takes -1 as a value of a string option, and now
+        # -1e-1 too: a kernel path of that name is read, and is missing
+        monkeypatch.chdir(tmp_path)
+        assert main(["superlevel", "--kernel", "-1e-1", "--threshold", "0",
+                     "--x-range", "0", "1"]) == 2
+        assert "error [NO_FILE]" in capsys.readouterr().err
+        # and --out writes a file of that name
+        assert main(["superlevel", "--kernel", VAR03, "--threshold", "0", "--x-range", "0", "1",
+                     "--resolution", "3", "--out", "-1e-1"]) == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "-1e-1").read_text().splitlines()[0] == "x,p_boundary,reachable"
+        # an integer option takes what int() reads, as --seed 1_0 is 10
+        assert main(["check", "--measure", VAR03, "--axiom", "maxs", "--trials", "10",
+                     "--seed", "-1_0"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "seed: -10"
 
     def test_abbreviations_resolve_as_argparse_resolves_them(self):
         head = ["superlevel", "--kernel", VAR03, "--x-range", "0", "1"]
-        got = _parsed(shield_float_values(head + ["--thresh", "-1e-3", "--x", "-1e-1", "2e0"]))
+        got = _parsed(head + ["--thresh", "-1e-3", "--x", "-1e-1", "2e0"])
         assert (got["threshold"], got["x_range"]) == (-1e-3, [-0.1, 2.0])
-        # a prefix of two options is ambiguous to argparse, and is left alone
-        argv = ["construct-psi", "--measure", VAR03, "--x", "-1e-1", "1", "--x-step", "0.5",
-                "--p-step", "0.5"]
-        assert shield_float_values(argv) == argv and _parsed(argv) is None
-        # an option of another subcommand is not shielded
-        argv = ["check", "--measure", VAR03, "--axiom", "maxs", "--thresh", "-1e-3"]
-        assert shield_float_values(argv) == argv
+        # a prefix of two options is ambiguous to argparse
+        assert _parsed(["construct-psi", "--measure", VAR03, "--x", "-1e-1", "1",
+                        "--x-step", "0.5", "--p-step", "0.5"]) is None
+        # an option of another subcommand is unknown
+        assert _parsed(["check", "--measure", VAR03, "--axiom", "maxs", "--thresh", "-1e-3"]) is None
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.one_of(
-        st.sampled_from(sorted(FLOAT_FLAGS) + ["--trials", "--seed", "--resolution", "--out",
-                                              "--thresh", "--t", "--to", "--tr", "--x", "--x-r",
-                                              "--re", "--thr=-1e-3", "--", "-x"]),
-        st.sampled_from(NUMBER_TOKENS + ["0", "o.json"])), max_size=8))
-    def test_shield_keeps_every_accepted_argv(self, tail):
-        for head in (["check", "--measure", VAR03, "--axiom", "maxs"],
-                     ["superlevel", "--kernel", VAR03, "--threshold", "0", "--x-range", "0", "1"]):
-            argv = head + tail
-            before = _parsed(argv)
-            if before is not None:
-                assert _parsed(shield_float_values(argv)) == before
+    @settings(max_examples=500, deadline=None)
+    @given(st.sampled_from(HEADS), st.lists(st.one_of(
+        st.sampled_from(sorted(FLOAT_FLAGS) + [
+            "--trials", "--seed", "--resolution", "--out", "--dist", "--kernel", "--measure",
+            "--thresh", "--t", "--to", "--tr", "--x", "--x-r", "--re", "--di", "--ou",
+            "--thr=-1e-3", "--dist=-1e-1", "--", "-x"]),
+        st.sampled_from(NUMBER_TOKENS + ["0", "o.json", F3])), max_size=8))
+    def test_every_argv_stock_argparse_accepts_parses_as_before(self, head, tail):
+        argv = head + tail
+        before = _parsed(argv, STOCK_PARSER)
+        if before is not None:
+            assert _parsed(fold_dist_flags(argv), fsdrisk.cli._PARSER) == before
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet="-0123456789._eE+infatyINFATY١\t\n", max_size=10))
+    def test_a_float_option_takes_exactly_the_tokens_float_reads(self, text):
+        token = "-" + text
+        # a string option shows what argparse reads as a value: those
+        # tokens, and "-", which it never reads as an option
+        out = _parsed(["superlevel", "--kernel", VAR03, "--threshold", "0", "--x-range", "0", "1",
+                       "--out", token], fsdrisk.cli._PARSER)
+        assert (out is not None) == (token == "-" or _reads_as_float(token))
+        want = float(token) if _reads_as_float(token) else None
+        for flag, takes in FLOAT_FLAGS.items():
+            argv = [token if a == "{}" else a for a in NUMERIC_ARGV[flag]]
+            got = _parsed(argv, fsdrisk.cli._PARSER)
+            if want is None:
+                assert got is None
+                continue
+            value = got[flag[2:].replace("-", "_")]
+            for v in value if takes > 1 else [value]:
+                assert math.isnan(v) if math.isnan(want) else v == want
 
 
 class TestEvalOncePerSpec:
@@ -258,8 +323,8 @@ class TestEvalOncePerSpec:
 class TestOneParser:
     def test_main_builds_no_parser(self, tmp_path, monkeypatch, capsys):
         builds = []
-        build = fsdrisk.cli._parser_and_options
-        monkeypatch.setattr(fsdrisk.cli, "_parser_and_options", lambda: builds.append(1) or build())
+        build = fsdrisk.cli.build_parser
+        monkeypatch.setattr(fsdrisk.cli, "build_parser", lambda: builds.append(1) or build())
         gpath = tmp_path / "grid.json"
         assert main(["eval", "--measure", VAR03, "--dist", F3]) == 0
         assert main(["construct-psi", "--measure", VAR03, "--x-range", "-1", "1",
@@ -420,6 +485,15 @@ class TestConstructPsi:
                      "--x-range", "0.0", "1.0", "--x-step", "0.3", "--p-step", "0.25"])
         assert code == 2
         assert "not a whole number of steps" in capsys.readouterr().err
+
+    def test_whole_range_at_a_large_magnitude_is_accepted(self, capsys):
+        # lo + 223 * 0.05 misses hi by one ulp of 1e7, 1.86e-9
+        code = main(["construct-psi", "--measure", VAR03, "--x-range", "10000009.55",
+                     "10000020.70", "--x-step", "0.05", "--p-step", "0.5", "--trials", "0"])
+        assert code == 0
+        grid = parse_psi_grid_obj(json.loads(capsys.readouterr().out.partition("\n")[2]))
+        assert len(grid.x_grid) == 224
+        assert grid.x_grid[-1] == 10000020.70
 
     def test_input_error_leaves_stdout_empty(self, capsys):
         cases = [
