@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from operator import lt
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 INF = math.inf
 
@@ -350,33 +350,21 @@ def join_decomposition(f: DiscreteDist) -> list[DiscreteDist]:
 
 @dataclass(frozen=True)
 class ContinuousCDF:
-    """A CDF with compact support ``[lo, hi]``, evaluated through ``fn``.
+    """The uniform law on the compact support ``[lo, hi]``.
 
-    Outside the support the value is forced to 0 and 1, inside it is
-    clamped to [0, 1].  ``fn`` must be non-decreasing on the support;
-    a coarse probe rejects obviously broken inputs.
+    Its CDF is 0 below ``lo``, 1 from ``hi`` and ``(x - lo) / (hi - lo)``
+    between; a support with ``lo == hi`` is the point mass at ``lo``.
     """
 
     support: tuple[float, float]
-    fn: Callable[[float], float]
 
     def __post_init__(self):
         lo, hi = (float(self.support[0]), float(self.support[1]))
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
             raise ValueError(f"support must be a finite interval, got {self.support}")
-        if not math.isfinite(hi - lo):  # the probes scale by the width
+        if not math.isfinite(hi - lo):  # the CDF divides by the width
             raise ValueError(f"support width {hi - lo} must be finite, got {self.support}")
         object.__setattr__(self, "support", (lo, hi))
-        if hi > lo:
-            probes = [lo + (hi - lo) * k / 32 for k in range(33)]
-            vals = []
-            for t in probes:
-                v = float(self.fn(t))
-                if math.isnan(v):
-                    raise ValueError("CDF evaluated to NaN on its support")
-                vals.append(v)
-            if any(vals[i] > vals[i + 1] + 1e-9 for i in range(len(vals) - 1)):
-                raise ValueError("CDF is not monotone on its support")
 
     def __call__(self, x: float) -> float:
         lo, hi = self.support
@@ -384,15 +372,11 @@ class ContinuousCDF:
             return 0.0
         if x >= hi:
             return 1.0
-        return min(max(float(self.fn(x)), 0.0), 1.0)
+        return (x - lo) / (hi - lo)
 
     @classmethod
     def uniform(cls, a: float, b: float) -> "ContinuousCDF":
-        if b < a:
-            raise ValueError(f"uniform needs a <= b, got a={a}, b={b}")
-        if b == a:
-            return cls((a, a), lambda x: 1.0)
-        return cls((a, b), lambda x: (x - a) / (b - a))
+        return cls((a, b))
 
 
 def discretize(f: ContinuousCDF, n: int) -> DiscreteDist:
@@ -409,6 +393,8 @@ def discretize(f: ContinuousCDF, n: int) -> DiscreteDist:
     if hi == lo:
         return point_mass(lo)
     span = hi - lo
+    if not math.isfinite((n - 1) * span):  # the cell ends scale the width by up to n - 1
+        raise ValueError(f"support width {span!r} is too wide to cut into n={n} cells")
     xs = []
     levels = []
     for k in range(1, n + 1):

@@ -286,16 +286,16 @@ def verify_representation(
 
 @dataclass(frozen=True)
 class RecoveredLambda:
-    """Level curve and point-mass values read back off a tabulated kernel.
+    """Level curve read back off a tabulated kernel, with point-mass values.
 
     ``lam_hat[i]`` is the largest p node at which the kernel still
     matches its p = 0 value at ``x_grid[i]``; ``f_hat[i]`` is the
-    measure on the point mass there.  Monotonicity defects are listed,
-    never repaired: ``lam_violations`` holds indices where the curve
-    estimate rises by more than tol, ``f_violations`` indices where the
-    point-mass values fail to rise by more than tol.  The cross-check
-    fields compare the measure against sup{f_hat(x) : F(x-) < lam_hat(x)}
-    on the probe distributions.
+    measure, called once, on the point mass there.  Monotonicity
+    defects are listed, never repaired: ``lam_violations`` holds indices
+    where the curve estimate rises by more than tol, ``f_violations``
+    indices where the point-mass values fail to rise by more than tol.
+    The cross-check fields compare the measure against
+    sup{f_hat(x) : F(x-) < lam_hat(x)} on the probe distributions.
     """
 
     x_grid: tuple[float, ...]

@@ -10,7 +10,8 @@ that replays any witness from its trial index.  The check loops compute
 the seed states in bulk, a block of trials per numpy pass, and read
 each atom count and support point from raw PCG64 words as numpy would.
 Each trial's generator draws its own words; numpy computes a pass of
-trials' points, masses and levels, as the reference orders its sums.
+trials' points, masses and levels, as the reference orders its sums,
+and a row that is not canonical takes the reference draw.
 
 Gaps are measured in extended reals with equal infinities counting as
 zero; all shipped measures are breakpoint-exact, so the default
@@ -27,7 +28,7 @@ from typing import Callable, Iterator, Sequence, Union
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from .dist import ContinuousCDF, DiscreteDist, _from_merged, discretize, fsd_join, fsd_meet, point_mass
+from .dist import ContinuousCDF, DiscreteDist, discretize, fsd_join, fsd_meet, point_mass
 from .dist import MASS_TOL, _trusted
 
 INF = math.inf
@@ -198,10 +199,10 @@ def _samples(cfg: SamplerConfig, role: int) -> Iterator[DiscreteDist]:
     pass, numpy computes on a zero-padded (trials, widest count) array
     each point as ``uniform``'s lo + width * ((w >> 11) * 2**-53), the
     masses over their left-to-right sum, the sort and the levels, as the
-    scalar code orders them.  A row whose levels rise strictly to 1 is
-    canonical; any other goes through ``_from_merged``.  A count word
-    where numpy may read a second one, a zero mass, a repeated point or
-    max_atoms >= 2**32 takes the reference draw.
+    scalar code orders them.  A row of distinct points, positive masses
+    and levels rising strictly to 1 is canonical; any other takes the
+    reference draw, as does a count word where numpy may read a second
+    one, and max_atoms >= 2**32.
     """
     lo, hi = cfg.support_range
     width = hi - lo
@@ -235,24 +236,18 @@ def _samples(cfg: SamplerConfig, role: int) -> Iterator[DiscreteDist]:
             order = np.argsort(xs, axis=1, kind="stable")
             xs = np.take_along_axis(xs, order, 1)
             ps = np.take_along_axis(ps, order, 1)
-            pl = ps.tolist()
-            totals = np.array([math.fsum(row) for row in pl])
+            totals = np.array([math.fsum(row) for row in ps.tolist()])
             levels = np.cumsum(ps, axis=1) / totals[:, None]
         levels[cols == ns - 1] = 1.0
-        # distinct points and positive masses: the reference would draw the same
-        usable = (ns[:, 0] > 0) & np.all((ps > 0.0) | ~filled, axis=1)
-        usable &= np.all((xs[:, 1:] > xs[:, :-1]) | ~filled[:, 1:], axis=1)
-        # levels rising strictly to 1.0 are the canonical form _from_merged returns
-        canon = usable & (np.abs(totals - 1.0) <= MASS_TOL)
-        canon &= np.all((np.diff(levels, axis=1, prepend=0.0) > 0.0) | ~filled, axis=1)
-        rows = zip(counts, usable.tolist(), canon.tolist(), xs.tolist(), pl, levels.tolist())
-        for trial, (n, use, ok, xr, pr, lr) in enumerate(rows, start):
-            if ok:
-                yield _trusted(tuple(xr[:n]), tuple(lr[:n]))
-            elif use:
-                yield _from_merged(dict(zip(xr[:n], pr[:n])))
-            else:
-                yield sample_distribution(cfg, trial, role)
+        # distinct points, positive masses and levels rising strictly to 1.0
+        # are the reference's canonical form; a zero mass on the last point
+        # still rises to the 1.0 set above, and a row of no atoms has a NaN total
+        canon = np.abs(totals - 1.0) <= MASS_TOL
+        canon &= np.all(((ps > 0.0) & (np.diff(levels, axis=1, prepend=0.0) > 0.0)) | ~filled, axis=1)
+        canon &= np.all((xs[:, 1:] > xs[:, :-1]) | ~filled[:, 1:], axis=1)
+        rows = zip(counts, canon.tolist(), xs.tolist(), levels.tolist())
+        for trial, (n, ok, xr, lr) in enumerate(rows, start):
+            yield _trusted(tuple(xr[:n]), tuple(lr[:n])) if ok else sample_distribution(cfg, trial, role)
 
 
 def ext_gap(a: float, b: float) -> float:

@@ -8,8 +8,9 @@ value at a jump taken from the piece starting there (right-continuous).
 For an increasing step that stored value is also the upper one-sided limit
 at the jump, which is the evaluation convention the supremum formulas need.
 
-The parameter checks at the bottom are the only copies: closed forms,
-measure families and kernels all validate through them.
+The parameter checks at the bottom are shared by closed forms, measure
+families and kernels; ``DualVarKernel``, ``DualBenchmarkKernel`` and
+``DualPinnedKernel`` also check their own conditions inline.
 """
 
 from __future__ import annotations

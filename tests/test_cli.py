@@ -609,6 +609,46 @@ class TestErrorReporting:
         assert code == 2
         assert f"error [{code_word}]:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,err",
+        [
+            (["eval", "--measure", '{"kind": "lambda", "Lambda": 5}', "--dist", F3],
+             "error [BAD_SCHEMA]: Lambda: expected a step object\n"),
+            (["eval", "--measure", '{"kind": "lambda", "Lambda": {"values": [0.5]}}', "--dist", F3],
+             "error [BAD_SCHEMA]: Lambda: needs a list under 'breakpoints'\n"),
+            (["eval", "--measure", '{"kind": "lambda", "Lambda": {"breakpoints": [0.0],'
+              ' "values": [0.8, 0.4], "direction": "down"}}', "--dist", F3],
+             "error [BAD_SCHEMA]: Lambda: direction must be 'inc' or 'dec'\n"),
+            (["eval", "--measure", "{list}", "--dist", F3],
+             "error [BAD_SCHEMA]: measure must be a JSON object\n"),
+            (["superlevel", "--kernel", "{list}", "--threshold", "0.0", "--x-range", "-1.0", "1.0"],
+             "error [BAD_SCHEMA]: kernel must be a JSON object\n"),
+            (["superlevel", "--kernel", '{"table": 5}', "--threshold", "0.0", "--x-range", "-1.0", "1.0"],
+             "error [BAD_SCHEMA]: grid needs a list under 'x_grid'\n"),
+            (["superlevel", "--kernel", "{grid}", "--threshold", "0.0", "--x-range", "-1.0", "1.0"],
+             "error [BAD_SCHEMA]: kernel grid: p-grid must be strictly increasing\n"),
+            # a directory cannot be read as a file
+            (["eval", "--measure", "{dir}", "--dist", F3], "error [NO_FILE]: cannot read {dir}: "),
+            # (n - 1) * width overflows at the probe's reference, 4 * 3 = 12 cells
+            (["check", "--measure", VAR03, "--axiom", "ls", "--trials", "3",
+              "--dist", '{"family": "uniform", "a": 1e308, "b": 1.7e308}'],
+             "error [BAD_SCHEMA]: support width 6.999999999999999e+307 is too wide to cut into n=12 cells\n"),
+        ],
+        ids=["lambda-not-object", "lambda-no-breakpoints", "lambda-direction", "measure-list",
+             "kernel-list", "grid-no-x", "p-grid-repeat", "measure-dir", "uniform-too-wide"],
+    )
+    def test_schema_errors_exit_two_with_stdout_empty(self, argv, err, tmp_path, capsys):
+        (tmp_path / "list.json").write_text("[1]")
+        (tmp_path / "grid.json").write_text(json.dumps(
+            {"x_grid": [0.0, 1.0], "p_grid": [0.0, 0.5, 0.5, 1.0], "table": [[0.0] * 4, [1.0] * 4]}))
+        names = {"{list}": str(tmp_path / "list.json"), "{grid}": str(tmp_path / "grid.json"),
+                 "{dir}": str(tmp_path)}
+        code = main([names.get(a, a) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(err.replace("{dir}", names["{dir}"]))
+
     @pytest.mark.parametrize("by_file", [False, True], ids=["inline", "file"])
     @pytest.mark.parametrize("where", ["dist", "measure", "kernel"])
     @pytest.mark.parametrize("depth", [3_000, 100_000])
@@ -780,6 +820,12 @@ GOLDEN = {
         ["check", "--measure", VAR03, "--axiom", "ls", "--trials", "300"], 0,
         "8b59e591d6898127383a8814c6607636032f3ef6905be5729a0bb38913819a9e",
         "dc162e98179237ffe645952da13c07ee12d8d6994e691c0dff0dd0f05465b587"),
+    # a limit other than the default [0, 1], so the CDF shifts and scales each cell end
+    "check_probe_uniform_limit": (
+        ["check", "--measure", VAR03, "--axiom", "ls", "--trials", "300",
+         "--dist", '{"family": "uniform", "a": -3.0, "b": 5.0}'], 0,
+        "8b59e591d6898127383a8814c6607636032f3ef6905be5729a0bb38913819a9e",
+        "f31080b756087f6fa4a5ef9915c1d5beaba167a6370a3b7ebaeedb8a940b8239"),
     "superlevel_var_grid": (
         ["superlevel", "--kernel", "{grid}", "--threshold", "0.0",
          "--x-range", "-2", "2", "--resolution", "41"], 0,

@@ -483,9 +483,24 @@ class TestDiscretize:
         for n in (1, 2, 4, 8, 16):
             assert fsd_leq(discretize(u, n), discretize(u, 2 * n))
 
-    def test_continuous_cdf_rejects_non_monotone(self):
-        with pytest.raises(ValueError):
-            ContinuousCDF((0.0, 1.0), lambda x: 1.0 - x)
+    def test_uniform_cdf_pieces(self):
+        u = ContinuousCDF.uniform(-3.0, 5.0)
+        assert [u(x) for x in (-math.inf, -3.5, -3.0, 1.0, 4.0, 5.0, 6.0)] == [
+            0.0, 0.0, 0.0, 0.5, 0.875, 1.0, 1.0]
+        # a support of one point: 0 below it, 1 from it
+        p = ContinuousCDF.uniform(2.0, 2.0)
+        assert [p(x) for x in (1.5, 2.0, 2.5)] == [0.0, 1.0, 1.0]
+        with pytest.raises(ValueError, match="finite interval"):
+            ContinuousCDF.uniform(1.0, 0.0)
+
+    def test_support_too_wide_to_cut_is_named(self):
+        # (n - 1) * width overflows from n = 4 on; the last cell's left end
+        # would be inf, a point the caller never gave
+        u = ContinuousCDF.uniform(1e308, 1.7e308)
+        assert discretize(u, 3).xs[-1] < 1.7e308
+        with pytest.raises(ValueError, match=r"^support width 6\.999999999999999e\+307 is too wide "
+                                             r"to cut into n=4 cells$"):
+            discretize(u, 4)
 
     def test_continuous_cdf_names_an_overflowing_width(self):
         # both ends are finite, but hi - lo is not

@@ -12,7 +12,6 @@ from fsdrisk import harness
 from fsdrisk.dist import (
     ContinuousCDF,
     DiscreteDist,
-    _from_merged,
     discretize,
     fsd_join,
     fsd_leq,
@@ -266,6 +265,27 @@ class TestRawRoute:
                 his.append(hi)
         assert self.route(monkeypatch, cfg, lambda t: crafted_rng(4, 0, his[t])) == [0, 1, 2, 3]
 
+    def test_a_zero_mass_on_the_highest_point_takes_the_reference(self, monkeypatch):
+        # the level of the highest point is set to 1.0, so with a zero mass
+        # there the levels can still rise strictly: of four atoms the first
+        # has the highest point and an exponential of exactly zero, and the
+        # other three masses, summed left to right, fall short of their
+        # exact sum; the fifth word after the count word is that exponential
+        cfg = SamplerConfig(seed=1, max_atoms=4, trials=3)
+
+        def zero_on_top(rng):
+            if int(rng.integers(1, 5)) != 4:
+                return False
+            xs, es = rng.uniform(-10.0, 10.0, 4), rng.standard_exponential(4)
+            ps = (es * (1.0 / np.cumsum(es)[-1]))[np.argsort(xs)].tolist()
+            return es[0] == 0.0 and xs.argmax() == 0 and ps[0] + ps[1] + ps[2] < math.fsum(ps)
+
+        his, hi = [], 1
+        for _ in range(cfg.trials):
+            hi = self.first_hi(6, 0, zero_on_top, hi)
+            his.append(hi)
+        assert self.route(monkeypatch, cfg, lambda t: crafted_rng(6, 0, his[t])) == [0, 1, 2]
+
     def test_a_repeated_point_takes_the_reference(self, monkeypatch):
         # a low half of 2**32 - 1 reads three atoms, and the support holds
         # only two floats, 0.0 and 5e-324
@@ -278,8 +298,8 @@ class TestRawRoute:
     def test_fallbacks_mid_pass_and_last_in_a_pass(self, monkeypatch):
         # two floats of support, 0.0 and 5e-324, and up to two atoms: a
         # natural trial draws one point, both, or one twice, a repeated
-        # point that takes the reference draw; crafted trials sit mid-pass,
-        # last in a pass and alone in the last pass
+        # point that takes the reference draw; crafted trials, which take
+        # it too, sit mid-pass, last in a pass and alone in the last pass
         per = harness._PASS_CELLS // 2
         cfg = SamplerConfig(seed=1, max_atoms=2, support_range=(0.0, 5e-324), trials=2 * per + 1)
         two = 2**31 + 5  # a count word's low half reading two atoms
@@ -316,13 +336,11 @@ class TestRawRoute:
 
         natural = [t for t in range(cfg.trials) if t not in crafted and repeats(make(t))]
         assert len(natural) > 100
-        merged = []
-        monkeypatch.setattr(harness, "_from_merged", lambda m: merged.append(m) or _from_merged(m))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fell_back = self.route(monkeypatch, cfg, make)
-        assert fell_back == sorted(natural + [t for t in crafted if t not in tiny])
-        assert [len(m) for m in merged] == [2, 2]
+        assert fell_back == sorted(natural + list(crafted))
+        # the reference keeps one of a tiny-mass row's two points
         for t in tiny:
             assert harness._draw(make(t), cfg).xs == (0.0,)
 
