@@ -360,8 +360,10 @@ class ContinuousCDF:
 
     def __post_init__(self):
         lo, hi = (float(self.support[0]), float(self.support[1]))
-        if not (math.isfinite(lo) and math.isfinite(hi)) or hi < lo:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"support must be a finite interval, got {self.support}")
+        if hi < lo:
+            raise ValueError(f"support is reversed, hi < lo: got {self.support}")
         if not math.isfinite(hi - lo):  # the CDF divides by the width
             raise ValueError(f"support width {hi - lo} must be finite, got {self.support}")
         object.__setattr__(self, "support", (lo, hi))
@@ -393,7 +395,11 @@ def discretize(f: ContinuousCDF, n: int) -> DiscreteDist:
     if hi == lo:
         return point_mass(lo)
     span = hi - lo
-    if not math.isfinite((n - 1) * span):  # the cell ends scale the width by up to n - 1
+    try:
+        wide = not math.isfinite((n - 1) * span)  # the cell ends scale the width by up to n - 1
+    except OverflowError:  # n - 1 has no float
+        raise ValueError(f"cell count n={n} is past the float range") from None
+    if wide:
         raise ValueError(f"support width {span!r} is too wide to cut into n={n} cells")
     xs = []
     levels = []

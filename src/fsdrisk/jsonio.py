@@ -23,9 +23,9 @@ psi-kernel class, and one entry to that table; nothing here changes.
 ``dist._from_merged`` alone decides an atom list's mass sum.
 A kernel grid file is read in one checked pass, and the superlevel CSV
 reads a grid's cells directly, each sampled p snapped to its column once.
-The writer encodes each run of equal cells in a list (a step kernel's
-table row holds two or three) once; 0.0 and -0.0 are equal but print
-apart, so a list holding a zero is not merged.
+A PsiGrid is written straight from its float rows, each run of equal
+cells (a step kernel's row holds two or three) encoded once; 0.0 and
+-0.0 are equal but print apart, so a row holding a zero is not merged.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import fields
-from itertools import chain, groupby
-from operator import ne
+from itertools import chain
+from operator import neg, sub
 from pathlib import Path
 from typing import Any, TextIO, Union, get_type_hints
 
@@ -124,16 +124,23 @@ def dump_json(obj: Any) -> str:
     """Canonical rendering: sorted keys, two-space indent, trailing newline.
 
     The text is exactly ``json.dumps(obj, sort_keys=True, indent=2)``
-    plus a newline.  With an indent, json always falls back to its
-    pure-Python encoder, so each list of floats and strings (a grid axis
-    or table row, infinities as "inf" and "-inf") is encoded by the C
-    encoder in one call instead, and its ", " separators become the
-    newline and indent.  A list with few runs of equal cells, such as a
-    step kernel's row, has only each run's first cell encoded, and each
-    run laid out by repeating it; 0.0 and -0.0 are equal but print apart,
-    so a list holding a zero has every cell encoded.
+    plus a newline, and for a PsiGrid that of ``psi_grid_to_obj(obj)``,
+    written from the grid's float rows by ``_row_text``.  With an indent,
+    json always falls back to its pure-Python encoder, so each list of
+    floats and strings (a grid axis or table row, infinities as "inf"
+    and "-inf") is encoded by the C encoder in one call instead, and its
+    ", " separators become the newline and indent.
     """
-    return _dump(obj, "\n") + "\n"
+    if not isinstance(obj, PsiGrid):
+        return _dump(obj, "\n") + "\n"
+    nl = "\n  "
+    settings = _psi_settings(obj)
+    return "".join([  # psi_grid_to_obj(obj)'s keys, sorted
+        '{\n  "p_grid": ', _dump(obj.p_grid, nl), ',\n  "table": [\n    [\n      ',
+        "\n    ],\n    [\n      ".join([_row_text(row, ",\n      ") for row in obj.table]),
+        '\n    ]\n  ],\n  "tol": ', _dump(settings["tol"], nl), ',\n  "x_grid": ', _dump(obj.x_grid, nl),
+        ',\n  "y_max": ', _dump(settings["y_max"], nl), "\n}\n",
+    ])
 
 
 def _dump(obj: Any, nl: str) -> str:
@@ -142,19 +149,10 @@ def _dump(obj: Any, nl: str) -> str:
     sep = "," + inner
     if isinstance(obj, (list, tuple)) and obj:
         if {float, str}.issuperset(map(type, obj)):
-            heads, counts = obj, ()
-            # encode runs when fewer than one neighbour pair in four differs
-            if 4 * sum(map(ne, obj, obj[1:])) < len(obj):
-                heads, counts = zip(*[(head, len(list(run))) for head, run in groupby(obj)])
-                if 0.0 in heads:  # equal to -0.0, which prints apart
-                    heads, counts = obj, ()
-            text = json.dumps(heads)
+            text = json.dumps(obj)
             # a float never holds ", ", so unless a string does ("inf"
             # and "-inf" do not), each ", " is a separator
-            if text.count(", ") == len(heads) - 1:
-                if counts:
-                    body = "".join((cell + sep) * k for cell, k in zip(text[1:-1].split(", "), counts))
-                    return "[" + inner + body[: -len(sep)] + nl + "]"
+            if text.count(", ") == len(obj) - 1:
                 return "[" + inner + text[1:-1].replace(", ", sep) + nl + "]"
         return "[" + inner + sep.join(_dump(v, inner) for v in obj) + nl + "]"
     if isinstance(obj, dict) and obj and all(type(k) is str for k in obj):
@@ -277,6 +275,7 @@ def _parse_family_obj(obj: Any, what: str) -> Any:
 
 
 _INF_TEXT = {INF: "inf", -INF: "-inf"}
+_INF_JSON = {INF: '"inf"', -INF: '"-inf"'}
 
 
 def _grid_to_obj(grid: GridKernel) -> dict:
@@ -290,6 +289,25 @@ def _grid_to_obj(grid: GridKernel) -> dict:
         "p_grid": nums(grid.p_grid),
         "table": [nums(row) for row in grid.table],
     }
+
+
+def _row_text(row: tuple[float, ...], sep: str) -> str:
+    """A checked grid row's cells as JSON text, joined by ``sep``.
+
+    The row holds floats and no NaN and falls along p, so its distinct
+    values are its runs.  With few runs, each run's first cell is encoded
+    once and the run laid out by repeating it; 0.0 and -0.0 are equal but
+    print apart, so a row holding a zero has every cell encoded.
+    """
+    distinct = set(row)
+    if 0.0 in distinct or 4 * len(distinct) >= len(row):
+        text = json.dumps(row)[1:-1].replace("-Infinity", '"-inf"').replace("Infinity", '"inf"')
+        return text.replace(", ", sep)
+    heads = sorted(distinct, reverse=True)
+    # a run ends after the last cell at or above its value
+    ends = [bisect_right(row, -head, key=neg) for head in heads]
+    cells = [_INF_JSON.get(head) or float.__repr__(head) for head in heads]  # json's float text
+    return "".join((cell + sep) * k for cell, k in zip(cells, map(sub, ends, [0, *ends])))[: -len(sep)]
 
 
 def parse_kernel_obj(obj: Any) -> PsiKernel:
@@ -364,13 +382,14 @@ def measure_to_obj(measure: RiskMeasure) -> dict:
 
 
 def psi_grid_to_obj(grid: PsiGrid) -> dict:
-    """The grid form plus ``y_max`` and ``tol``, which the format keeps.
+    """The grid form plus ``y_max`` and ``tol``, which the format keeps."""
+    return {**_grid_to_obj(grid), **_psi_settings(grid)}
 
-    The table depends on neither: they are written as the grid max plus
-    one span and 1e-9, and reading a grid file ignores them.
-    """
+
+def _psi_settings(grid: PsiGrid) -> dict:
+    """``y_max``, the grid max plus one span, and ``tol``, 1e-9; a read ignores both."""
     xg = grid.x_grid
-    return {**_grid_to_obj(grid), "y_max": dump_num(xg[-1] + (xg[-1] - xg[0])), "tol": 1e-9}
+    return {"y_max": dump_num(xg[-1] + (xg[-1] - xg[0])), "tol": 1e-9}
 
 
 def parse_psi_grid_obj(obj: Any) -> PsiGrid:

@@ -490,7 +490,7 @@ class TestDiscretize:
         # a support of one point: 0 below it, 1 from it
         p = ContinuousCDF.uniform(2.0, 2.0)
         assert [p(x) for x in (1.5, 2.0, 2.5)] == [0.0, 1.0, 1.0]
-        with pytest.raises(ValueError, match="finite interval"):
+        with pytest.raises(ValueError, match="reversed, hi < lo"):
             ContinuousCDF.uniform(1.0, 0.0)
 
     def test_support_too_wide_to_cut_is_named(self):
@@ -501,6 +501,11 @@ class TestDiscretize:
         with pytest.raises(ValueError, match=r"^support width 6\.999999999999999e\+307 is too wide "
                                              r"to cut into n=4 cells$"):
             discretize(u, 4)
+
+    def test_a_cell_count_past_the_float_range_is_named(self):
+        # n - 1 has no float, so the width guard cannot scale by it
+        with pytest.raises(ValueError, match=r"^cell count n=10{400} is past the float range$"):
+            discretize(ContinuousCDF.uniform(0.0, 1.0), 10**400)
 
     def test_continuous_cdf_names_an_overflowing_width(self):
         # both ends are finite, but hi - lo is not

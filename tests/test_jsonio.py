@@ -167,7 +167,9 @@ class TestJsonPlumbing:
     @example([-0.0] * 5 + [0.0] * 5)
     @example(["a, b"] * 6)
     @example([math.nan] * 6)
-    # two changes between neighbours: 8 cells are written cell by cell, 9 as runs
+    # lists of 8 and 9 cells with two changes between neighbours: runs of
+    # equal cells are written once only in a PsiGrid's rows, and a generic
+    # list is one json call whatever its runs
     @example([1.0] * 3 + [2.0] * 3 + ["inf"] * 2)
     @example([1.0] * 3 + [2.0] * 3 + ["inf"] * 3)
     def test_dump_json_is_the_indented_json_dump(self, obj):
@@ -528,6 +530,56 @@ class TestPsiGridFormat:
 
     def test_psi_grid_declares_only_grid_fields(self):
         assert dataclasses.fields(PsiGrid) == dataclasses.fields(GridKernel)
+
+
+BIG = 1.7976931348623157e308
+# grid values at the edges of repr: zeros of both signs, the smallest
+# subnormals, 1e16 (where repr turns to exponent notation) and the
+# infinities; the largest floats put y_max past the float range
+GRID_XS = st.one_of(
+    st.sampled_from([-BIG, -1e16, -1.0, -0.0, 5e-324, 1e16, BIG]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+GRID_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, -1e16, 0.5, INF, -INF]),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def psi_grid_rows(draw, n_p):
+    """A row of ``n_p`` cells falling along p to -inf: drawn values, each
+    repeated 1 to 40 times, so a row has long runs or none, and zeros of
+    both signs sit inside a run or between two."""
+    values = draw(st.lists(GRID_CELLS, min_size=1, max_size=12))
+    counts = draw(st.lists(st.integers(1, 40), min_size=len(values), max_size=len(values)))
+    # sorting keeps equal values in drawn order, so 0.0 and -0.0 mix
+    cells = [v for v, k in zip(sorted(values, reverse=True), counts) for _ in range(k)]
+    return tuple((cells + [-INF] * n_p)[: n_p - 1] + [-INF])
+
+
+@st.composite
+def written_grids(draw):
+    """A PsiGrid with rows of up to 48 cells and its p = 0 column rising."""
+    xg = sorted(set(draw(st.lists(GRID_XS, min_size=1, max_size=4))))
+    n_p = draw(st.integers(2, 48))
+    pg = [k / (n_p - 1) for k in range(n_p)]
+    rows = draw(st.lists(psi_grid_rows(n_p), min_size=len(xg), max_size=len(xg), unique_by=lambda r: r[0]))
+    return PsiGrid(tuple(xg), tuple(pg), tuple(sorted(rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(written_grids())
+# mixed zeros cell by cell, then a run of 1e16 and a +inf prefix as runs;
+# y_max overflows
+@example(PsiGrid((-0.0, 1e16, BIG), tuple(k / 8 for k in range(9)), (
+    (-0.0, 0.0, -0.0, -5e-324, -5e-324, -1e16, -INF, -INF, -INF),
+    (1e16,) * 6 + (-INF,) * 3,
+    (INF,) * 5 + (-INF,) * 4,
+)))
+def test_a_psi_grid_is_written_as_its_object(grid):
+    obj = psi_grid_to_obj(grid)
+    assert dump_json(grid) == dump_json(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
 class TestReportFormat:
