@@ -29,6 +29,7 @@ from typing import Any, Callable
 from .dist import ContinuousCDF, DiscreteDist, fsd_join, fsd_leq, fsd_meet, join_decomposition
 from .engine import GATE_SEED, StabilityGateError, construct_psi
 from .harness import (
+    DEFAULT_TOL,
     MAX_PROBE_CELLS,
     SamplerConfig,
     check_fsd_consistency,
@@ -284,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("--trials", type=int, default=1000,
         help="sampled pairs, or the cell-count limit for ls (default 1000)")
     add("--seed", type=int, default=12345)
-    add("--tol", type=float, default=1e-9)
+    add("--tol", type=float, default=DEFAULT_TOL)
     add("--dist", action="extend", nargs="+", metavar="JSON|PATH",
         help="continuous limit for ls, the only axiom that reads it (default: uniform on [0, 1])")
     add("--out", metavar="PATH", help="write the JSON report here")

@@ -397,8 +397,8 @@ def discretize(f: ContinuousCDF, n: int) -> DiscreteDist:
     span = hi - lo
     try:
         wide = not math.isfinite((n - 1) * span)  # the cell ends scale the width by up to n - 1
-    except OverflowError:  # n - 1 has no float
-        raise ValueError(f"cell count n={n} is past the float range") from None
+    except OverflowError:  # n - 1 has no float; n may have too many digits to print
+        raise ValueError(f"cell count n of {n.bit_length()} bits is past the float range") from None
     if wide:
         raise ValueError(f"support width {span!r} is too wide to cut into n={n} cells")
     xs = []

@@ -29,7 +29,7 @@ from operator import lt
 from typing import Callable, Sequence
 
 from .dist import DiscreteDist, _trusted, point_mass, two_point
-from .harness import _check_tol, ext_gap
+from .harness import DEFAULT_TOL, _check_tol, ext_gap
 from .kernels import GridKernel, check_axes
 
 INF = math.inf
@@ -183,7 +183,7 @@ def construct_psi(
             support_range=(xg[0], xg[-1]),
             trials=stability_trials,
         )
-        gate = check_max_stability(rho, cfg, tol=1e-9)
+        gate = check_max_stability(rho, cfg, tol=DEFAULT_TOL)
         if gate.violations:
             raise StabilityGateError(
                 f"measure is not max-stable on probe pairs (worst gap {gate.worst_gap}); "
@@ -330,7 +330,7 @@ def recover_lambda(
     rho: Callable[[DiscreteDist], float],
     psi: PsiGrid,
     probes: Sequence[DiscreteDist] | None = None,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> RecoveredLambda:
     """Read the level curve off a tabulated kernel and cross-check it.
 

@@ -21,6 +21,7 @@ tolerance only has to absorb float accumulation.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterator, Sequence, Union
@@ -51,6 +52,12 @@ class SamplerConfig:
     trials: int = 1000
 
     def __post_init__(self):
+        # ints and numpy ints pass; a float is refused here, not deep in a draw
+        for name in ("seed", "max_atoms", "trials"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.max_atoms < 1:
             raise ValueError(f"need at least one atom, got max_atoms={self.max_atoms}")
         lo, hi = (float(self.support_range[0]), float(self.support_range[1]))

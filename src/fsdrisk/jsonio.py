@@ -275,6 +275,7 @@ def _parse_family_obj(obj: Any, what: str) -> Any:
 
 
 _INF_TEXT = {INF: "inf", -INF: "-inf"}
+_SENTINELS = {text: value for value, text in _INF_TEXT.items()}
 _INF_JSON = {INF: '"inf"', -INF: '"-inf"'}
 
 
@@ -348,9 +349,6 @@ def _parse_grid(obj: Any, cls: type[GridKernel]) -> GridKernel:
         return cls(xg, pg, tuple(table))
     except ValueError as exc:
         raise InputError("BAD_SCHEMA", f"kernel grid: {exc}") from None
-
-
-_SENTINELS = {"inf": INF, "-inf": -INF}
 
 
 def _parse_nums(values: list, where: str) -> tuple[float, ...]:

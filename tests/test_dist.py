@@ -503,9 +503,11 @@ class TestDiscretize:
             discretize(u, 4)
 
     def test_a_cell_count_past_the_float_range_is_named(self):
-        # n - 1 has no float, so the width guard cannot scale by it
-        with pytest.raises(ValueError, match=r"^cell count n=10{400} is past the float range$"):
-            discretize(ContinuousCDF.uniform(0.0, 1.0), 10**400)
+        # n - 1 has no float, so the width guard cannot scale by it; 10**5000
+        # has more digits than Python will convert to a string
+        for n, bits in [(10**400, 1329), (10**5000, 16610)]:
+            with pytest.raises(ValueError, match=rf"^cell count n of {bits} bits is past the float range$"):
+                discretize(ContinuousCDF.uniform(0.0, 1.0), n)
 
     def test_continuous_cdf_names_an_overflowing_width(self):
         # both ends are finite, but hi - lo is not

@@ -123,11 +123,20 @@ class TestSampler:
             dict(max_atoms=0),
             dict(support_range=(2.0, 2.0)),
             dict(support_range=(-1e308, 1e308)),
+            dict(seed=1.5),
+            dict(max_atoms=2.5),
+            dict(trials=2.5),
         ],
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
             SamplerConfig(**kwargs)
+
+    def test_numpy_integers_are_read_as_ints(self):
+        cfg = SamplerConfig(seed=np.uint64(2**64 - 1), max_atoms=np.int8(4), trials=np.int64(3))
+        assert cfg == SamplerConfig(seed=2**64 - 1, max_atoms=4, trials=3)
+        assert {type(cfg.seed), type(cfg.max_atoms), type(cfg.trials)} == {int}
+        assert list(harness._samples(cfg, 0)) == [sample_distribution(cfg, t) for t in range(3)]
 
     @pytest.mark.parametrize("role", [0, 1, 2])
     def test_check_stream_draws_the_reference_samples(self, role):

@@ -1,6 +1,10 @@
 """Closed-form risk measures and their cross identities."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,3 +196,22 @@ class TestFsdConsistency:
             F = sample_distribution(cfg, trial=t)
             G = dominating_variant(F, cfg, trial=t)
             assert m.fn(F) <= m.fn(G) + 1e-12
+
+
+def test_the_pure_python_core_imports_without_numpy():
+    # a fresh interpreter on the src these tests import: the package root
+    # re-exports nothing, so the core modules load neither numpy nor the
+    # modules built on it
+    import fsdrisk.dist
+
+    src = str(Path(fsdrisk.dist.__file__).resolve().parent.parent)
+    code = (
+        "import sys\n"
+        "import fsdrisk.dist, fsdrisk.steps, fsdrisk.kernels, fsdrisk.measures\n"
+        "heavy = ('numpy', 'fsdrisk.harness', 'fsdrisk.engine', 'fsdrisk.jsonio', 'fsdrisk.cli')\n"
+        "print(sorted(set(heavy) & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
