@@ -23,14 +23,13 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cache
 from itertools import compress, repeat
-from operator import lt
+from operator import ge, lt
 from typing import Callable, Sequence
 
 from .dist import DiscreteDist, _trusted, point_mass, two_point
 from .harness import DEFAULT_TOL, _check_tol, ext_gap
-from .kernels import GridKernel, check_axes
+from .kernels import _ROW_RISES, GridKernel, check_axes
 
 INF = math.inf
 
@@ -90,23 +89,32 @@ class PsiGrid(GridKernel):
     """The kernel table that ``construct_psi`` builds.
 
     On top of the GridKernel checks, the p = 0 row must be strictly
-    increasing: it holds the measure's point-mass values, so a tie there
-    means the measure cannot tell two grid points apart and the
-    construction is meaningless.
+    increasing: it holds the measure's point-mass values, so a tie means
+    the measure cannot tell two grid points apart.  ``construct_psi``'s
+    walk refuses a rising row itself, so its grid skips the GridKernel checks.
     """
 
     def __post_init__(self):
         super().__post_init__()
+        self._separated()
+
+    def _separated(self) -> PsiGrid:
         col0 = [row[0] for row in self.table]
-        if any(col0[i] >= col0[i + 1] for i in range(len(col0) - 1)):
-            raise ValueError(
-                "value row at p = 0 must be strictly increasing; "
-                "the measure does not separate point masses"
-            )
+        if any(map(ge, col0, col0[1:])):
+            raise ValueError("value row at p = 0 must be strictly increasing; "
+                             "the measure does not separate point masses")
+        return self
 
     def as_kernel(self) -> GridKernel:
         """The grid itself: it is a GridKernel."""
         return self
+
+
+def _walked(xg: tuple[float, ...], pg: tuple[float, ...], table) -> PsiGrid:
+    """A ``PsiGrid`` of float rows the walk has checked; only the p = 0 check is left."""
+    grid = object.__new__(PsiGrid)
+    grid.__dict__.update(x_grid=xg, p_grid=pg, table=table)
+    return grid._separated()
 
 
 def construct_psi(
@@ -155,7 +163,9 @@ def construct_psi(
     the run's last node and fills the run, reading no node twice.  Ends
     are compared by bits, so a zero of the other sign between equal ends
     is not read and takes their sign.  With the gate off, a measure not
-    monotone along a row can get values it never returned inside a run.
+    monotone along a row can get values it never returned inside a run,
+    but a placed value above the one placed before it is refused, and
+    values are stored as floats, so the grid skips GridKernel's re-check.
 
     Max-stability is a precondition, not an afterthought: without it the
     two-point values do not determine the measure.  A short seeded probe
@@ -191,20 +201,23 @@ def construct_psi(
             )
 
     def finish_row(y, row, v):
-        # row[-1] equals the next node's v: gallop 1, 2, 4, ... nodes to one not
-        # holding v's float, bisect back, fill the run, go on; none read twice
-        at = cache(lambda k: rho(_trusted((a, y), (pg[k], 1.0))))
-        j = len(row)
+        # refuse a v above row[-1], else gallop 1, 2, 4, ... nodes to one not holding
+        # v's float, bisect back, fill the run, go on; with ``seen``, none read twice
+        seen = {}
         while v > base:
-            lo, hi, step = j, last, 1
+            if v > row[-1]:
+                raise ValueError(_ROW_RISES)
+            lo, hi, step = len(row), last, 1
             while hi - lo > 1:
                 k = lo + step if lo + step < hi else (lo + hi) // 2
-                if (u := at(k)) == v and math.copysign(1.0, u) == math.copysign(1.0, v):
+                if (u := seen.get(k)) is None:
+                    u = seen[k] = rho(_trusted((a, y), (pg[k], 1.0)))
+                if u == v and math.copysign(1.0, u) == math.copysign(1.0, v):
                     lo, step = k, 2 * step
                 else:
                     hi = k
-            row += repeat(v, hi - j)
-            j, v = hi, (at(hi) if hi < last else -INF)
+            row += repeat(float(v), hi - len(row))
+            v = seen.get(hi, -INF)  # a node hi < last was read
 
     # the lowest anchor stands for every anchor above it, a row's live
     # nodes are a prefix of it, and equal nodes pin those between (see docstring)
@@ -218,15 +231,15 @@ def construct_psi(
             # two_point(a, y, p), built without its checks: the axes and
             # the finite span give a < y, both finite, and p in [0, 1)
             v = rho(_trusted((a, y), (p, 1.0)) if p > 0.0 else point_mass(y))
-            if v == prev:  # two equal neighbours: skip the run from here
+            if v >= prev:  # two equal neighbours, or a rise: finish_row sees which
                 finish_row(y, row, v)
                 break
             if not v > base:
                 break
-            row.append(v)
+            row.append(float(v))
             prev = v
         rows.append(tuple(row) + (-INF,) * (len(pg) - len(row)))
-    return PsiGrid(xg, pg, tuple(rows))
+    return _walked(xg, pg, tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from .steps import (
 )
 
 INF = math.inf
+_ROW_RISES = "table rows must be decreasing along p"
 
 
 class PsiKernel(ABC):
@@ -193,7 +194,7 @@ class _Tabulated:
             if not all(map(operator.ge, row, islice(row, 1, None))):
                 if any(map(math.isnan, row)):
                     raise ValueError("table must not contain NaN")
-                raise ValueError("table rows must be decreasing along p")
+                raise ValueError(_ROW_RISES)
             if row[edge] != edge_value:
                 raise ValueError(f"table column at p = {pg[edge]:g} must be {edge_value:+}")
 

@@ -36,7 +36,9 @@ zero and near 1e15.  Its rows, which end at their first dead node, are
 checked against a one-call-per-node scan at the same anchor, also for
 expected shortfall: monotone in the dominance order but not max-stable.
 Where its float arithmetic lets a row rise, a cell need only match the
-scan, sit past a dead node, or hold the value of the run around it.
+scan, sit past a dead node, or hold the value of the run around it; a
+rise the walk places, between two nodes or just after a run, is
+refused, and every grid it returns is one ``PsiGrid`` takes unchanged.
 Those rows skip runs of equal values; they are also checked against the
 scan on lookup measures whose rows fall in long runs, runs of one node,
 runs up to the p = 1 node and zeros of both signs.  The mixtures the
@@ -961,6 +963,24 @@ def cut_at_first_dead(table):
     return tuple(rows)
 
 
+def lookup_measure(xg, pg, rows, base):
+    """The measure reading ``rows[i][j]`` at node (xg[i], pg[j]) and ``base`` at the anchor."""
+    a = xg[0] - (xg[1] - xg[0])
+    key = lambda F: (F.xs, F.cum)
+    cells = {key(two_point(a, y, p)): v for y, row in zip(xg, rows) for p, v in zip(pg, row)}
+    # every row's p = 1 node is the anchor's point mass
+    cells[key(point_mass(a))] = base
+    return lambda F: cells[key(F)]
+
+
+P11 = [k / 10 for k in range(10)] + [1.0]
+
+
+def rising_case(row):
+    """A case whose lookup measure reads ``row`` along its first row; not max-stable."""
+    return lookup_measure([0.0, 1.0], P11, [row, [6.0] + [-2.0] * 10], -2.0), [0.0, 1.0], P11, False
+
+
 @st.composite
 def monotone_cases(draw):
     """A table case, or expected shortfall on the same kind of grid.
@@ -992,6 +1012,10 @@ def assert_scan_or_run_or_cut(got_row, scan_row):
 # inside a run whose ends the walk reads as equal, so it never reads node 3
 @example((expected_shortfall_measure(0.03125), [-1000000000000008.0, -1000000000000007.8],
           [0.0, 0.03125, 0.0625, 0.1015625, 0.25, 1.0], False))
+# a row that rises between two nodes the walk places one by one
+@example(rising_case([5.0, 4.0, 4.5, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0, -2.0]))
+# a row that rises at the node just after a run the walk skips
+@example(rising_case([5.0, 4.0, 4.0, 4.0, 4.0, 4.5, 3.0, 3.0, 3.0, 3.0, -2.0]))
 @settings(max_examples=400, deadline=None)
 def test_row_cutoff_equals_the_full_scan(case):
     # rows fall along p for any measure monotone in the dominance order,
@@ -1006,7 +1030,7 @@ def test_row_cutoff_equals_the_full_scan(case):
     falls = [all(map(operator.ge, row, row[1:])) for row in want]
     assert all(falls) or not max_stable
     try:
-        got = construct_psi(rho, xg, pg, stability_trials=0).table
+        g = construct_psi(rho, xg, pg, stability_trials=0)
     except ValueError as exc:
         col0 = [row[0] for row in want]
         if "separate point masses" in str(exc):
@@ -1014,6 +1038,10 @@ def test_row_cutoff_equals_the_full_scan(case):
         else:
             assert "decreasing along p" in str(exc) and not all(falls)
     else:
+        # the walk skips the public re-check; the public constructor takes
+        # its grid unchanged, so a rise the walk placed fails here
+        assert PsiGrid(g.x_grid, g.p_grid, g.table) == g
+        got = g.table
         for got_row, want_row, row_falls in zip(got, want, falls):
             if row_falls:
                 assert repr(got_row) == repr(want_row)
@@ -1022,16 +1050,6 @@ def test_row_cutoff_equals_the_full_scan(case):
 
 
 # -- skipping runs of equal values along a row against the full scan --------
-
-
-def lookup_measure(xg, pg, rows, base):
-    """The measure reading ``rows[i][j]`` at node (xg[i], pg[j]) and ``base`` at the anchor."""
-    a = xg[0] - (xg[1] - xg[0])
-    key = lambda F: (F.xs, F.cum)
-    cells = {key(two_point(a, y, p)): v for y, row in zip(xg, rows) for p, v in zip(pg, row)}
-    # every row's p = 1 node is the anchor's point mass
-    cells[key(point_mass(a))] = base
-    return lambda F: cells[key(F)]
 
 
 # live values falling in blocks of one float each: ties that are not the
@@ -1061,9 +1079,6 @@ def lookup_cases(draw):
                              max_size=len(pg) - live))
         rows.append(row)
     return lookup_measure(xg, pg, rows, -2.0), xg, pg
-
-
-P11 = [k / 10 for k in range(10)] + [1.0]
 
 
 @given(lookup_cases())

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from fsdrisk.dist import DiscreteDist, point_mass, two_point
@@ -15,6 +16,7 @@ from fsdrisk.engine import (
     two_point_eval,
     verify_representation,
 )
+from fsdrisk.jsonio import dump_json
 from fsdrisk.kernels import GridKernel
 from fsdrisk.measures import (
     affine_benchmark,
@@ -29,6 +31,15 @@ from fsdrisk.steps import DEC, MonotoneStep
 INF = math.inf
 VAR05 = var_measure(0.5).fn
 LAM3 = MonotoneStep((-2.0, 2.0), (0.8, 0.5, 0.2), direction=DEC)
+
+
+def four_means(F):
+    """Four times the mean, which falls along every row in distinct values.
+
+    Not max-stable; on integer atoms and levels in quarters it is exact
+    and integer-valued.
+    """
+    return 4.0 * sum(x * (c - b) for x, b, c in zip(F.xs, (0.0, *F.cum), F.cum))
 
 
 def atoms(*pairs):
@@ -205,6 +216,19 @@ class TestConstructPsi:
         for i, x in enumerate(psi.x_grid):
             for j, p in enumerate(psi.p_grid):
                 assert psi.table[i][j] == (x if p < 0.3 else -INF)
+
+    @pytest.mark.parametrize("cast", [int, np.float64])
+    @pytest.mark.parametrize("measure", [var_measure(0.3).fn, four_means],
+                             ids=["runs", "distinct"])
+    def test_placed_values_are_floats(self, measure, cast):
+        # the walk stores each value it places as a float, in runs and
+        # one by one, so a measure returning ints or numpy floats of the
+        # same values gives the float measure's grid, cell for cell
+        xg, pg = [-2.0, -1.0, 0.0, 1.0, 2.0], [k / 4 for k in range(5)]
+        want = construct_psi(measure, xg, pg, stability_trials=0)
+        got = construct_psi(lambda F: cast(measure(F)), xg, pg, stability_trials=0)
+        assert all(type(v) is float for row in got.table for v in row)
+        assert dump_json(got) == dump_json(want)
 
 
 README_X = [-5.0 + k * 0.05 for k in range(200)] + [5.0]
