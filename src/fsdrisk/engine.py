@@ -5,10 +5,10 @@ is determined by what it does on two-point distributions.  The engine
 exploits that: ``construct_psi`` tabulates the measure on mixtures of
 one anchor below the grid and each node.  Its rows fall along p: a row
 ends at its first dead node, and two equal nodes pin every node between
-them, so a row skips runs of equal values (its docstring holds the
-argument).  The table can then be checked against the measure on
-arbitrary grid-snapped distributions, and its level curve read back off
-it.
+them, so a row skips runs of equal values, starting each run's search
+at the run ends of the row above (its docstring holds the argument).
+The table can then be checked against the measure on arbitrary
+grid-snapped distributions, and its level curve read back off it.
 The table builds each mixture in place; ``two_point_eval`` and
 ``h_threshold``, a standalone threshold search, are not on its path.
 
@@ -159,11 +159,14 @@ def construct_psi(
 
     Runs of equal values are skipped for the same reason: a falling row
     holds v at every node between two that hold v.  After two equal
-    neighbours the walk gallops 1, 2, 4, ... nodes ahead, bisects back to
+    neighbours the walk reads the first run end of the row above past
+    the run's start: the run reaches it if it holds v, else stops short
+    of it.  The walk then gallops 1, 2, 4, ... nodes on, bisects back to
     the run's last node and fills the run, reading no node twice.  Ends
     are compared by bits, so a zero of the other sign between equal ends
-    is not read and takes their sign.  With the gate off, a measure not
-    monotone along a row can get values it never returned inside a run,
+    is not read and takes their sign, unless it is that run end.  With
+    the gate off, a measure not monotone along a row can get values it
+    never returned inside a run, which ones depending on the row above,
     but a placed value above the one placed before it is refused, and
     values are stored as floats, so the grid skips GridKernel's re-check.
 
@@ -200,39 +203,48 @@ def construct_psi(
                 "the two-point construction does not apply"
             )
 
-    def finish_row(y, row, v):
-        # refuse a v above row[-1], else gallop 1, 2, 4, ... nodes to one not holding
-        # v's float, bisect back, fill the run, go on; with ``seen``, none read twice
-        seen = {}
+    def finish_row(y, row, v, hints):
+        # refuse a v above row[-1], else read the next hint, gallop 1, 2, 4, ... nodes
+        # on, bisect back, fill the run, go on; none read twice; return the run ends
+        seen, ends = {}, []
+
+        def holds(k):
+            if (u := seen.get(k)) is None:
+                u = seen[k] = rho(_trusted((a, y), (pg[k], 1.0)))
+            return u == v and math.copysign(1.0, u) == math.copysign(1.0, v)  # v's float
+
         while v > base:
             if v > row[-1]:
                 raise ValueError(_ROW_RISES)
             lo, hi, step = len(row), last, 1
+            if (i := bisect_right(hints, lo)) < len(hints):
+                lo, hi = (hints[i], hi) if holds(hints[i]) else (lo, hints[i])
             while hi - lo > 1:
                 k = lo + step if lo + step < hi else (lo + hi) // 2
-                if (u := seen.get(k)) is None:
-                    u = seen[k] = rho(_trusted((a, y), (pg[k], 1.0)))
-                if u == v and math.copysign(1.0, u) == math.copysign(1.0, v):
+                if holds(k):
                     lo, step = k, 2 * step
                 else:
                     hi = k
             row += repeat(float(v), hi - len(row))
+            ends.append(lo)
             v = seen.get(hi, -INF)  # a node hi < last was read
+        return ends
 
     # the lowest anchor stands for every anchor above it, a row's live
     # nodes are a prefix of it, and equal nodes pin those between (see docstring)
     base = rho(point_mass(a))
     last = len(pg) - 1  # the p = 1 node is dead (see docstring)
-    rows = []
+    rows, ends = [], []
     for y in xg:
         row = []
         prev = math.nan
+        hints, ends = ends, []  # the row above's run ends
         for p in pg[:last]:
             # two_point(a, y, p), built without its checks: the axes and
             # the finite span give a < y, both finite, and p in [0, 1)
             v = rho(_trusted((a, y), (p, 1.0)) if p > 0.0 else point_mass(y))
             if v >= prev:  # two equal neighbours, or a rise: finish_row sees which
-                finish_row(y, row, v)
+                ends = finish_row(y, row, v, hints)
                 break
             if not v > base:
                 break

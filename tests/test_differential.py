@@ -41,7 +41,9 @@ rise the walk places, between two nodes or just after a run, is
 refused, and every grid it returns is one ``PsiGrid`` takes unchanged.
 Those rows skip runs of equal values; they are also checked against the
 scan on lookup measures whose rows fall in long runs, runs of one node,
-runs up to the p = 1 node and zeros of both signs.  The mixtures the
+runs up to the p = 1 node and zeros of both signs, and on rows whose
+run ends shift, vanish or multiply from row to row, since each run's
+search starts at the run ends of the row above.  The mixtures the
 table builds in place are checked, by type and bit for bit, against
 those ``two_point_eval`` builds at every node, with no node read twice.
 """
@@ -1114,6 +1116,85 @@ def test_a_zero_of_the_other_sign_inside_a_run_takes_the_run_value():
     recording(rho, node4)(two_point(-1.0, 0.0, P11[4]))
     assert node4[0] not in calls
     assert got[1] == want[1]
+
+
+# -- run searches that start at the run ends of the row above ---------------
+
+
+@st.composite
+def hinted_cases(draw):
+    """A lookup measure on 3 to 8 falling rows of 20 to 60 p nodes.
+
+    Each row takes the run starts of the row above, shifts some by up to
+    two nodes, drops some, adds up to three and moves its first dead
+    node, so the run ends the walk hands down land inside runs, at their
+    ends, past the row's first dead node or in a row with fewer runs.
+    Run values are distinct floats, zeros of both signs among them.
+    """
+    xg = [float(k) for k in range(draw(st.integers(3, 8)))]
+    m = draw(st.integers(19, 59))
+    pg = [k / m for k in range(m)] + [1.0]
+    starts, live, rows = [], m, []
+    for i in range(len(xg)):
+        live = draw(st.integers(max(1, live - 3), min(m, live + 3)))
+        moves = [draw(st.sampled_from((0, -1, 1, -2, 2, None))) for _ in starts]
+        starts = sorted({s + d for s, d in zip(starts, moves) if d is not None}
+                        | set(draw(st.lists(st.integers(1, m - 1), max_size=3))))
+        inner = [s for s in starts if 0 < s < live]
+        values = sorted(draw(st.lists(st.one_of(st.sampled_from((0.0, -0.0)), st.floats(-1.5, 9.5)),
+                                      min_size=len(inner), max_size=len(inner),
+                                      unique_by=float.hex)), reverse=True)
+        row = [(10.0 + i, *values)[bisect_left(inner, j + 1)] for j in range(live)]
+        row += draw(st.lists(st.sampled_from(DEAD_VALUES), min_size=m + 1 - live,
+                             max_size=m + 1 - live))
+        rows.append(row)
+    return lookup_measure(xg, pg, rows, -2.0), xg, pg
+
+
+def two_rows(row0, row1):
+    return lookup_measure([0.0, 1.0], P11, [row0, row1], -2.0), [0.0, 1.0], P11
+
+
+# the row above's runs end at nodes 4 and 6
+ABOVE = [5.0, 4.0, 4.0, 4.0, 4.0, 3.0, 3.0, -2.0, -2.0, -2.0, -2.0]
+
+
+@given(hinted_cases())
+# a hint inside a run: node 4 holds the run's 5.0, which goes on to node 7
+@example(two_rows(ABOVE, [6.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, -2.0, -2.0, -2.0]))
+# hints at runs' ends: both runs end at nodes 4 and 6 again
+@example(two_rows(ABOVE, [6.0, 5.0, 5.0, 5.0, 5.0, 2.0, 2.0, -2.0, -2.0, -2.0, -2.0]))
+# a hint past the row's first dead node, 3: node 4 bounds the search
+@example(two_rows(ABOVE, [6.0, 5.0, 5.0, -INF, -2.0, -3.0, -2.0, -2.0, -2.0, -2.0, -2.0]))
+# the row above has four runs, this row one
+@example(two_rows([5.0, 4.0, 4.0, 3.0, 3.0, 2.0, 2.0, 1.0, 1.0, -2.0, -2.0],
+                  [6.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, 5.0, -2.0, -2.0]))
+@settings(max_examples=200, deadline=None)
+def test_hinted_run_searches_equal_the_full_scan(case):
+    # every row falls, so a hint that holds the run's float lies in the
+    # run and one that does not bounds it: the table is the scan's bit
+    # for bit, and the hints add no read of a node already read
+    rho, xg, pg = case
+    calls = []
+    got = construct_psi(recording(rho, calls), xg, pg, stability_trials=0).table
+    assert repr(got) == repr(cut_at_first_dead(full_scan_table(rho, xg, pg)))
+    assert max(Counter(calls).values()) == 1
+
+
+def test_a_hint_on_a_zero_of_the_other_sign_inside_a_run_keeps_its_sign():
+    # the row above's run ends at node 4, where the second row's run of
+    # 0.0 holds a -0.0; the hint reads node 4, so it keeps its sign and
+    # the row is the full scan's, where the first row's fill, with no
+    # hint, reads 0.0 there (documented)
+    zeros = [2.0, 0.0, 0.0, 0.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -2.0]
+    rho, xg, pg = two_rows([1.0, 0.5, 0.5, 0.5, 0.5] + [-2.0] * 6, zeros)
+    calls = []
+    got = construct_psi(recording(rho, calls), xg, pg, stability_trials=0).table
+    assert repr(got[1]) == repr((*zeros[:10], -INF))
+    assert repr(got) == repr(cut_at_first_dead(full_scan_table(rho, xg, pg)))
+    node4 = []
+    recording(rho, node4)(two_point(-1.0, 1.0, P11[4]))
+    assert node4[0] in calls
 
 
 # -- the in-place mixtures against the two_point_eval route ------------------

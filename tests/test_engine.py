@@ -244,19 +244,23 @@ class TestConstructPsiCallCounts:
     p = 1 node is always dead, as its mixture is the anchor's point
     mass); with 1 call for the anchor's baseline and the 450 calls of the
     default 150-trial gate that is ``walk``.  Skipping runs of equal
-    values costs no more than that on these tables.  The table never
-    calls the p = 1 node, so each of the 162 affine rows, which hold
-    distinct values, that stay live up to it costs one call less than
-    ``walk`` counts.  ``before`` is what a threshold search per
-    (anchor, p) pair followed by a scan over all anchors at each node
-    costs on the same tables.
+    values costs no more than that on these tables, and a run search that
+    starts at the run ends of the row above costs about two calls per run
+    where neighbouring rows end their runs at the same nodes: every var
+    row dies at p = 0.30, so past the first row, which gallops, a var row
+    costs four calls.  The table never calls the p = 1 node, so each of
+    the 162 affine rows, which hold distinct values and so no run to
+    hint, that stay live up to it costs one call less than ``walk``
+    counts.  ``before`` is what a threshold search per (anchor, p) pair
+    followed by a scan over all anchors at each node costs on the same
+    tables.
     """
 
     @pytest.mark.parametrize(
         "measure,calls,walk,before",
         [
-            (var_measure(0.3), 2_662, 6_682, 858_064),
-            (lambda_quantile_measure(LAM3), 4_684, 16_732, 1_662_374),
+            (var_measure(0.3), 1_262, 6_682, 858_064),
+            (lambda_quantile_measure(LAM3), 1_680, 16_732, 1_662_374),
             (benchmark_loss_measure(affine_benchmark(2.0)), 18_650, 18_812, 2_398_524),
         ],
         ids=["var", "lambda", "affine"],
