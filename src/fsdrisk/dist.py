@@ -203,18 +203,18 @@ def _from_merged(merged: dict[float, float], repeats: Sequence[tuple[float, floa
 
     ``merged`` maps each point to the first mass seen there, and
     ``repeats`` holds the later ``(point, mass)`` pairs at those points;
-    the caller checks that points are finite and masses positive.  Each
-    point's masses are summed with ``fsum``.  The input's own sum, the
-    ``fsum`` of every mass, must be 1 up to ``MASS_TOL``; inside that
-    band the masses are renormalized so the final cumulative level is
-    exactly 1.0.
+    the caller checks that points are finite and masses positive.  A
+    repeated point's masses are summed with ``fsum``.  The input's own
+    sum, the ``fsum`` of every mass, must be 1 up to ``MASS_TOL``; inside
+    that band the masses are renormalized so the final cumulative level
+    is exactly 1.0.
     """
     xs = sorted(merged)
     if repeats:
-        runs = {x: [p] for x, p in merged.items()}
+        runs: dict[float, list[float]] = {}
         for x, p in repeats:
-            runs[x].append(p)
-        ps = [math.fsum(runs[x]) for x in xs]
+            runs.setdefault(x, [merged[x]]).append(p)
+        ps = [math.fsum(runs[x]) if x in runs else merged[x] for x in xs]
         total = math.fsum(chain(merged.values(), (p for _, p in repeats)))
     else:
         ps = [merged[x] for x in xs]

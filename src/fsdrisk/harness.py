@@ -6,12 +6,12 @@ trial ``t``, role ``r`` draws from PCG64 seeded with
 ``SeedSequence([seed mod 2**64, t, r])``, so a report is reproducible
 from its config alone, trial by trial, in any order.
 ``sample_distribution`` is the reference draw, on numpy's own calls,
-that replays any witness from its trial index.  The check loops compute
-the seed states in bulk, a block of trials per numpy pass, and read
-each atom count and support point from raw PCG64 words as numpy would.
-Each trial's generator draws its own words; numpy computes a pass of
-trials' points, masses and levels, as the reference orders its sums,
-and a row that is not canonical takes the reference draw.
+that replays any witness from its trial index.  The check loops hash a
+pass of seed states in bulk, jump each PCG64 state to the raw words a
+trial reads and compute from them, as numpy would, the atom count,
+points, exponentials (the ziggurat's fast path), masses and levels.  A
+row off that path or not canonical, about 7% of rows at 6 atoms, runs
+the reference draw on a generator seeded from its bulk state.
 
 Gaps are measured in extended reals with equal infinities counting as
 zero; all shipped measures are breakpoint-exact, so the default
@@ -20,10 +20,10 @@ tolerance only has to absorb float accumulation.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
-from itertools import islice
 from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
@@ -35,6 +35,9 @@ from .dist import MASS_TOL, _trusted
 INF = math.inf
 _MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
+# uint64 operands, so the word arithmetic stays uint64 on old numpy releases too
+_U32, _U255 = np.uint64(_MASK32), np.uint64(255)
+_S1, _S3, _S8, _S11, _S32, _S58, _S63, _S64 = map(np.uint64, (1, 3, 8, 11, 32, 58, 63, 64))
 
 DEFAULT_TOL = 1e-9
 # the probe discretizes once per cell count up to its limit, so its cost
@@ -112,11 +115,13 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_WORDS = 4
-# trials per bulk pass: memory stays flat for any trial count, and a
-# search that stops at its first witness wastes at most one block
+# trials per bulk pass of ``_generators``: memory stays flat for any trial count
 _BLOCK = 1024
 # padded cells per sampling pass, so a pass's arrays stay small for any max_atoms
-_PASS_CELLS = 1024
+_PASS_CELLS = 2048
+# PCG64's LCG multiplier, and where the tail of numpy's exponential ziggurat starts
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_ZIGGURAT_R = 7.69711747013104972
 
 
 def _seed_states(words: list[np.ndarray]) -> np.ndarray:
@@ -174,70 +179,138 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
+def _states(seed: int, trials: range, role: int) -> np.ndarray:
+    """``SeedSequence([seed & _MASK64, t, role])``'s seed state for each trial t, one row each."""
+    seed &= _MASK64
+    if trials.stop - 1 > _MASK32:  # more entropy words than the bulk pass covers
+        return np.array([np.random.SeedSequence([seed, t, role]).generate_state(4, np.uint64)
+                         for t in trials])
+    n = len(trials)
+    words = [np.full(n, w, np.uint32) for w in _uint32_words(seed)]
+    words.append(np.arange(trials.start, trials.stop, dtype=np.uint32))
+    words.append(np.full(n, role, np.uint32))
+    return _seed_states(words)
+
+
 def _generators(seed: int, trials: range, role: int) -> Iterator[np.random.Generator]:
     """The generator of each trial in ``trials`` for one role, in order.
 
     Each equals ``np.random.default_rng([seed & _MASK64, trial, role])``,
-    state for state.  Trials from 2**32 on take more entropy words than
-    the bulk pass covers and are seeded one by one instead.
+    state for state.
     """
-    seed &= _MASK64
-    fixed = _uint32_words(seed)
     for lo in range(trials.start, trials.stop, _BLOCK):
-        block = range(lo, min(lo + _BLOCK, trials.stop))
-        if block.stop - 1 > _MASK32:
-            for trial in block:
-                yield np.random.default_rng([seed, trial, role])
-            continue
-        n = len(block)
-        words = [np.full(n, w, np.uint32) for w in fixed]
-        words.append(np.arange(block.start, block.stop, dtype=np.uint32))
-        words.append(np.full(n, role, np.uint32))
-        for state in _seed_states(words):
+        for state in _states(seed, range(lo, min(lo + _BLOCK, trials.stop)), role):
             yield np.random.Generator(np.random.PCG64(_SeedState(state)))
+
+
+def _muladd128(a_hi, a_lo, b_hi, b_lo, c_hi=0, c_lo=0) -> tuple[np.ndarray, np.ndarray]:
+    """(a * b + c) mod 2**128 on (high, low) uint64 halves, a_lo * b_lo by 32-bit limbs."""
+    a0, a1, b0, b1 = a_lo & _U32, a_lo >> _S32, b_lo & _U32, b_lo >> _S32
+    p01, p10 = a0 * b1, a1 * b0
+    mid = (a0 * b0 >> _S32) + (p01 & _U32) + (p10 & _U32)
+    lo = a_lo * b_lo + c_lo
+    hi = a1 * b1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32) + a_hi * b_lo + a_lo * b_hi
+    return hi + c_hi + (lo < c_lo), lo
+
+
+# MULT**(k + 1) and 1 + MULT + ... + MULT**k mod 2**128 at index k, as
+# (high, low) halves, doubled in length as longer rows need them
+_JUMPS: list[np.ndarray] = []
+
+
+def _pcg_words(states: np.ndarray, positions: range) -> np.ndarray:
+    """Raw words ``positions`` (1 is the first) of PCG64 seeded by each row of ``states``.
+
+    PCG64 seeds inc = s2:s3 << 1 | 1 and state = (s0:s1 + inc) * MULT + inc
+    and steps state = state * MULT + inc before each word, so word k comes
+    from MULT**(k + 1) * s0:s1 + (1 + ... + MULT**(k + 1)) * inc: the xor of
+    its halves rotated right by its top six bits.
+    """
+    if not _JUMPS:
+        _JUMPS[:] = [np.array([v], np.uint64) for v in (_PCG_MULT >> 64, _PCG_MULT & _MASK64, 0, 1)]
+    while len(_JUMPS[0]) <= positions.stop:
+        # entry k + n is MULT**n times entry k, plus 1 + ... + MULT**(n - 1) in the sum
+        a_hi, a_lo, c_hi, c_lo = (j[-1:] for j in _JUMPS)
+        grown = (*_muladd128(*_JUMPS[:2], a_hi, a_lo), *_muladd128(*_JUMPS[2:], a_hi, a_lo, c_hi, c_lo))
+        _JUMPS[:] = [np.concatenate(pair) for pair in zip(_JUMPS, grown)]
+    a_hi, a_lo, c_hi, c_lo = _JUMPS
+    s0, s1, s2, s3 = (states[:, i, None] for i in range(_POOL_WORDS))
+    k, k1 = slice(positions.start, positions.stop), slice(positions.start + 1, positions.stop + 1)
+    inc = _muladd128(s2 << _S1 | s3 >> _S63, s3 << _S1 | _S1, c_hi[k1], c_lo[k1])
+    hi, lo = _muladd128(s0, s1, a_hi[k], a_lo[k], *inc)
+    x, rot = hi ^ lo, hi >> _S58
+    return x >> rot | x << (_S64 - rot & _S63)
+
+
+@functools.cache
+def _exp_tables() -> tuple[np.ndarray, np.ndarray]:
+    """numpy's exponential ziggurat: layer widths ``we`` and fast-path bounds ``ke``.
+
+    Of a word w, ``standard_exponential`` returns ri * we[idx] if ri < ke[idx],
+    where ri = w >> 11 and idx = w >> 3 & 255.  we[idx] is drawn at ri = 1;
+    ke[idx], the layer's bound over we[idx] less 16, is kept if a draw at
+    ri = ke[idx] - 1 reads one word too, else it is 0.  Built on first use.
+    """
+    bits = np.random.PCG64(0)
+    inc, unmult = bits.state["state"]["inc"], pow(_PCG_MULT, -1, 1 << 128)
+
+    def draw(ri: int, idx: int) -> tuple[float, bool]:
+        # one step makes the state the word itself, which outputs unrotated
+        word = (ri << 8 | idx) << 3
+        bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                      "state": {"state": (word - inc) * unmult % (1 << 128), "inc": inc}}
+        e = np.random.Generator(bits).standard_exponential()
+        return e, bits.state["state"]["state"] == word
+
+    we, one_word = zip(*(draw(1, idx) for idx in range(256)))
+    # the base layer is bounded by the tail's start r, layer idx by layer idx - 1
+    bounds = [_ZIGGURAT_R] + [w * 2.0**53 for w in we[:-1]]
+    ke = [min(int(b / w) - 16, 1 << 53) for b, w in zip(bounds, we)]
+    ke = [k if k > 0 and one_word[i] and draw(k - 1, i)[1] else 0 for i, k in enumerate(ke)]
+    return np.array(we), np.array(ke, np.uint64)
 
 
 def _samples(cfg: SamplerConfig, role: int) -> Iterator[DiscreteDist]:
     """``sample_distribution(cfg, t, role)`` for every trial t of ``cfg``.
 
-    Per trial, its own generator gives the count n = 1 + (lo32 *
-    max_atoms >> 32), ``integers``' Lemire step on one word's low half
-    (no word for one atom), then n raw words and n exponentials.  Per
-    pass, numpy computes on a zero-padded (trials, widest count) array
-    each point as ``uniform``'s lo + width * ((w >> 11) * 2**-53), the
-    masses over their left-to-right sum, the sort and the levels, as the
-    scalar code orders them.  A row of distinct points, positive masses
-    and levels rising strictly to 1 is canonical; any other takes the
-    reference draw, as does a count word where numpy may read a second
-    one, and max_atoms >= 2**32.
+    A pass of trials makes no numpy call per trial.  ``_pcg_words`` gives
+    each trial's count n = 1 + (lo32 * max_atoms >> 32), ``integers``'
+    Lemire step on word 1's low half (no word for one atom), then its n
+    point words and n exponential words.  numpy computes each point as
+    ``uniform``'s lo + width * ((w >> 11) * 2**-53), each exponential by
+    the ziggurat's fast path, the masses over their left-to-right sum,
+    the sort and the levels, as the scalar code orders them.  A row of
+    distinct points, positive masses and levels rising strictly to 1 is
+    canonical.  Any other row runs ``_draw`` on a generator seeded from
+    its bulk state: a count word where numpy may read a second one (from
+    2**32 atoms on, every one), an exponential off the fast path (about
+    7% of rows at 6 atoms), a zero mass, a repeated point.
     """
     lo, hi = cfg.support_range
     width = hi - lo
     m = cfg.max_atoms
+    we, ke = _exp_tables()
     per_pass = max(1, _PASS_CELLS // m)
-    rngs = iter(_generators(cfg.seed, range(cfg.trials), role))
     for start in range(0, cfg.trials, per_pass):
-        counts, words, exps = [], [], []
-        for rng in islice(rngs, per_pass):
-            bits = rng.bit_generator
-            n = 1
-            if m > 1:
-                prod = (bits.random_raw() & _MASK32) * m
-                # always under m from 2**32 atoms on, where numpy counts
-                # another way; a gated trial draws no atoms here
-                n = 0 if prod & _MASK32 < m else 1 + (prod >> 32)
-            counts.append(n)
-            words.append(bits.random_raw(n))
-            exps.append(rng.standard_exponential(n))
-        ns = np.array(counts)[:, None]
+        states = _states(cfg.seed, range(start, min(start + per_pass, cfg.trials)), role)
+        ns = np.ones((len(states), 1), np.int64)
+        if m > 1:
+            # from 2**32 atoms on every count word is gated; a gated trial draws no atoms here
+            count = np.uint64(min(m, 1 << 32))
+            prod = (_pcg_words(states, range(1, 2)) & _U32) * count
+            ns = np.where(prod & _U32 < count, 0, 1 + (prod >> _S32)).astype(np.int64)
         cols = np.arange(ns.max())
         filled = cols < ns
-        w = np.zeros(filled.shape, np.uint64)
-        w[filled] = np.concatenate(words)
-        e = np.zeros(filled.shape)
-        e[filled] = np.concatenate(exps)
+        # the point words follow the count word, the exponential words a row's points
+        first = 2 if m > 1 else 1
+        w = _pcg_words(states, range(first, first + 2 * len(cols)))
+        ri = np.take_along_axis(w, ns + cols, 1) >> _S3
+        idx = (ri & _U255).astype(np.intp)
+        ri >>= _S8
+        # an exponential off the fast path reads as zero, a zero mass
+        e = np.where(filled & (ri < ke[idx]), ri * we[idx], 0.0)
         # padded points sort last; a row with no atoms has masses 0 / 0
-        xs = np.where(filled, lo + width * ((w >> np.uint64(11)) * 2.0**-53), INF)
+        xs = np.where(filled, lo + width * ((w[:, :len(cols)] >> _S11) * 2.0**-53), INF)
         with np.errstate(divide="ignore", invalid="ignore"):
             ps = e * (1.0 / np.cumsum(e, axis=1)[:, -1:])
             order = np.argsort(xs, axis=1, kind="stable")
@@ -252,9 +325,12 @@ def _samples(cfg: SamplerConfig, role: int) -> Iterator[DiscreteDist]:
         canon = np.abs(totals - 1.0) <= MASS_TOL
         canon &= np.all(((ps > 0.0) & (np.diff(levels, axis=1, prepend=0.0) > 0.0)) | ~filled, axis=1)
         canon &= np.all((xs[:, 1:] > xs[:, :-1]) | ~filled[:, 1:], axis=1)
-        rows = zip(counts, canon.tolist(), xs.tolist(), levels.tolist())
-        for trial, (n, ok, xr, lr) in enumerate(rows, start):
-            yield _trusted(tuple(xr[:n]), tuple(lr[:n])) if ok else sample_distribution(cfg, trial, role)
+        rows = zip(ns[:, 0].tolist(), canon.tolist(), xs.tolist(), levels.tolist())
+        for i, (n, ok, xr, lr) in enumerate(rows):
+            if ok:
+                yield _trusted(tuple(xr[:n]), tuple(lr[:n]))
+            else:
+                yield _draw(np.random.Generator(np.random.PCG64(_SeedState(states[i]))), cfg)
 
 
 def ext_gap(a: float, b: float) -> float:

@@ -397,12 +397,8 @@ def test_from_levels_equals_a_keep_loop(xs_levels):
     assert outcome(DiscreteDist.from_levels, *xs_levels) == outcome(from_levels_keep_loop, *xs_levels)
 
 
-@given(noisy_atoms())
-@settings(max_examples=300, deadline=None)
-def test_from_atoms_equals_its_from_levels_route(pairs):
-    # from_atoms builds its levels itself; handing them to from_levels,
-    # which re-checks them, gives the same bits; each point's masses and
-    # the input's own total are summed exactly
+def summed_at_every_point(pairs):
+    """``from_levels`` on levels whose every point's masses, one or many, are ``fsum``-ed."""
     runs = {}
     for x, p in pairs:
         runs.setdefault(float(x), []).append(p)
@@ -414,8 +410,32 @@ def test_from_atoms_equals_its_from_levels_route(pairs):
         acc += m
         levels.append(acc / total)
     levels[-1] = 1.0
+    return DiscreteDist.from_levels(xs, levels)
+
+
+@given(noisy_atoms())
+@settings(max_examples=300, deadline=None)
+def test_from_atoms_equals_its_from_levels_route(pairs):
+    # from_atoms builds its levels itself; handing them to from_levels,
+    # which re-checks them, gives the same bits; each point's masses and
+    # the input's own total are summed exactly
     d = DiscreteDist.from_atoms(pairs)
-    ref = DiscreteDist.from_levels(xs, levels)
+    ref = summed_at_every_point(pairs)
+    assert repr((d.xs, d.cum)) == repr((ref.xs, ref.cum))
+
+
+@given(st.lists(st.tuples(st.integers(min_value=-3, max_value=3), st.integers(min_value=1, max_value=999)),
+                min_size=2, max_size=30))
+@example([(1, 1), (1, 1), (2, 2)])
+@example([(0, 3), (1, 7), (0, 1), (2, 5), (0, 1), (3, 999)])
+@settings(max_examples=300, deadline=None)
+def test_only_repeated_points_are_fsummed(weighted):
+    # from_atoms sums the masses of a repeated point with fsum and keeps
+    # a lone mass as it is, which is what fsum of that one mass returns
+    total = sum(w for _, w in weighted)
+    pairs = [(x, w / total) for x, w in weighted]
+    d = DiscreteDist.from_atoms(pairs)
+    ref = summed_at_every_point(pairs)
     assert repr((d.xs, d.cum)) == repr((ref.xs, ref.cum))
 
 

@@ -2,8 +2,12 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import warnings
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,13 +175,14 @@ _PCG_UNMULT = pow(_PCG_MULT, -1, 1 << 128)
 _PCG_INC = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 
-def crafted_rng(position: int, word: int, hi: int) -> np.random.Generator:
-    """A PCG64 generator whose ``position``-th raw word is ``word``.
+def crafted_state(position: int, word: int, hi: int) -> np.ndarray:
+    """A seed state whose PCG64's ``position``-th raw word is ``word``.
 
     PCG64 steps its 128-bit state and then outputs the xor of the state's
     halves rotated right by the state's top six bits.  Any high half
     ``hi`` has one low half that gives ``word``; that state is stepped
-    back ``position`` times.
+    back ``position`` times.  PCG64 seeds inc = s2:s3 << 1 | 1 and state =
+    (s0:s1 + inc) * MULT + inc, which is solved for s0:s1.
     """
     hi &= _M64
     rot = hi >> 58
@@ -185,14 +190,64 @@ def crafted_rng(position: int, word: int, hi: int) -> np.random.Generator:
     state = hi << 64 | lo
     for _ in range(position):
         state = (state - _PCG_INC) * _PCG_UNMULT & _M128
-    bits = np.random.PCG64()
-    bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": _PCG_INC},
-                  "has_uint32": 0, "uinteger": 0}
-    return np.random.Generator(bits)
+    seed = ((state - _PCG_INC) * _PCG_UNMULT - _PCG_INC) & _M128
+    initseq = _PCG_INC >> 1
+    return np.array([seed >> 64, seed & _M64, initseq >> 64, initseq & _M64], np.uint64)
+
+
+def seeded(state: np.ndarray) -> np.random.Generator:
+    """The generator PCG64 makes of a seed state, as the check loops' fallback does."""
+    return np.random.Generator(np.random.PCG64(harness._SeedState(state)))
+
+
+def crafted_rng(position: int, word: int, hi: int) -> np.random.Generator:
+    """A generator whose ``position``-th raw word is ``word``."""
+    return seeded(crafted_state(position, word, hi))
+
+
+def exponentials(rng: np.random.Generator, n: int) -> tuple[np.ndarray, bool]:
+    """``rng.standard_exponential(n)``, and whether it read only n words.
+
+    Reading one word per draw is numpy's ziggurat fast path.
+    """
+    after = np.random.PCG64()
+    after.state = rng.bit_generator.state
+    after.advance(n)
+    es = rng.standard_exponential(n)
+    return es, rng.bit_generator.state["state"] == after.state["state"]
+
+
+def route(monkeypatch, cfg, make):
+    """``_samples`` on the seed states ``make(trial)``, against ``_draw`` on them.
+
+    Returns the trials that took the reference draw.
+    """
+    states = [make(trial) for trial in range(cfg.trials)]
+
+    def key(rng):
+        return tuple(rng.bit_generator.state["state"].values())
+
+    trial_of = {key(seeded(state)): trial for trial, state in enumerate(states)}
+    assert len(trial_of) == cfg.trials
+    fell_back = []
+    draw = harness._draw
+
+    def reference(rng, cfg):
+        fell_back.append(trial_of[key(rng)])
+        return draw(rng, cfg)
+
+    monkeypatch.setattr(harness, "_states",
+                        lambda seed, trials, role: np.array(states[trials.start:trials.stop]))
+    monkeypatch.setattr(harness, "_draw", reference)
+    got = list(harness._samples(cfg, 0))
+    monkeypatch.undo()
+    for trial, F in enumerate(got):
+        assert hexes(F) == hexes(draw(seeded(states[trial]), cfg))
+    return fell_back
 
 
 class TestRawRoute:
-    """``_samples`` reads raw words; ``sample_distribution`` calls numpy."""
+    """``_samples`` computes raw words; ``sample_distribution`` calls numpy."""
 
     @pytest.mark.parametrize("max_atoms", [1, 2, 4, 6, 9, 12])
     def test_draws_equal_the_reference(self, max_atoms):
@@ -207,25 +262,13 @@ class TestRawRoute:
                         cases += 1
         assert cases == 1920
 
-    def route(self, monkeypatch, cfg, make):
-        """``_samples`` on the generators ``make(trial)``, against ``_draw`` on them.
-
-        Returns the trials that took the reference draw.
-        """
-        fell_back = []
-
-        def reference(cfg, trial, role):
-            fell_back.append(trial)
-            return harness._draw(make(trial), cfg)
-
-        monkeypatch.setattr(harness, "_generators",
-                            lambda seed, trials, role: map(make, trials))
-        monkeypatch.setattr(harness, "sample_distribution", reference)
-        got = list(harness._samples(cfg, 0))
-        monkeypatch.undo()
-        for trial, F in enumerate(got):
-            assert hexes(F) == hexes(harness._draw(make(trial), cfg))
-        return fell_back
+    def test_crafted_seed_states_give_their_words(self):
+        for position, word, hi in ((1, 0, 0), (1, 2**64 - 1, 5 << 58), (7, 0x0123456789ABCDEF, 2**64 - 1)):
+            bits = crafted_rng(position, word, hi).bit_generator
+            assert bits.state["state"]["inc"] == _PCG_INC
+            assert int(bits.random_raw(position)[-1]) == word
+            words = harness._pcg_words(crafted_state(position, word, hi)[None, :], range(1, position + 1))
+            assert int(words[0, -1]) == word
 
     @staticmethod
     def first_hi(position, word, ok, hi):
@@ -236,12 +279,20 @@ class TestRawRoute:
                 return hi
 
     def test_crafted_words_reach_the_plain_route(self, monkeypatch):
-        # counts 1 to 6 straight from the low half, no fallback
+        # counts 1 to 6 straight from the low half, no fallback; the high
+        # halves are picked so that every exponential takes the fast path
         cfg = SamplerConfig(seed=1, max_atoms=6, trials=6)
         words = [k * 2**32 // 6 + 2 for k in range(6)]
         assert [(w * 6 >> 32) + 1 for w in words] == [1, 2, 3, 4, 5, 6]
         assert min(w * 6 % 2**32 for w in words) >= 6
-        assert self.route(monkeypatch, cfg, lambda t: crafted_rng(1, words[t], 0xA5 << 56)) == []
+
+        def fast(rng):
+            n = int(rng.integers(1, 7))
+            rng.bit_generator.advance(n)
+            return exponentials(rng, n)[1]
+
+        his = [self.first_hi(1, words[t], fast, 0xA5 << 56) for t in range(6)]
+        assert route(monkeypatch, cfg, lambda t: crafted_state(1, words[t], his[t])) == []
 
     @pytest.mark.parametrize("max_atoms,lo32", [
         # leftover 0 sits under Lemire's threshold 4: numpy rejects the
@@ -255,9 +306,9 @@ class TestRawRoute:
         assert lo32 * max_atoms % 2**32 < max_atoms
 
         def make(trial):
-            return crafted_rng(1, (trial + 1) << 40 | lo32, (trial * 0x9E37 + 5) << 48)
+            return crafted_state(1, (trial + 1) << 40 | lo32, (trial * 0x9E37 + 5) << 48)
 
-        assert self.route(monkeypatch, cfg, make) == list(range(8))
+        assert route(monkeypatch, cfg, make) == list(range(8))
 
     def test_a_zero_mass_takes_the_reference(self, monkeypatch):
         # a word below 2**11 is an exponential of exactly zero; with two
@@ -272,43 +323,48 @@ class TestRawRoute:
                 rng.bit_generator.random_raw(2)
                 assert harness._flat_dirichlet(rng, 2)[0] == 0.0
                 his.append(hi)
-        assert self.route(monkeypatch, cfg, lambda t: crafted_rng(4, 0, his[t])) == [0, 1, 2, 3]
+        assert route(monkeypatch, cfg, lambda t: crafted_state(4, 0, his[t])) == [0, 1, 2, 3]
 
     def test_a_zero_mass_on_the_highest_point_takes_the_reference(self, monkeypatch):
         # the level of the highest point is set to 1.0, so with a zero mass
         # there the levels can still rise strictly: of four atoms the first
         # has the highest point and an exponential of exactly zero, and the
         # other three masses, summed left to right, fall short of their
-        # exact sum; the fifth word after the count word is that exponential
+        # exact sum; the fifth word after the count word is that exponential,
+        # and all four take the fast path, so only the zero mass sends the
+        # row to the reference
         cfg = SamplerConfig(seed=1, max_atoms=4, trials=3)
 
         def zero_on_top(rng):
             if int(rng.integers(1, 5)) != 4:
                 return False
-            xs, es = rng.uniform(-10.0, 10.0, 4), rng.standard_exponential(4)
+            xs = rng.uniform(-10.0, 10.0, 4)
+            es, fast = exponentials(rng, 4)
             ps = (es * (1.0 / np.cumsum(es)[-1]))[np.argsort(xs)].tolist()
-            return es[0] == 0.0 and xs.argmax() == 0 and ps[0] + ps[1] + ps[2] < math.fsum(ps)
+            return fast and es[0] == 0.0 and xs.argmax() == 0 and ps[0] + ps[1] + ps[2] < math.fsum(ps)
 
         his, hi = [], 1
         for _ in range(cfg.trials):
             hi = self.first_hi(6, 0, zero_on_top, hi)
             his.append(hi)
-        assert self.route(monkeypatch, cfg, lambda t: crafted_rng(6, 0, his[t])) == [0, 1, 2]
+        assert route(monkeypatch, cfg, lambda t: crafted_state(6, 0, his[t])) == [0, 1, 2]
 
     def test_a_repeated_point_takes_the_reference(self, monkeypatch):
         # a low half of 2**32 - 1 reads three atoms, and the support holds
         # only two floats, 0.0 and 5e-324
         cfg = SamplerConfig(seed=1, max_atoms=3, support_range=(0.0, 5e-324), trials=5)
-        def make(trial):
-            return crafted_rng(1, trial << 32 | 0xFFFFFFFF, (trial + 3) << 58)
 
-        assert self.route(monkeypatch, cfg, make) == list(range(5))
+        def make(trial):
+            return crafted_state(1, trial << 32 | 0xFFFFFFFF, (trial + 3) << 58)
+
+        assert route(monkeypatch, cfg, make) == list(range(5))
 
     def test_fallbacks_mid_pass_and_last_in_a_pass(self, monkeypatch):
         # two floats of support, 0.0 and 5e-324, and up to two atoms: a
         # natural trial draws one point, both, or one twice, a repeated
-        # point that takes the reference draw; crafted trials, which take
-        # it too, sit mid-pass, last in a pass and alone in the last pass
+        # point that takes the reference draw, as does an exponential off
+        # numpy's fast path; crafted trials, which take it too, sit
+        # mid-pass, last in a pass and alone in the last pass
         per = harness._PASS_CELLS // 2
         cfg = SamplerConfig(seed=1, max_atoms=2, support_range=(0.0, 5e-324), trials=2 * per + 1)
         two = 2**31 + 5  # a count word's low half reading two atoms
@@ -319,13 +375,20 @@ class TestRawRoute:
         def repeats(rng):
             return reads_two(rng) and len(set(rng.uniform(0.0, 5e-324, 2).tolist())) == 1
 
+        def slow(rng):
+            n = int(rng.integers(1, 3))
+            rng.bit_generator.advance(n)
+            return not exponentials(rng, n)[1]
+
         def tiny_on_top(rng):
-            # the word 2**11 | 1 << 3 is an exponential of 7.1e-18; on the
-            # higher point, the level before it already rounds to 1.0
+            # the word 2**11 | 2 << 3 is the fast-path exponential of layer
+            # 2 at ri = 1, 1.2e-17; on the higher point, the level before
+            # it already rounds to 1.0
             if not reads_two(rng):
                 return False
-            xs, es = rng.uniform(0.0, 5e-324, 2), rng.standard_exponential(2)
-            return xs[0] > xs[1] and 0.0 < es[0] < es[1] * 2.0**-56
+            xs = rng.uniform(0.0, 5e-324, 2)
+            es, fast = exponentials(rng, 2)
+            return fast and xs[0] > xs[1] and 0.0 < es[0] < es[1] * 2.0**-56
 
         crafted = {}
         for t in (per // 5, 2 * per):  # a gated count word
@@ -336,29 +399,105 @@ class TestRawRoute:
             crafted[t] = (1, t << 32 | two, self.first_hi(1, t << 32 | two, repeats, t))
         tiny = (per, per + per // 2)  # distinct points, levels not rising strictly
         for t in tiny:
-            crafted[t] = (4, 2056, self.first_hi(4, 2056, tiny_on_top, t))
+            crafted[t] = (4, 2064, self.first_hi(4, 2064, tiny_on_top, t))
 
         def make(trial):
             if trial in crafted:
-                return crafted_rng(*crafted[trial])
-            return np.random.default_rng([3, trial])
+                return crafted_state(*crafted[trial])
+            return np.random.SeedSequence([3, trial]).generate_state(4, np.uint64)
 
-        natural = [t for t in range(cfg.trials) if t not in crafted and repeats(make(t))]
+        natural = [t for t in range(cfg.trials) if t not in crafted
+                   and (repeats(seeded(make(t))) or slow(seeded(make(t))))]
         assert len(natural) > 100
+        assert any(slow(seeded(make(t))) for t in natural)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fell_back = self.route(monkeypatch, cfg, make)
+            fell_back = route(monkeypatch, cfg, make)
         assert fell_back == sorted(natural + list(crafted))
         # the reference keeps one of a tiny-mass row's two points
         for t in tiny:
-            assert harness._draw(make(t), cfg).xs == (0.0,)
+            assert harness._draw(seeded(make(t)), cfg).xs == (0.0,)
 
     def test_max_atoms_past_32_bits_takes_the_reference(self, monkeypatch):
         # numpy's count then reads the whole low half, and draws up to
-        # 2**32 points; the stand-in reference draws none
-        cfg = SamplerConfig(seed=1, max_atoms=2**32, trials=3)
-        monkeypatch.setattr(harness, "sample_distribution", lambda cfg, t, r: (t, r))
-        assert list(harness._samples(cfg, 2)) == [(0, 2), (1, 2), (2, 2)]
+        # 2**32 points; every count word is gated, and the stand-in
+        # reference draws none but returns the state it was handed
+        monkeypatch.setattr(harness, "_draw", lambda rng, cfg: rng.bit_generator.state)
+        want = [np.random.default_rng([1, t, 2]).bit_generator.state for t in range(3)]
+        for max_atoms in (2**32, 2**32 + 1, 2**70):
+            cfg = SamplerConfig(seed=1, max_atoms=max_atoms, trials=3)
+            assert list(harness._samples(cfg, 2)) == want
+
+
+class TestExponentialTables:
+    """The ziggurat tables read from numpy, against numpy's own draws."""
+
+    def test_fast_path_words_give_numpy_bit_for_bit(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            we, ke = harness._exp_tables()
+            # numpy never takes the fast path in layer 1, and every other
+            # layer's probe held
+            assert [idx for idx in range(256) if ke[idx] == 0] == [1]
+            for idx in range(256):
+                for ri in {1, int(ke[idx]) - 1} - {-1}:
+                    word = (ri << 8 | idx) << 3
+                    rng = crafted_rng(1, word, idx << 40 | ri & 0xFFFF)
+                    es, fast = exponentials(rng, 1)
+                    assert fast == (idx != 1)
+                    if fast:
+                        assert es[0].hex() == (ri * we[idx]).hex()
+
+    def test_words_off_the_fast_path_take_the_reference(self, monkeypatch):
+        # one atom: word 1 is the point and word 2 the exponential, which
+        # is at ri = 1 and ri = ke - 1 (the fast path), at ri = ke, in the
+        # base layer's tail and in layer 1 (the reference)
+        _, ke = harness._exp_tables()
+        layers = [idx for idx in range(256) if ke[idx]]
+        fast = [(ri, idx) for idx in layers for ri in sorted({1, int(ke[idx]) - 1})]
+        slow = [(int(ke[idx]), idx) for idx in layers] + [(2**53 - 1, 0), (1, 1), (7, 1)]
+        words = [(ri << 8 | idx) << 3 for ri, idx in fast + slow]
+
+        def make(trial):
+            return crafted_state(2, words[trial], trial << 20 | 0x5A5)
+
+        cfg = SamplerConfig(seed=1, max_atoms=1, trials=len(words))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fell_back = route(monkeypatch, cfg, make)
+        assert fell_back == list(range(len(fast), len(words)))
+
+    def test_natural_draws_off_the_fast_path_equal_the_reference(self, monkeypatch):
+        # about one row in fourteen at six atoms reads an exponential off
+        # the fast path; those rows are seeded afresh and still equal
+        # sample_distribution
+        cfg = SamplerConfig(seed=2024, max_atoms=6, trials=600)
+        fell_back = []
+        draw = harness._draw
+
+        def reference(rng, cfg):
+            fell_back.append(rng)
+            return draw(rng, cfg)
+
+        monkeypatch.setattr(harness, "_draw", reference)
+        got = list(harness._samples(cfg, 1))
+        monkeypatch.undo()
+        assert 15 < len(fell_back) < 80
+        for trial, F in enumerate(got):
+            assert hexes(F) == hexes(sample_distribution(cfg, trial, 1))
+
+    def test_tables_are_built_on_the_first_pass_not_at_import(self):
+        src = str(Path(harness.__file__).resolve().parent.parent)
+        code = (
+            "import fsdrisk.cli, fsdrisk.harness as h\n"
+            "print(h._exp_tables.cache_info().currsize, len(h._JUMPS))\n"
+            "list(h._samples(h.SamplerConfig(trials=1), 0))\n"
+            "print(h._exp_tables.cache_info().currsize, len(h._JUMPS))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "0 0\n1 4\n"
 
 
 class TestBulkSeeding:
