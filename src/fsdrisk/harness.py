@@ -10,8 +10,10 @@ that replays any witness from its trial index.  The check loops hash a
 pass of seed states in bulk, jump each PCG64 state to the raw words a
 trial reads and compute from them, as numpy would, the atom count,
 points, exponentials (the ziggurat's fast path), masses and levels.  A
-row off that path or not canonical, about 7% of rows at 6 atoms, runs
-the reference draw on a generator seeded from its bulk state.
+row with an exponential off that path, about 7% of rows at 6 atoms, has
+numpy draw its exponentials from a generator seeded from its bulk state
+and advanced past its points.  Only a row that is not canonical runs
+the reference draw.
 
 Gaps are measured in extended reals with equal infinities counting as
 zero; all shipped measures are breakpoint-exact, so the default
@@ -106,7 +108,8 @@ def _flat_dirichlet(rng: np.random.Generator, n: int) -> list[float]:
     s = 0.0
     for e in es:
         s += e
-    inv = 1.0 / s
+    # numpy divides in C: a zero sum gives NaN masses, which ``_draw`` redraws
+    inv = 1.0 / s if s else INF
     return [e * inv for e in es]
 
 
@@ -279,12 +282,15 @@ def _samples(cfg: SamplerConfig, role: int) -> Iterator[DiscreteDist]:
     point words and n exponential words.  numpy computes each point as
     ``uniform``'s lo + width * ((w >> 11) * 2**-53), each exponential by
     the ziggurat's fast path, the masses over their left-to-right sum,
-    the sort and the levels, as the scalar code orders them.  A row of
-    distinct points, positive masses and levels rising strictly to 1 is
-    canonical.  Any other row runs ``_draw`` on a generator seeded from
-    its bulk state: a count word where numpy may read a second one (from
-    2**32 atoms on, every one), an exponential off the fast path (about
-    7% of rows at 6 atoms), a zero mass, a repeated point.
+    the sort and the levels, as the scalar code orders them.  A row with
+    an exponential off the fast path (about 7% of rows at 6 atoms) seeds
+    its PCG64 from its bulk state, advances it past the count and point
+    words, and has numpy draw all its exponentials, so the extra words of
+    the tail or of a rejected layer are read as numpy reads them.  A row
+    of distinct points, positive masses and levels rising strictly to 1
+    is canonical.  Any other row runs ``_draw`` on a generator seeded
+    from its bulk state: a count word where numpy may read a second one
+    (from 2**32 atoms on, every one), a zero mass, a repeated point.
     """
     lo, hi = cfg.support_range
     width = hi - lo
@@ -307,8 +313,13 @@ def _samples(cfg: SamplerConfig, role: int) -> Iterator[DiscreteDist]:
         ri = np.take_along_axis(w, ns + cols, 1) >> _S3
         idx = (ri & _U255).astype(np.intp)
         ri >>= _S8
-        # an exponential off the fast path reads as zero, a zero mass
-        e = np.where(filled & (ri < ke[idx]), ri * we[idx], 0.0)
+        e = np.where(filled, ri * we[idx], 0.0)
+        # a row with an exponential off the fast path has numpy draw all its
+        # exponentials, from its generator advanced past the count and points
+        for i in np.flatnonzero(np.any(filled & (ri >= ke[idx]), axis=1)).tolist():
+            n = int(ns[i, 0])
+            bits = np.random.PCG64(_SeedState(states[i])).advance(first - 1 + n)
+            e[i, :n] = np.random.Generator(bits).standard_exponential(n)
         # padded points sort last; a row with no atoms has masses 0 / 0
         xs = np.where(filled, lo + width * ((w[:, :len(cols)] >> _S11) * 2.0**-53), INF)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -196,7 +196,7 @@ def crafted_state(position: int, word: int, hi: int) -> np.ndarray:
 
 
 def seeded(state: np.ndarray) -> np.random.Generator:
-    """The generator PCG64 makes of a seed state, as the check loops' fallback does."""
+    """The generator PCG64 makes of a seed state, as the check loops seed a row's own."""
     return np.random.Generator(np.random.PCG64(harness._SeedState(state)))
 
 
@@ -205,16 +205,22 @@ def crafted_rng(position: int, word: int, hi: int) -> np.random.Generator:
     return seeded(crafted_state(position, word, hi))
 
 
-def exponentials(rng: np.random.Generator, n: int) -> tuple[np.ndarray, bool]:
-    """``rng.standard_exponential(n)``, and whether it read only n words.
+def exponentials(rng: np.random.Generator, n: int) -> tuple[np.ndarray, int]:
+    """``rng.standard_exponential(n)``, and the number of raw words it read.
 
-    Reading one word per draw is numpy's ziggurat fast path.
+    Reading one word per draw is numpy's ziggurat fast path.  Off it, the
+    tail reads one more word, a layer's wedge one more for its test and,
+    when the test rejects, the whole draw again from the next word.
     """
-    after = np.random.PCG64()
-    after.state = rng.bit_generator.state
-    after.advance(n)
+    steps = np.random.PCG64()
+    steps.state = rng.bit_generator.state
     es = rng.standard_exponential(n)
-    return es, rng.bit_generator.state["state"] == after.state["state"]
+    words = n
+    steps.advance(n)
+    while steps.state["state"] != rng.bit_generator.state["state"]:
+        steps.advance(1)
+        words += 1
+    return es, words
 
 
 def route(monkeypatch, cfg, make):
@@ -289,10 +295,58 @@ class TestRawRoute:
         def fast(rng):
             n = int(rng.integers(1, 7))
             rng.bit_generator.advance(n)
-            return exponentials(rng, n)[1]
+            return exponentials(rng, n)[1] == n
 
         his = [self.first_hi(1, words[t], fast, 0xA5 << 56) for t in range(6)]
         assert route(monkeypatch, cfg, lambda t: crafted_state(1, words[t], his[t])) == []
+
+    def test_six_atom_rows_off_the_fast_path_stay_in_the_pass(self, monkeypatch):
+        # six atoms: word 1 is the count, words 2 to 7 the points, and the
+        # exponentials start at word 8; a crafted word sends the first, a
+        # middle or the last exponential into layer 1 (one word more or,
+        # rejected, two or more), the base layer's tail (one more), or the
+        # outer edge of a layer's wedge, where the test rejects and the
+        # draw starts again from the next word (two or more); the
+        # exponentials before it take the fast path, so it is read where it
+        # is placed, and layer 1's word sits mid-layer, so its mass is not
+        # too small to lift its level
+        _, ke = harness._exp_tables()
+        layer1 = (2**52 << 8 | 1) << 3
+        tail = (2**53 - 1) << 11
+        edge = ((2**53 - 1) << 8 | 100) << 3
+        assert ke[100] > 0
+        cases = [(8, layer1, 2), (10, layer1, 2), (13, layer1, 2), (9, tail, 2), (11, edge, 3)]
+
+        def off_at(position, reads):
+            def ok(rng):
+                if int(rng.integers(1, 7)) != 6:
+                    return False
+                rng.bit_generator.advance(6)
+                before = position - 8
+                return exponentials(rng, before)[1] == before and exponentials(rng, 1)[1] >= reads
+            return ok
+
+        his = [self.first_hi(p, word, off_at(p, reads), p) for p, word, reads in cases]
+        cfg = SamplerConfig(seed=1, max_atoms=6, trials=len(cases))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert route(monkeypatch, cfg, lambda t: crafted_state(*cases[t][:2], his[t])) == []
+
+    @pytest.mark.parametrize("max_atoms", [1, 2, 6, 12])
+    def test_natural_rows_never_take_the_reference(self, monkeypatch, max_atoms):
+        # a count that does not depend on the machine: over 10,000 trials
+        # per role and seed no row runs the reference draw, and every row
+        # equals it
+        fell_back = []
+        draw = harness._draw
+        monkeypatch.setattr(harness, "_draw", lambda rng, cfg: fell_back.append(rng) or draw(rng, cfg))
+        cfgs = [SamplerConfig(seed, max_atoms, trials=10_000) for seed in (11, 2**40 + 3)]
+        got = [(cfg, role, list(harness._samples(cfg, role))) for cfg in cfgs for role in (0, 1)]
+        monkeypatch.undo()
+        assert fell_back == []
+        for cfg, role, draws in got:
+            for trial, F in enumerate(draws):
+                assert hexes(F) == hexes(sample_distribution(cfg, trial, role))
 
     @pytest.mark.parametrize("max_atoms,lo32", [
         # leftover 0 sits under Lemire's threshold 4: numpy rejects the
@@ -325,6 +379,30 @@ class TestRawRoute:
                 his.append(hi)
         assert route(monkeypatch, cfg, lambda t: crafted_state(4, 0, his[t])) == [0, 1, 2, 3]
 
+    def test_a_zero_sum_is_redrawn_as_numpy_redraws_it(self, monkeypatch):
+        # one atom: word 1 is the point and word 2 the exponential, and the
+        # word 5 is an exponential of exactly zero; numpy's dirichlet then
+        # gives a NaN mass, and the draw starts again from word 3
+        cfg = SamplerConfig(seed=1, max_atoms=1, trials=3)
+        his = [0, 5 << 58, 2**64 - 1]
+        for hi in his:
+            rng = crafted_rng(2, 5, hi)
+            rounds = 0
+            # numpy's own loop, warnings silenced only here
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                while True:
+                    rounds += 1
+                    n = int(rng.integers(1, cfg.max_atoms + 1))
+                    xs = rng.uniform(*cfg.support_range, n)
+                    ps = rng.dirichlet(np.ones(n))
+                    if ps.min() > 0.0:
+                        break
+            assert rounds == 2
+            want = DiscreteDist.from_atoms(zip(xs.tolist(), ps.tolist()))
+            assert hexes(harness._draw(crafted_rng(2, 5, hi), cfg)) == hexes(want)
+        assert route(monkeypatch, cfg, lambda t: crafted_state(2, 5, his[t])) == [0, 1, 2]
+
     def test_a_zero_mass_on_the_highest_point_takes_the_reference(self, monkeypatch):
         # the level of the highest point is set to 1.0, so with a zero mass
         # there the levels can still rise strictly: of four atoms the first
@@ -339,9 +417,9 @@ class TestRawRoute:
             if int(rng.integers(1, 5)) != 4:
                 return False
             xs = rng.uniform(-10.0, 10.0, 4)
-            es, fast = exponentials(rng, 4)
+            es, words = exponentials(rng, 4)
             ps = (es * (1.0 / np.cumsum(es)[-1]))[np.argsort(xs)].tolist()
-            return fast and es[0] == 0.0 and xs.argmax() == 0 and ps[0] + ps[1] + ps[2] < math.fsum(ps)
+            return words == 4 and es[0] == 0.0 and xs.argmax() == 0 and ps[0] + ps[1] + ps[2] < math.fsum(ps)
 
         his, hi = [], 1
         for _ in range(cfg.trials):
@@ -362,9 +440,10 @@ class TestRawRoute:
     def test_fallbacks_mid_pass_and_last_in_a_pass(self, monkeypatch):
         # two floats of support, 0.0 and 5e-324, and up to two atoms: a
         # natural trial draws one point, both, or one twice, a repeated
-        # point that takes the reference draw, as does an exponential off
-        # numpy's fast path; crafted trials, which take it too, sit
-        # mid-pass, last in a pass and alone in the last pass
+        # point that takes the reference draw, while a row of distinct
+        # points with an exponential off numpy's fast path stays in the
+        # pass; crafted trials, which take the reference too, sit mid-pass,
+        # last in a pass and alone in the last pass
         per = harness._PASS_CELLS // 2
         cfg = SamplerConfig(seed=1, max_atoms=2, support_range=(0.0, 5e-324), trials=2 * per + 1)
         two = 2**31 + 5  # a count word's low half reading two atoms
@@ -378,7 +457,7 @@ class TestRawRoute:
         def slow(rng):
             n = int(rng.integers(1, 3))
             rng.bit_generator.advance(n)
-            return not exponentials(rng, n)[1]
+            return exponentials(rng, n)[1] > n
 
         def tiny_on_top(rng):
             # the word 2**11 | 2 << 3 is the fast-path exponential of layer
@@ -387,8 +466,8 @@ class TestRawRoute:
             if not reads_two(rng):
                 return False
             xs = rng.uniform(0.0, 5e-324, 2)
-            es, fast = exponentials(rng, 2)
-            return fast and xs[0] > xs[1] and 0.0 < es[0] < es[1] * 2.0**-56
+            es, words = exponentials(rng, 2)
+            return words == 2 and xs[0] > xs[1] and 0.0 < es[0] < es[1] * 2.0**-56
 
         crafted = {}
         for t in (per // 5, 2 * per):  # a gated count word
@@ -406,10 +485,10 @@ class TestRawRoute:
                 return crafted_state(*crafted[trial])
             return np.random.SeedSequence([3, trial]).generate_state(4, np.uint64)
 
-        natural = [t for t in range(cfg.trials) if t not in crafted
-                   and (repeats(seeded(make(t))) or slow(seeded(make(t))))]
+        natural = [t for t in range(cfg.trials) if t not in crafted and repeats(seeded(make(t)))]
         assert len(natural) > 100
-        assert any(slow(seeded(make(t))) for t in natural)
+        kept = set(range(cfg.trials)) - set(crafted) - set(natural)
+        assert any(slow(seeded(make(t))) for t in kept)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fell_back = route(monkeypatch, cfg, make)
@@ -443,15 +522,16 @@ class TestExponentialTables:
                 for ri in {1, int(ke[idx]) - 1} - {-1}:
                     word = (ri << 8 | idx) << 3
                     rng = crafted_rng(1, word, idx << 40 | ri & 0xFFFF)
-                    es, fast = exponentials(rng, 1)
-                    assert fast == (idx != 1)
-                    if fast:
+                    es, words = exponentials(rng, 1)
+                    assert (words == 1) == (idx != 1)
+                    if words == 1:
                         assert es[0].hex() == (ri * we[idx]).hex()
 
-    def test_words_off_the_fast_path_take_the_reference(self, monkeypatch):
+    def test_words_off_the_fast_path_stay_in_the_pass(self, monkeypatch):
         # one atom: word 1 is the point and word 2 the exponential, which
         # is at ri = 1 and ri = ke - 1 (the fast path), at ri = ke, in the
-        # base layer's tail and in layer 1 (the reference)
+        # base layer's tail and in layer 1 (off it, drawn by numpy in the
+        # pass); no row takes the reference draw
         _, ke = harness._exp_tables()
         layers = [idx for idx in range(256) if ke[idx]]
         fast = [(ri, idx) for idx in layers for ri in sorted({1, int(ke[idx]) - 1})]
@@ -461,28 +541,43 @@ class TestExponentialTables:
         def make(trial):
             return crafted_state(2, words[trial], trial << 20 | 0x5A5)
 
+        def reads(trial):
+            rng = seeded(make(trial))
+            rng.bit_generator.advance(1)
+            return exponentials(rng, 1)[1]
+
+        # ke is a lower estimate, so a word at ri = ke may still be on numpy's
+        # fast path; it is drawn in the pass either way
+        assert [reads(t) for t in range(len(fast))] == [1] * len(fast)
+        assert min(reads(t) for t in range(len(words) - 3, len(words))) > 1
         cfg = SamplerConfig(seed=1, max_atoms=1, trials=len(words))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fell_back = route(monkeypatch, cfg, make)
-        assert fell_back == list(range(len(fast), len(words)))
+            assert route(monkeypatch, cfg, make) == []
 
     def test_natural_draws_off_the_fast_path_equal_the_reference(self, monkeypatch):
         # about one row in fourteen at six atoms reads an exponential off
-        # the fast path; those rows are seeded afresh and still equal
-        # sample_distribution
+        # the fast path; numpy draws those rows' exponentials from a
+        # generator seeded afresh, no row takes the reference draw, and
+        # every row equals sample_distribution
         cfg = SamplerConfig(seed=2024, max_atoms=6, trials=600)
-        fell_back = []
-        draw = harness._draw
+        fell_back, seeded_rows = [], []
+        draw, seed_state = harness._draw, harness._SeedState
 
         def reference(rng, cfg):
             fell_back.append(rng)
             return draw(rng, cfg)
 
+        def counted(state):
+            seeded_rows.append(state)
+            return seed_state(state)
+
         monkeypatch.setattr(harness, "_draw", reference)
+        monkeypatch.setattr(harness, "_SeedState", counted)
         got = list(harness._samples(cfg, 1))
         monkeypatch.undo()
-        assert 15 < len(fell_back) < 80
+        assert fell_back == []
+        assert 15 < len(seeded_rows) < 80
         for trial, F in enumerate(got):
             assert hexes(F) == hexes(sample_distribution(cfg, trial, 1))
 
