@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import ge, lt
+from operator import ge, lt, neg
 from typing import Callable, Sequence
 
 from .dist import DiscreteDist, _trusted, point_mass, two_point
@@ -110,11 +110,14 @@ class PsiGrid(GridKernel):
         return self
 
 
-def _walked(xg: tuple[float, ...], pg: tuple[float, ...], table) -> PsiGrid:
-    """A ``PsiGrid`` of float rows the walk has checked; only the p = 0 check is left."""
-    grid = object.__new__(PsiGrid)
+def _checked(cls: type[GridKernel], xg: tuple[float, ...], pg: tuple[float, ...], table) -> GridKernel:
+    """A ``cls`` of float rows whose GridKernel checks the caller has made.
+
+    ``__post_init__`` is not run; a PsiGrid's p = 0 check is left, and made here.
+    """
+    grid = object.__new__(cls)
     grid.__dict__.update(x_grid=xg, p_grid=pg, table=table)
-    return grid._separated()
+    return grid._separated() if isinstance(grid, PsiGrid) else grid
 
 
 def construct_psi(
@@ -251,7 +254,7 @@ def construct_psi(
             row.append(float(v))
             prev = v
         rows.append(tuple(row) + (-INF,) * (len(pg) - len(row)))
-    return _walked(xg, pg, tuple(rows))
+    return _checked(PsiGrid, xg, pg, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -388,11 +391,17 @@ def recover_lambda(
     sub_f = rho(point_mass(sub_x))
     f_hat = tuple(rho(point_mass(x)) for x in psi.x_grid)
     # rows fall along p, so the nodes still matching the p = 0 value are a
-    # prefix, and with tol >= 0 it holds that node at least
-    lam_hat = tuple(
-        psi.p_grid[bisect_left(row, True, key=lambda v: not ext_gap(v, row[0]) <= tol) - 1]
-        for row in psi.table
-    )
+    # prefix, and with tol >= 0 it holds that node at least; a bisection on
+    # v >= row[0] - tol lands at its end up to rounding, and the exact test
+    # moves it there (an infinite row[0] is its run of equal values)
+    lam_hat = []
+    for row in psi.table:
+        k = bisect_right(row, -(row[0] - tol), key=neg)
+        while k < len(row) and ext_gap(row[k], row[0]) <= tol:
+            k += 1
+        while not ext_gap(row[k - 1], row[0]) <= tol:
+            k -= 1
+        lam_hat.append(psi.p_grid[k - 1])
     lam_violations = tuple(
         i for i in range(len(lam_hat) - 1) if lam_hat[i + 1] - lam_hat[i] > tol
     )
@@ -414,7 +423,7 @@ def recover_lambda(
         errors.append(ext_gap(direct, rebuilt))
     return RecoveredLambda(
         x_grid=psi.x_grid,
-        lam_hat=lam_hat,
+        lam_hat=tuple(lam_hat),
         f_hat=f_hat,
         lam_violations=lam_violations,
         f_violations=f_violations,

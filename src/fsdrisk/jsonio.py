@@ -21,8 +21,12 @@ objects are written the same way; kernel objects are only read.
 Adding a family means adding its closed form, parameter check and
 psi-kernel class, and one entry to that table; nothing here changes.
 ``dist._from_merged`` alone decides an atom list's mass sum.
-A kernel grid file is read in one checked pass, and the superlevel CSV
-reads a grid's cells directly, each sampled p snapped to its column once.
+A kernel grid file is read in one checked pass over each row: a
+bisection over the cells' types splits the row into a live head of
+falling floats and a dead tail of "-inf", and each part is checked
+whole.  A grid not of that form is read again entry by entry, so the
+first bad entry is named with its code.  The superlevel CSV reads a
+grid's cells directly, each sampled p snapped to its column once.
 A PsiGrid is written straight from its float rows, each run of equal
 cells (a step kernel's row holds two or three) encoded once; 0.0 and
 -0.0 are equal but print apart, so a row holding a zero is not merged.
@@ -34,15 +38,15 @@ import json
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import fields
-from itertools import chain
-from operator import neg, sub
+from itertools import chain, islice
+from operator import ge, neg, sub
 from pathlib import Path
 from typing import Any, TextIO, Union, get_type_hints
 
 from .dist import ContinuousCDF, DiscreteDist, _from_merged
-from .engine import PsiGrid
+from .engine import PsiGrid, _checked
 from .harness import PairWitness, PointWitness, ProbeWitness, StabilityReport, Witness
-from .kernels import GridKernel, PsiKernel
+from .kernels import GridKernel, PsiKernel, check_axes
 from .measures import FAMILIES, STEP, RiskMeasure
 from .steps import DEC, INC, MonotoneStep
 
@@ -275,7 +279,6 @@ def _parse_family_obj(obj: Any, what: str) -> Any:
 
 
 _INF_TEXT = {INF: "inf", -INF: "-inf"}
-_SENTINELS = {text: value for value, text in _INF_TEXT.items()}
 _INF_JSON = {INF: '"inf"', -INF: '"-inf"'}
 
 
@@ -320,11 +323,11 @@ def parse_kernel_obj(obj: Any) -> PsiKernel:
 def _parse_grid(obj: Any, cls: type[GridKernel]) -> GridKernel:
     """The grid object as a ``cls``, a GridKernel or a PsiGrid.
 
-    Each list takes one map over the sentinels "inf" and "-inf", then
-    one type test covers every cell.  A grid of float cells in list rows
-    is built straight away, and ``cls``'s checks find any NaN in it; any
-    other grid, or one that ``cls`` refuses, is read again through
-    ``parse_num`` entry by entry, so the first bad entry names its code.
+    ``_one_pass_grid`` reads a grid of float axes and list rows, each row
+    live floats then a dead tail of "-inf", checking every cell once.
+    Any other grid, or one that it or ``cls`` refuses, is read again
+    through ``parse_num`` entry by entry, so the first bad entry names
+    its code.
     """
     if not isinstance(obj, dict):
         raise InputError("BAD_SCHEMA", "kernel grid must be a JSON object")
@@ -332,11 +335,8 @@ def _parse_grid(obj: Any, cls: type[GridKernel]) -> GridKernel:
         if not isinstance(obj.get(key), list):
             raise InputError("BAD_SCHEMA", f"grid needs a list under {key!r}")
     try:
-        lists = (obj["x_grid"], obj["p_grid"], *obj["table"])
-        xg, pg, *rows = (tuple(map(_SENTINELS.get, v, v)) for v in lists)
-        if {list}.issuperset(map(type, obj["table"])) and {float}.issuperset(map(type, chain(xg, pg, *rows))):
-            return cls(xg, pg, tuple(rows))
-    except (TypeError, ValueError):  # an unhashable or non-list entry, or a refused grid
+        return _one_pass_grid(obj["x_grid"], obj["p_grid"], obj["table"], cls)
+    except ValueError:  # off its form, or refused: the entries are read again
         pass
     xg = _parse_nums(obj["x_grid"], "x_grid")
     pg = _parse_nums(obj["p_grid"], "p_grid")
@@ -349,6 +349,38 @@ def _parse_grid(obj: Any, cls: type[GridKernel]) -> GridKernel:
         return cls(xg, pg, tuple(table))
     except ValueError as exc:
         raise InputError("BAD_SCHEMA", f"kernel grid: {exc}") from None
+
+
+def _one_pass_grid(xs: list, ps: list, rows: list, cls: type[GridKernel]) -> GridKernel:
+    """The grid with GridKernel's checks made in one pass per row; ValueError off its form.
+
+    The axes must hold floats, so that ``check_axes`` sees no int or
+    sentinel.  A row is a list of len(p_grid) cells: a live head of
+    floats that falls along p, its last cell >= -inf so that even a lone
+    NaN fails, then a dead tail of "-inf" strings; a row without one ends
+    in a float -inf.  One bisection over the cells' types finds where the
+    tail starts; a head or tail holding anything else is refused by the
+    checks that follow, and so is the grid.
+    """
+    if not {float}.issuperset(map(type, chain(xs, ps))):
+        raise ValueError
+    xg, pg = check_axes(xs, ps)
+    n = len(pg)
+    if len(rows) != len(xg):
+        raise ValueError
+    dead, dead_floats = ["-inf"] * n, (-INF,) * n
+    table = []
+    for row in rows:
+        if type(row) is not list or len(row) != n:
+            raise ValueError
+        k = bisect_left(row, True, key=str.__instancecheck__)
+        head = row[:k]
+        if not (row[k:] == dead[k:] and (k < n or row[-1] == -INF)
+                and {float}.issuperset(map(type, head))
+                and all(map(ge, head, islice(head, 1, None))) and (not k or head[-1] >= -INF)):
+            raise ValueError
+        table.append(tuple(head) + dead_floats[k:])
+    return _checked(cls, xg, pg, tuple(table))
 
 
 def _parse_nums(values: list, where: str) -> tuple[float, ...]:
@@ -452,9 +484,10 @@ def superlevel_rows(
     on psi decreasing in p: every kernel the command line can build
     does, as grid rows and family curves are checked at construction.
     On a GridKernel (a PsiGrid is one) each sampled p is snapped to its
-    p node once per call and each sampled x floored to its row once, and
-    the bisection reads that row at those columns, the cells ``eval``
-    would read; any other kernel is read through ``eval``.  A NaN
+    p node once per call and each sampled x floored to its row once; one
+    bisection finds the row's cells that meet the threshold, a prefix,
+    and a second counts the sampled columns inside it, the cells
+    ``eval`` would read.  Any other kernel is read through ``eval``.  A NaN
     threshold is rejected, and so are an x range whose ends or width
     are not finite and a resolution above ``MAX_GRID_NODES``.
     """
@@ -477,8 +510,9 @@ def superlevel_rows(
         by_x = ((-INF,) * len(kernel.p_grid), *kernel.table)
 
         def cut(x: float) -> int:
+            # the row's cells >= threshold are a prefix; count the columns inside it
             row = by_x[bisect_right(kernel.x_grid, x)]
-            return bisect_left(cols, True, key=lambda j: not row[j] >= threshold)
+            return bisect_left(cols, bisect_right(row, -threshold, key=neg))
     else:
         def cut(x: float) -> int:
             return bisect_left(ps, True, key=lambda p: not kernel.eval(x, p) >= threshold)

@@ -216,6 +216,16 @@ class GridKernel(_Tabulated, PsiKernel):
     nearest p node, ties resolved downward.  Each row must be decreasing
     along p and the p = 1 column identically -inf; both are checked at
     construction, matching what the constructive engine produces.
+
+    Two callers build one through ``engine._checked``, which skips
+    ``__post_init__``, because they have made its checks themselves:
+    ``construct_psi``, whose axes come from ``check_axes`` and whose walk
+    stores floats, refuses a rising row and leaves the p = 1 node dead;
+    and the one-pass route of ``jsonio._parse_grid``, which runs
+    ``check_axes`` on float axes and takes a row only when its live cells
+    are floats that fall, none NaN, and the rest are "-inf".  Anything
+    else there is read again through this constructor.  A PsiGrid built
+    either way still gets its p = 0 check.
     """
 
     x_grid: tuple[float, ...]

@@ -19,14 +19,18 @@ Both it and ``from_atoms`` are checked against the input's own mass sum
 on long runs of one repeated point, where a running sum drifts.
 The one-pass grid reader is checked the same way against the route that
 reads every entry through ``parse_num``: ints, bools, NaN in any of the
-three lists, junk after a NaN, non-list and ragged rows, rising rows.
+three lists, junk after a NaN, non-list and ragged rows, rising rows,
+and rows whose split into live floats and a "-inf" tail goes wrong.
 
 ``superlevel_rows`` is checked against a scan of every sampled level,
 on every kernel kind a file can hold, grids that start right of the
-sampled range and p nodes that tie at a sampled level.  The cross-check
-of ``recover_lambda`` is checked against one ``cdf_left_limit`` read per
-node, on atoms on, between and beside the nodes and on curve estimates
-that rise.
+sampled range and p nodes that tie at a sampled level; its grid cut
+also against a bisection that reads one cell per probe.  The curve
+estimate of ``recover_lambda`` is checked against a scan and against a
+bisection calling the exact test per probe, bit for bit, on rows where
+one rounding parts that test from a comparison with row[0] - tol.  Its
+cross-check is checked against one ``cdf_left_limit`` read per node, on
+atoms on, between and beside the nodes and on curve estimates that rise.
 The shared tail's shortcut for strictly rising levels is checked against
 ``_rising``'s loop, on masses small enough to stall a level.
 
@@ -50,7 +54,7 @@ those ``two_point_eval`` builds at every node, with no node read twice.
 
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import accumulate
 
@@ -342,8 +346,8 @@ def grid_kernels(draw, xs, ps):
 
 
 @st.composite
-def superlevel_cases(draw):
-    """Every kernel kind a kernel file can hold, on a small sampling grid."""
+def superlevel_cases(draw, kinds=("var", "benchmark_loss", "lambda", "pinned", "grid", "psi_grid")):
+    """A kernel of each kind a kernel file can hold, or of ``kinds``, on a small sampling grid."""
     lo = draw(st.integers(-5, 4))
     x_range = (float(lo), float(draw(st.integers(lo + 1, 5))))
     resolution = draw(st.integers(2, 12))
@@ -351,7 +355,7 @@ def superlevel_cases(draw):
     xs = [x_range[0] + (x_range[1] - x_range[0]) * k / steps for k in range(resolution)]
     ps = [j / steps for j in range(resolution)]
     level = st.one_of(st.sampled_from(ps), st.floats(0.0, 1.0))
-    kind = draw(st.sampled_from(["var", "benchmark_loss", "lambda", "pinned", "grid", "psi_grid"]))
+    kind = draw(st.sampled_from(kinds))
     if kind == "var":
         kernel = VarKernel(draw(st.one_of(st.sampled_from(ps[1:-1] or [0.5]), open_unit)))
     elif kind == "benchmark_loss":
@@ -367,7 +371,7 @@ def superlevel_cases(draw):
     else:
         kernel = draw(psi_grids())
     values = [kernel.eval(x, p) for x in xs for p in ps]
-    threshold = draw(st.one_of(st.sampled_from(values), st.sampled_from((INF, -INF)), xs_))
+    threshold = draw(st.one_of(st.sampled_from(values), st.sampled_from((INF, -INF, 0.0, -0.0)), xs_))
     return kernel, threshold, x_range, resolution
 
 
@@ -387,6 +391,34 @@ def test_superlevel_bisection_equals_a_full_scan(case):
     kernel, threshold, x_range, resolution = case
     want = superlevel_scan(kernel, threshold, x_range, resolution)
     assert repr(superlevel_rows(kernel, threshold, x_range, resolution)) == repr(want)
+
+
+def superlevel_probe_cut(kernel, threshold, x_range, resolution):
+    """A grid's rows by a bisection over the sampled columns that reads a cell per probe."""
+    lo, hi = x_range
+    steps = resolution - 1
+    ps = [j / steps for j in range(resolution)]
+    cols = [kernel.nearest_p_index(p) for p in ps]
+    by_x = ((-INF,) * len(kernel.p_grid), *kernel.table)
+    rows = []
+    for k in range(resolution):
+        x = lo + (hi - lo) * k / steps
+        row = by_x[bisect_right(kernel.x_grid, x)]
+        cut = bisect_left(cols, True, key=lambda j: not row[j] >= threshold)
+        boundary = ps[cut - 1] if cut else None
+        rows.append((x, boundary, boundary is not None))
+    return rows
+
+
+@given(superlevel_cases(("grid", "psi_grid")))
+# zeros of both signs in the row and as the threshold
+@example((GridKernel((0.0,), (0.0, 0.5, 1.0), ((0.0, -0.0, -INF),)), -0.0, (-1.0, 1.0), 5))
+@example((GridKernel((0.0,), (0.0, 0.5, 1.0), ((-0.0, -0.0, -INF),)), 0.0, (-1.0, 1.0), 5))
+@example((GridKernel((0.0,), (0.0, 0.5, 1.0), ((INF, INF, -INF),)), INF, (-1.0, 1.0), 3))
+@example((GridKernel((0.0,), (0.0, 0.5, 1.0), ((-INF, -INF, -INF),)), -INF, (-1.0, 1.0), 3))
+@settings(max_examples=400, deadline=None)
+def test_superlevel_grid_cut_equals_a_bisection_per_cell(case):
+    assert repr(superlevel_rows(*case)) == repr(superlevel_probe_cut(*case))
 
 
 @st.composite
@@ -424,6 +456,25 @@ def test_recovered_curve_equals_a_full_scan(psi, tol):
         want.append(best)
     got = recover_lambda(lambda F: 0.0, psi, probes=[], tol=tol).lam_hat
     assert repr(got) == repr(tuple(want))
+
+
+def curve_by_predicate_bisection(psi, tol):
+    """The curve estimate by a bisection that calls the exact test at each probe."""
+    return tuple(psi.p_grid[bisect_left(row, True, key=lambda v: not ext_gap(v, row[0]) <= tol) - 1]
+                 for row in psi.table)
+
+
+@given(psi_grids(), st.sampled_from((0.0, 1e-9, 0.5)))
+# v >= row[0] - tol and row[0] - v <= tol part by one rounding, either way
+@example(PsiGrid((0.0,), (0.0, 0.5, 1.0), ((0.7, 0.1999999999999999, -INF),)), 0.5)
+@example(PsiGrid((0.0,), (0.0, 0.5, 1.0), ((2.5, 2.499999999, -INF),)), 1e-9)
+# rows that start infinite: their run of equal values is the estimate
+@example(PsiGrid((0.0, 1.0), (0.0, 0.25, 0.5, 1.0),
+                 ((-INF, -INF, -INF, -INF), (INF, INF, 3.0, -INF))), 0.5)
+@settings(max_examples=500, deadline=None)
+def test_curve_estimate_equals_the_predicate_bisection(psi, tol):
+    got = recover_lambda(lambda F: 0.0, psi, probes=[], tol=tol).lam_hat
+    assert [p.hex() for p in got] == [p.hex() for p in curve_by_predicate_bisection(psi, tol)]
 
 
 def representation_scan(rho, psi, dists, tol):
@@ -613,6 +664,34 @@ def grid_objs(draw):
 # a row that iterates as floats but is no list
 @example({"x_grid": [0.0], "p_grid": [0.0, 1.0], "table": [(1.0, -INF)]}, GridKernel)
 @example({"x_grid": [0, 1], "p_grid": [0, 1], "table": [[0, "-inf"], [1, "-inf"]]}, PsiGrid)
+# a live head of one cell, a NaN, which no comparison with a neighbour finds
+@example({"x_grid": [0.0], "p_grid": [0.0, 1.0], "table": [[math.nan, "-inf"]]}, GridKernel)
+@example({"x_grid": [0.0, 1.0], "p_grid": [0.0, 0.5, 1.0],
+          "table": [[1.0, 0.5, "-inf"], [math.nan, "-inf", "-inf"]]}, PsiGrid)
+# an axis int past the float range, refused before any axis check
+@example({"x_grid": [0.0, 10**400], "p_grid": [0.0, 1.0], "table": [[0.0, "-inf"], [1.0, "-inf"]]},
+         GridKernel)
+@example({"x_grid": [0.0], "p_grid": [0.0, 10**400, 1.0], "table": [[1.0, 0.0, "-inf"]]}, PsiGrid)
+# "-inf" mid-row before a live float: the row rises
+@example({"x_grid": [0.0], "p_grid": [0.0, 0.25, 0.5, 1.0], "table": [[2.0, "-inf", 1.0, "-inf"]]},
+         GridKernel)
+# an all-dead row, first and later; two of them tie at p = 0 for a PsiGrid
+@example({"x_grid": [0.0, 1.0], "p_grid": [0.0, 0.5, 1.0],
+          "table": [["-inf", "-inf", "-inf"], [1.0, 0.0, "-inf"]]}, PsiGrid)
+@example({"x_grid": [0.0, 1.0], "p_grid": [0.0, 0.5, 1.0],
+          "table": [["-inf", "-inf", "-inf"], ["-inf", "-inf", "-inf"]]}, PsiGrid)
+# a tail that mixes -Infinity floats with "-inf", in either order
+@example({"x_grid": [0.0, 1.0], "p_grid": [0.0, 0.25, 0.5, 1.0],
+          "table": [[1.0, -INF, "-inf", "-inf"], [2.0, "-inf", -INF, "-inf"]]}, GridKernel)
+# another spelling of -inf in the tail
+@example({"x_grid": [0.0], "p_grid": [0.0, 0.5, 1.0], "table": [[1.0, " -inf", "-inf"]]}, GridKernel)
+# rows with no dead cell: -Infinity at p = 1, then a finite p = 1 cell
+@example({"x_grid": [0.0, 1.0], "p_grid": [0.0, 0.5, 1.0],
+          "table": [[1.0, 0.5, -INF], [2.0, 1.0, -INF]]}, PsiGrid)
+@example({"x_grid": [0.0], "p_grid": [0.0, 0.5, 1.0], "table": [[1.0, 0.5, 0.25]]}, GridKernel)
+# a leading "inf", a live cell the type bisection counts as dead
+@example({"x_grid": [0.0, 1.0], "p_grid": [0.0, 0.5, 1.0],
+          "table": [[1.0, 0.5, "-inf"], ["inf", 1.0, "-inf"]]}, PsiGrid)
 @settings(max_examples=400, deadline=None)
 def test_one_pass_grid_read_equals_the_per_entry_route(obj, cls):
     assert grid_outcome(_parse_grid, obj, cls) == grid_outcome(per_entry_grid_read, obj, cls)
