@@ -9,8 +9,10 @@ them, so a row skips runs of equal values, starting each run's search
 at the run ends of the row above (its docstring holds the argument).
 The table can then be checked against the measure on arbitrary
 grid-snapped distributions, and its level curve read back off it.
-The table builds each mixture in place; ``two_point_eval`` and
-``h_threshold``, a standalone threshold search, are not on its path.
+The table builds each mixture in place and is returned as a
+``kernels.PsiGrid`` through its trusted constructor, since the walk has
+made the grid's checks; ``two_point_eval`` and ``h_threshold``, a
+standalone threshold search, are not on its path.
 
 Everything here treats the measure as an opaque callable; only the
 harness-style probe at the start of construct_psi assumes anything
@@ -24,12 +26,12 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress, repeat
-from operator import ge, lt, neg
+from operator import lt, neg
 from typing import Callable, Sequence
 
 from .dist import DiscreteDist, _trusted, point_mass, two_point
 from .harness import DEFAULT_TOL, _check_tol, ext_gap
-from .kernels import _ROW_RISES, GridKernel, check_axes
+from .kernels import _ROW_RISES, PsiGrid, check_axes
 
 INF = math.inf
 
@@ -82,42 +84,6 @@ def h_threshold(
         else:
             lo = mid
     return hi
-
-
-@dataclass(frozen=True)
-class PsiGrid(GridKernel):
-    """The kernel table that ``construct_psi`` builds.
-
-    On top of the GridKernel checks, the p = 0 row must be strictly
-    increasing: it holds the measure's point-mass values, so a tie means
-    the measure cannot tell two grid points apart.  ``construct_psi``'s
-    walk refuses a rising row itself, so its grid skips the GridKernel checks.
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        self._separated()
-
-    def _separated(self) -> PsiGrid:
-        col0 = [row[0] for row in self.table]
-        if any(map(ge, col0, col0[1:])):
-            raise ValueError("value row at p = 0 must be strictly increasing; "
-                             "the measure does not separate point masses")
-        return self
-
-    def as_kernel(self) -> GridKernel:
-        """The grid itself: it is a GridKernel."""
-        return self
-
-
-def _checked(cls: type[GridKernel], xg: tuple[float, ...], pg: tuple[float, ...], table) -> GridKernel:
-    """A ``cls`` of float rows whose GridKernel checks the caller has made.
-
-    ``__post_init__`` is not run; a PsiGrid's p = 0 check is left, and made here.
-    """
-    grid = object.__new__(cls)
-    grid.__dict__.update(x_grid=xg, p_grid=pg, table=table)
-    return grid._separated() if isinstance(grid, PsiGrid) else grid
 
 
 def construct_psi(
@@ -254,7 +220,7 @@ def construct_psi(
             row.append(float(v))
             prev = v
         rows.append(tuple(row) + (-INF,) * (len(pg) - len(row)))
-    return _checked(PsiGrid, xg, pg, tuple(rows))
+    return PsiGrid._trusted(xg, pg, tuple(rows))
 
 
 @dataclass(frozen=True)

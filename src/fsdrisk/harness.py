@@ -5,15 +5,16 @@ pass or fail with a replayable witness.  Randomness is fully pinned:
 trial ``t``, role ``r`` draws from PCG64 seeded with
 ``SeedSequence([seed mod 2**64, t, r])``, so a report is reproducible
 from its config alone, trial by trial, in any order.
-``sample_distribution`` is the reference draw, on numpy's own calls,
-that replays any witness from its trial index.  The check loops hash a
-pass of seed states in bulk, jump each PCG64 state to the raw words a
-trial reads and compute from them, as numpy would, the atom count,
-points, exponentials (the ziggurat's fast path), masses and levels.  A
-row with an exponential off that path, about 7% of rows at 6 atoms, has
-numpy draw its exponentials from a generator seeded from its bulk state
-and advanced past its points.  Only a row that is not canonical runs
-the reference draw.
+``sample_distribution`` is the reference draw, on numpy's own calls
+(``integers``, ``uniform`` and ``dirichlet``), that replays any witness
+from its trial index.  The check loops hash a pass of seed states in
+bulk, jump each PCG64 state to the raw words a trial reads and compute
+from them, as numpy would, the atom count, points, exponentials (the
+ziggurat's fast path), masses and levels.  A row with an exponential
+off that path, about 7% of rows at 6 atoms, has numpy draw its
+exponentials from a generator seeded from its bulk state and advanced
+past its points.  Only a row that is not canonical runs the reference
+draw.
 
 Gaps are measured in extended reals with equal infinities counting as
 zero; all shipped measures are breakpoint-exact, so the default
@@ -91,26 +92,12 @@ def _draw(rng: np.random.Generator, cfg: SamplerConfig) -> DiscreteDist:
     while True:
         n = int(rng.integers(1, cfg.max_atoms + 1))
         xs = rng.uniform(lo, hi, n)
-        ps = _flat_dirichlet(rng, n)
+        ps = rng.dirichlet(np.ones(n)).tolist()
         # an exactly zero component is astronomically rare but would be
-        # rejected downstream; redraw from the same stream
+        # rejected downstream, and a zero sum of exponentials gives NaN
+        # masses; either is redrawn from the same stream
         if min(ps) > 0.0:
             return DiscreteDist.from_atoms(zip(xs.tolist(), ps))
-
-
-def _flat_dirichlet(rng: np.random.Generator, n: int) -> list[float]:
-    """n masses, draw for draw as ``rng.dirichlet(np.ones(n))`` makes them.
-
-    Standard exponentials times one over their sum, added left to right:
-    the builtin ``sum`` of floats is compensated from Python 3.12 on.
-    """
-    es = rng.standard_exponential(n).tolist()
-    s = 0.0
-    for e in es:
-        s += e
-    # numpy divides in C: a zero sum gives NaN masses, which ``_draw`` redraws
-    inv = 1.0 / s if s else INF
-    return [e * inv for e in es]
 
 
 # SeedSequence's hash constants, as numpy defines them since 1.17
@@ -345,10 +332,11 @@ def _samples(cfg: SamplerConfig, role: int) -> Iterator[DiscreteDist]:
 
 
 def ext_gap(a: float, b: float) -> float:
-    """|a - b| with equal values, infinite ones included, giving zero."""
+    """|a - b|, zero for equal values, infinite ones included, and +inf beside a NaN."""
     if a == b:
         return 0.0
-    return abs(a - b)
+    gap = abs(a - b)
+    return INF if math.isnan(gap) else gap
 
 
 def _check_tol(tol: float) -> None:
@@ -483,7 +471,7 @@ def check_nondegeneracy(
 
     This is the strengthened separation property: each step along the
     grid must gain more than tol.  The reported gap of a violation is
-    the shortfall below that margin.
+    the shortfall below that margin, +inf for equal infinities or a NaN.
     """
     _check_tol(tol)
     xs = [float(x) for x in grid]
@@ -495,10 +483,9 @@ def check_nondegeneracy(
         vx, vy = vals[i], vals[i + 1]
         if vy > vx + tol:
             continue
-        if vx == vy and math.isinf(vx):
+        shortfall = (vx + tol) - vy
+        if math.isnan(shortfall):  # equal infinities, or a NaN value
             shortfall = INF
-        else:
-            shortfall = (vx + tol) - vy
         tally.add(shortfall, PointWitness(xs[i], xs[i + 1], vx, vy, shortfall))
     return tally.report("nd", 0, len(xs) - 1)
 
@@ -511,6 +498,7 @@ def check_fsd_consistency(
     Even trials shift every atom rightwards by increasing offsets, odd
     trials move a slice of mass from a lower atom onto a higher one;
     both constructions dominate the original by direct CDF comparison.
+    A NaN on either side fails, with gap +inf.
     """
     _check_tol(tol)
     tally = _Tally()
@@ -519,8 +507,8 @@ def check_fsd_consistency(
         G = _dominate(F, rng, trial)
         lhs = rho(F)
         rhs = rho(G)
-        if lhs > rhs + tol:
-            gap = lhs - rhs
+        if not lhs <= rhs + tol:
+            gap = ext_gap(lhs, rhs)
             tally.add(gap, PairWitness(trial, F, G, lhs, rhs, gap))
     return tally.report("fsd", cfg.seed, cfg.trials)
 
@@ -566,8 +554,10 @@ def check_semicontinuity_probe(
     a 4 * n_max discretization, which dominates only the terms whose n
     divides 4 * n_max; the others are not compared with it.  Nothing is
     asserted between consecutive cell counts: n = 3 and n = 4 interleave
-    and are genuinely incomparable in the dominance order.  A limit
-    above ``MAX_PROBE_CELLS`` is refused before any measure call.
+    and are genuinely incomparable in the dominance order.  A NaN value
+    fails each comparison it enters, and a NaN gap reads +inf.  A NaN
+    ``rho_limit``, or an ``n_max`` above ``MAX_PROBE_CELLS``, is refused
+    before any measure call.
 
     Lower semicontinuity itself is assumed, not checked: the right
     quantile q+(F) = sup{x : F(x) <= 0.3} is not lower semicontinuous,
@@ -580,22 +570,24 @@ def check_semicontinuity_probe(
         raise ValueError(f"need n_max >= 2, got {n_max}")
     if n_max > MAX_PROBE_CELLS:
         raise ValueError(f"n_max must be at most {MAX_PROBE_CELLS}, got {n_max}")
+    if rho_limit is not None and math.isnan(rho_limit):
+        raise ValueError("limit value must not be NaN")
     n_ref = 4 * n_max
     ref = rho(discretize(F, n_ref)) if rho_limit is None else float(rho_limit)
     values = [rho(discretize(F, n)) for n in range(1, n_max + 1)]
     tally = _Tally()
     for n, v in enumerate(values, start=1):
-        if (rho_limit is not None or n_ref % n == 0) and v > ref + tol:
-            gap = v - ref
+        if (rho_limit is not None or n_ref % n == 0) and not v <= ref + tol:
+            gap = ext_gap(v, ref)
             tally.add(gap, ProbeWitness(n, v, ref, gap, "value exceeds the reference"))
     for n in range(1, n_max // 2 + 1):
         v_coarse = values[n - 1]
         v_fine = values[2 * n - 1]
-        if v_coarse > v_fine + tol:
-            gap = v_coarse - v_fine
+        if not v_coarse <= v_fine + tol:
+            gap = ext_gap(v_coarse, v_fine)
             tally.add(gap, ProbeWitness(2 * n, v_fine, ref, gap, "value fell on doubling refinement"))
     tail = 0.0 if ref == values[-1] else ref - values[-1]
-    return tally.report("ls", 0, n_max, tail_gap=tail)
+    return tally.report("ls", 0, n_max, tail_gap=INF if math.isnan(tail) else tail)
 
 
 def find_stability_counterexample(

@@ -24,9 +24,11 @@ psi-kernel class, and one entry to that table; nothing here changes.
 A kernel grid file is read in one checked pass over each row: a
 bisection over the cells' types splits the row into a live head of
 falling floats and a dead tail of "-inf", and each part is checked
-whole.  A grid not of that form is read again entry by entry, so the
-first bad entry is named with its code.  The superlevel CSV reads a
-grid's cells directly, each sampled p snapped to its column once.
+whole; the grid is then built through the grid type's trusted
+constructor in ``kernels``.  A grid not of that form is read again
+entry by entry, so the first bad entry is named with its code.  The
+superlevel CSV reads a grid's cells directly, each sampled p snapped to
+its column once.
 A PsiGrid is written straight from its float rows, each run of equal
 cells (a step kernel's row holds two or three) encoded once; 0.0 and
 -0.0 are equal but print apart, so a row holding a zero is not merged.
@@ -44,9 +46,8 @@ from pathlib import Path
 from typing import Any, TextIO, Union, get_type_hints
 
 from .dist import ContinuousCDF, DiscreteDist, _from_merged
-from .engine import PsiGrid, _checked
 from .harness import PairWitness, PointWitness, ProbeWitness, StabilityReport, Witness
-from .kernels import GridKernel, PsiKernel, check_axes
+from .kernels import GridKernel, PsiGrid, PsiKernel, check_axes
 from .measures import FAMILIES, STEP, RiskMeasure
 from .steps import DEC, INC, MonotoneStep
 
@@ -380,7 +381,7 @@ def _one_pass_grid(xs: list, ps: list, rows: list, cls: type[GridKernel]) -> Gri
                 and all(map(ge, head, islice(head, 1, None))) and (not k or head[-1] >= -INF)):
             raise ValueError
         table.append(tuple(head) + dead_floats[k:])
-    return _checked(cls, xg, pg, tuple(table))
+    return cls._trusted(xg, pg, tuple(table))
 
 
 def _parse_nums(values: list, where: str) -> tuple[float, ...]:

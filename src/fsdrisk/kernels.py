@@ -9,6 +9,12 @@ once at each atom and once at (+inf, 1).  Dual inf-kernels phi mirror
 this: inf over x of phi(x, F(x-)), read only through ``right_inf``, once
 at (-inf, 0) and once at each atom.  The kernel's own breakpoints are
 never needed.
+
+The grid kernels check their tables at construction, and ``PsiGrid``,
+the table ``engine.construct_psi`` builds, also checks that its p = 0
+column rises.  A caller that has made those checks builds a grid
+through the classmethod ``_trusted`` instead, as ``dist._trusted``
+builds a distribution.
 """
 
 from __future__ import annotations
@@ -175,6 +181,13 @@ class _Tabulated:
     ``table`` fields.
     """
 
+    @classmethod
+    def _trusted(cls, x_grid: tuple[float, ...], p_grid: tuple[float, ...], table):
+        """A ``cls`` of float fields whose ``__post_init__`` checks the caller has made."""
+        grid = object.__new__(cls)
+        grid.__dict__.update(x_grid=x_grid, p_grid=p_grid, table=table)
+        return grid
+
     def _check_grid(self, edge: int, edge_value: float) -> None:
         """Coerce the fields to floats and validate them.
 
@@ -217,15 +230,11 @@ class GridKernel(_Tabulated, PsiKernel):
     along p and the p = 1 column identically -inf; both are checked at
     construction, matching what the constructive engine produces.
 
-    Two callers build one through ``engine._checked``, which skips
-    ``__post_init__``, because they have made its checks themselves:
-    ``construct_psi``, whose axes come from ``check_axes`` and whose walk
-    stores floats, refuses a rising row and leaves the p = 1 node dead;
-    and the one-pass route of ``jsonio._parse_grid``, which runs
-    ``check_axes`` on float axes and takes a row only when its live cells
-    are floats that fall, none NaN, and the rest are "-inf".  Anything
-    else there is read again through this constructor.  A PsiGrid built
-    either way still gets its p = 0 check.
+    ``_trusted`` skips those checks and trusts its caller to have made
+    them: axes from ``check_axes``, and a float row per x node, one cell
+    per p node, that falls along p, holds no NaN and ends in -inf.  The
+    table walk of ``construct_psi`` and the one-pass grid reader in
+    ``jsonio`` build their grids so.
     """
 
     x_grid: tuple[float, ...]
@@ -256,6 +265,36 @@ class GridKernel(_Tabulated, PsiKernel):
         if i < 0:
             return -INF
         return self._runmax[i][self.nearest_p_index(p)]
+
+
+@dataclass(frozen=True)
+class PsiGrid(GridKernel):
+    """The kernel table that ``construct_psi`` builds.
+
+    On top of the GridKernel checks, the p = 0 column must be strictly
+    increasing: it holds the measure's point-mass values, so a tie means
+    the measure cannot tell two grid points apart.  ``_trusted`` still
+    makes this check.
+    """
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._separated()
+
+    @classmethod
+    def _trusted(cls, x_grid: tuple[float, ...], p_grid: tuple[float, ...], table) -> PsiGrid:
+        return super()._trusted(x_grid, p_grid, table)._separated()
+
+    def _separated(self) -> PsiGrid:
+        col0 = [row[0] for row in self.table]
+        if any(map(operator.ge, col0, col0[1:])):
+            raise ValueError("value row at p = 0 must be strictly increasing; "
+                             "the measure does not separate point masses")
+        return self
+
+    def as_kernel(self) -> GridKernel:
+        """The grid itself: it is a GridKernel."""
+        return self
 
 
 def sup_psi_eval(psi: PsiKernel, F: DiscreteDist) -> float:

@@ -16,8 +16,9 @@ families and kernels; ``DualVarKernel``, ``DualBenchmarkKernel`` and
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import neg
 from typing import Callable
 
 INC = "inc"
@@ -88,9 +89,8 @@ class MonotoneStep:
         """
         if self.direction != DEC:
             raise ValueError("level_crossing is defined for decreasing steps")
-        above = 0
-        while above < len(self.values) and self.values[above] > p:
-            above += 1
+        # the values fall, so those above p are a prefix; a NaN p has none
+        above = bisect_left(self.values, -p, key=neg)
         if above == 0:
             return -math.inf
         if above == len(self.values):

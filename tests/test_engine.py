@@ -33,6 +33,11 @@ VAR05 = var_measure(0.5).fn
 LAM3 = MonotoneStep((-2.0, 2.0), (0.8, 0.5, 0.2), direction=DEC)
 
 
+def nan_off_point_masses(F):
+    """The point of a point mass, NaN on any other distribution."""
+    return math.nan if F.n_atoms > 1 else F.xs[0]
+
+
 def four_means(F):
     """Four times the mean, which falls along every row in distinct values.
 
@@ -396,6 +401,15 @@ class TestVerifyRepresentation:
         rep = verify_representation(lambda F: 5.0, psi, [F], tol=0.0)
         assert repr(rep.failures) == repr(((0, 5.0, -0.0, 5.0),))
 
+    def test_a_nan_value_fails_with_an_infinite_error(self):
+        # a NaN measure value once passed with max_error 0.0 and no failures
+        _, psi = self.build()
+        dists = [point_mass(1.0), atoms((-1.5, 0.5), (1.5, 0.5))]
+        rep = verify_representation(nan_off_point_masses, psi, dists, tol=1e-9)
+        assert rep.max_error == INF
+        assert rep.worst_index == 1
+        assert [f[0] for f in rep.failures] == [1]
+
     @pytest.mark.parametrize("tol", [math.nan, -1.0, INF])
     def test_bad_tolerance_is_rejected(self, tol):
         # a NaN tolerance let every probe pass: max_error 98.0, no failures
@@ -460,6 +474,14 @@ class TestRecoverLambda:
         psi = construct_psi(bm.fn, xg, pg, stability_trials=25)
         rec = recover_lambda(bm.fn, psi, tol=1e-9)
         assert rec.cross_max_error > 1.0
+
+    def test_a_nan_value_fails_the_cross_check(self):
+        # every default probe has two atoms or more, so the measure is NaN on each
+        _, psi = self.build()
+        rec = recover_lambda(nan_off_point_masses, psi, tol=1e-9)
+        assert rec.f_hat == psi.x_grid
+        assert rec.cross_errors == (INF,) * 200
+        assert rec.cross_max_error == INF
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, INF])
     def test_bad_tolerance_is_rejected(self, tol):

@@ -81,12 +81,11 @@ class TestSampler:
             assert F.cum[-1] == 1.0
 
     def test_stream_matches_the_dirichlet_sampler(self, monkeypatch):
-        # The sampler scales standard exponentials by one over their
-        # left-to-right sum, which is what rng.dirichlet(np.ones(n)) does
-        # inside numpy.  The draws, and the generator's state after them,
-        # must equal the rng.dirichlet form it replaced; a numpy release
-        # that changes either side fails here instead of moving every
-        # seeded report.
+        # The reference draw that the bulk pass is held to must be
+        # numpy's own seeding, calls and redraw loop, in this order: the
+        # draws, and the generator's state after them, equal the loop
+        # written out here, so a change to the reference fails here
+        # instead of moving every seeded report.
         default_rng = np.random.default_rng
 
         def reference(cfg, trial, role):
@@ -375,7 +374,7 @@ class TestRawRoute:
             rng = crafted_rng(4, 0, hi)
             if int(rng.bit_generator.random_raw()) % 2**32 * 2 >= 2**32 + 2:
                 rng.bit_generator.random_raw(2)
-                assert harness._flat_dirichlet(rng, 2)[0] == 0.0
+                assert rng.dirichlet(np.ones(2))[0] == 0.0
                 his.append(hi)
         assert route(monkeypatch, cfg, lambda t: crafted_state(4, 0, his[t])) == [0, 1, 2, 3]
 
@@ -657,6 +656,9 @@ def test_ext_gap_treats_matching_infinities_as_zero():
     assert ext_gap(INF, 3.0) == INF
     assert ext_gap(-INF, 3.0) == INF
     assert ext_gap(2.0, 5.0) == 3.0
+    # a NaN on either side is as far off as can be
+    for a, b in ((math.nan, 1.0), (1.0, math.nan), (math.nan, math.nan), (math.nan, INF)):
+        assert ext_gap(a, b) == INF
 
 
 VA03 = var_measure(0.3).fn
@@ -885,6 +887,49 @@ def test_right_quantile_passes_every_check_yet_is_not_lower_semicontinuous():
     assert check_fsd_consistency(right_quantile, cfg).passed
     assert check_nondegeneracy(right_quantile, ND_GRID).passed
     assert check_semicontinuity_probe(right_quantile, ContinuousCDF.uniform(0.0, 1.0), 256).passed
+
+
+# NaN on any distribution but a point mass, which reads its point
+HALF = RiskMeasure("half", lambda F: math.nan if F.n_atoms > 1 else F.xs[0])
+
+
+class TestNaNValuesFail:
+    # a NaN value must fail every check, with gap +inf
+
+    @pytest.mark.parametrize("check", [check_max_stability, check_min_stability])
+    def test_pair_checks(self, check):
+        rep = check(HALF, SamplerConfig(seed=3, trials=200))
+        assert rep.violations > 0
+        assert rep.worst_gap == INF
+
+    def test_fsd_consistency(self):
+        rep = check_fsd_consistency(HALF, SamplerConfig(seed=3, trials=200))
+        assert rep.violations > 0
+        assert rep.worst_gap == rep.witness.gap == INF
+        assert rep.witness.f.n_atoms > 1
+
+    def test_nondegeneracy(self):
+        # NaN at the fourth grid point: both steps it takes part in fail
+        bad = ND_GRID[3]
+        rep = check_nondegeneracy(lambda F: math.nan if F.xs[0] == bad else F.xs[0], ND_GRID)
+        assert rep.violations == 2
+        assert rep.worst_gap == INF
+        assert rep.witness.y == bad
+
+    def test_semicontinuity_probe(self):
+        # one cell is a point mass; every finer discretization reads NaN,
+        # the reference at 32 cells too
+        rep = check_semicontinuity_probe(HALF, ContinuousCDF.uniform(0.0, 1.0), 8)
+        assert rep.violations == 4 + 4
+        assert rep.worst_gap == INF
+        assert rep.tail_gap == INF
+
+    def test_a_nan_limit_is_refused_before_any_call(self):
+        calls = []
+        with pytest.raises(ValueError, match="limit value must not be NaN"):
+            check_semicontinuity_probe(calls.append, ContinuousCDF.uniform(0.0, 1.0), 8,
+                                       rho_limit=math.nan)
+        assert calls == []
 
 
 class TestCounterexampleSearch:

@@ -198,20 +198,27 @@ class TestFsdConsistency:
             assert m.fn(F) <= m.fn(G) + 1e-12
 
 
-def test_the_pure_python_core_imports_without_numpy():
-    # a fresh interpreter on the src these tests import: the package root
-    # re-exports nothing, so the core modules load neither numpy nor the
-    # modules built on it
+def loaded_after(imports: str, names: tuple[str, ...]) -> list[str]:
+    """Which of ``names`` a fresh interpreter on the tested src holds after ``imports``."""
     import fsdrisk.dist
 
     src = str(Path(fsdrisk.dist.__file__).resolve().parent.parent)
-    code = (
-        "import sys\n"
-        "import fsdrisk.dist, fsdrisk.steps, fsdrisk.kernels, fsdrisk.measures\n"
-        "heavy = ('numpy', 'fsdrisk.harness', 'fsdrisk.engine', 'fsdrisk.jsonio', 'fsdrisk.cli')\n"
-        "print(sorted(set(heavy) & set(sys.modules)))\n"
-    )
+    code = f"import sys\n{imports}\nprint(*sorted(set({names!r}) & set(sys.modules)))\n"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out == "[]\n"
+    return out.split()
+
+
+def test_the_pure_python_core_imports_without_numpy():
+    # the package root re-exports nothing, so the core modules, the grid
+    # types among them, load neither numpy nor the modules built on it
+    imports = ("import fsdrisk.dist, fsdrisk.steps, fsdrisk.kernels, fsdrisk.measures\n"
+               "from fsdrisk.kernels import PsiGrid")
+    heavy = ("numpy", "fsdrisk.harness", "fsdrisk.engine", "fsdrisk.jsonio", "fsdrisk.cli")
+    assert loaded_after(imports, heavy) == []
+
+
+def test_grid_files_are_read_without_the_engine():
+    # jsonio takes the grid types and their trusted constructor from kernels
+    assert loaded_after("import fsdrisk.jsonio", ("fsdrisk.engine", "fsdrisk.jsonio")) == ["fsdrisk.jsonio"]

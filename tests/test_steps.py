@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fsdrisk.steps import DEC, INC, MonotoneStep
 
@@ -104,15 +104,25 @@ def decreasing_steps(draw):
     return MonotoneStep(tuple(bps), tuple(vals), direction=DEC)
 
 
+LAM3 = MonotoneStep((-2.0, 2.0), (0.8, 0.5, 0.2), direction=DEC)
+
+
 @given(decreasing_steps(), st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
+# p equal to a curve value: the piece holding it is not above p
+@example(LAM3, 0.8)
+@example(LAM3, 0.5)
+@example(LAM3, 0.2)
+# no value is above a NaN p, so the crossing is -inf
+@example(LAM3, math.nan)
 def test_level_crossing_splits_the_line(lam, p):
+    # the crossing is sup{t: lam(t) > p}, so the tests are on "> p"
     c = lam.level_crossing(p)
     if c == -INF:
-        assert lam(-1e9) <= p
+        assert not lam(-1e9) > p
         return
     if c == INF:
         assert lam(1e9) > p
         return
-    # strictly above just left of the crossing, at or below from it on
+    # strictly above just left of the crossing, not from it on
     assert lam(math.nextafter(c, -INF)) > p
-    assert lam(c) <= p
+    assert not lam(c) > p
