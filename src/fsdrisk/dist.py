@@ -39,14 +39,15 @@ MASS_TOL = 1e-12
 """Accepted drift of the total input mass away from 1 before rejection."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiscreteDist:
     """Finitely supported distribution in canonical form.
 
     ``xs`` are the strictly increasing finite support points and ``cum``
     the strictly increasing cumulative levels in (0, 1], with
     ``cum[-1] == 1.0`` exactly.  Calling the class checks that form and
-    stores both as tuples of floats.
+    stores both as tuples of floats, in slots: an instance has no
+    ``__dict__``.
     """
 
     xs: tuple[float, ...]
@@ -168,16 +169,21 @@ class DiscreteDist:
         return f"DiscreteDist({inner})"
 
 
+# the slots' own setters, which write past the frozen __setattr__
+_set_xs, _set_cum = DiscreteDist.xs.__set__, DiscreteDist.cum.__set__
+
+
 def _trusted(xs: tuple[float, ...], cum: tuple[float, ...]) -> DiscreteDist:
     """A ``DiscreteDist`` without the public check.
 
     Callers pass float tuples already in canonical form, by construction.
     """
+    # slots, not an instance dict: a dict written here would keep CPython
+    # from reading F.xs and F.cum at a fixed offset, and every measure
+    # reads them once per call, per table node and per sampled pair
     d = object.__new__(DiscreteDist)
-    # item assignment builds no keyword dict, which matters per table node
-    attrs = d.__dict__
-    attrs["xs"] = xs
-    attrs["cum"] = cum
+    _set_xs(d, xs)
+    _set_cum(d, cum)
     return d
 
 

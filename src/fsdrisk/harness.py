@@ -8,13 +8,14 @@ from its config alone, trial by trial, in any order.
 ``sample_distribution`` is the reference draw, on numpy's own calls
 (``integers``, ``uniform`` and ``dirichlet``), that replays any witness
 from its trial index.  The check loops hash a pass of seed states in
-bulk, jump each PCG64 state to the raw words a trial reads and compute
-from them, as numpy would, the atom count, points, exponentials (the
-ziggurat's fast path), masses and levels.  A row with an exponential
-off that path, about 7% of rows at 6 atoms, has numpy draw its
-exponentials from a generator seeded from its bulk state and advanced
-past its points.  Only a row that is not canonical runs the reference
-draw.
+bulk, for both sides of every pair at once, jump each PCG64 state to
+the raw words a trial reads and compute from them, as numpy would, the
+atom count, points, exponentials (the ziggurat's fast path), masses and
+levels.  A pass holds ``_PASS_CELLS`` padded cells per role.  A row
+with an exponential off that path, about 7% of rows at 6 atoms, has
+numpy draw its exponentials from a generator seeded from its bulk
+state and advanced past its points.  Only a row that is not canonical
+runs the reference draw.
 
 Gaps are measured in extended reals with equal infinities counting as
 zero; all shipped measures are breakpoint-exact, so the default
@@ -107,7 +108,7 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL_WORDS = 4
 # trials per bulk pass of ``_generators``: memory stays flat for any trial count
 _BLOCK = 1024
-# padded cells per sampling pass, so a pass's arrays stay small for any max_atoms
+# padded cells per role in a sampling pass, so a pass's arrays stay small for any max_atoms
 _PASS_CELLS = 2048
 # PCG64's LCG multiplier, and where the tail of numpy's exponential ziggurat starts
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -169,16 +170,20 @@ def _uint32_words(n: int) -> list[int]:
     return words
 
 
-def _states(seed: int, trials: range, role: int) -> np.ndarray:
-    """``SeedSequence([seed & _MASK64, t, role])``'s seed state for each trial t, one row each."""
+def _states(seed: int, trials: range, roles: tuple[int, ...]) -> np.ndarray:
+    """``SeedSequence([seed & _MASK64, t, r])``'s seed state for each role r and trial t.
+
+    One row each, role-major: every trial of the first role, then every
+    trial of the next.
+    """
     seed &= _MASK64
     if trials.stop - 1 > _MASK32:  # more entropy words than the bulk pass covers
-        return np.array([np.random.SeedSequence([seed, t, role]).generate_state(4, np.uint64)
-                         for t in trials])
+        return np.array([np.random.SeedSequence([seed, t, r]).generate_state(4, np.uint64)
+                         for r in roles for t in trials])
     n = len(trials)
-    words = [np.full(n, w, np.uint32) for w in _uint32_words(seed)]
-    words.append(np.arange(trials.start, trials.stop, dtype=np.uint32))
-    words.append(np.full(n, role, np.uint32))
+    words = [np.full(n * len(roles), w, np.uint32) for w in _uint32_words(seed)]
+    words.append(np.tile(np.arange(trials.start, trials.stop, dtype=np.uint32), len(roles)))
+    words.append(np.repeat(np.array(roles, np.uint32), n))
     return _seed_states(words)
 
 
@@ -189,7 +194,7 @@ def _generators(seed: int, trials: range, role: int) -> Iterator[np.random.Gener
     state for state.
     """
     for lo in range(trials.start, trials.stop, _BLOCK):
-        for state in _states(seed, range(lo, min(lo + _BLOCK, trials.stop)), role):
+        for state in _states(seed, range(lo, min(lo + _BLOCK, trials.stop)), (role,)):
             yield np.random.Generator(np.random.PCG64(_SeedState(state)))
 
 
@@ -260,10 +265,12 @@ def _exp_tables() -> tuple[np.ndarray, np.ndarray]:
     return np.array(we), np.array(ke, np.uint64)
 
 
-def _samples(cfg: SamplerConfig, role: int) -> Iterator[DiscreteDist]:
-    """``sample_distribution(cfg, t, role)`` for every trial t of ``cfg``.
+def _samples(cfg: SamplerConfig, roles: tuple[int, ...]) -> Iterator[tuple[DiscreteDist, ...]]:
+    """``sample_distribution(cfg, t, r)`` for every role r, for every trial t of ``cfg``.
 
-    A pass of trials makes no numpy call per trial.  ``_pcg_words`` gives
+    One tuple per trial, in the order of ``roles``.  A pass draws every
+    role of ``_PASS_CELLS // max_atoms`` trials at once, its rows
+    role-major, and makes no numpy call per trial.  ``_pcg_words`` gives
     each trial's count n = 1 + (lo32 * max_atoms >> 32), ``integers``'
     Lemire step on word 1's low half (no word for one atom), then its n
     point words and n exponential words.  numpy computes each point as
@@ -275,9 +282,10 @@ def _samples(cfg: SamplerConfig, role: int) -> Iterator[DiscreteDist]:
     words, and has numpy draw all its exponentials, so the extra words of
     the tail or of a rejected layer are read as numpy reads them.  A row
     of distinct points, positive masses and levels rising strictly to 1
-    is canonical.  Any other row runs ``_draw`` on a generator seeded
-    from its bulk state: a count word where numpy may read a second one
-    (from 2**32 atoms on, every one), a zero mass, a repeated point.
+    is canonical, and is built from its live cells alone.  Any other row
+    runs ``_draw`` on a generator seeded from its bulk state: a count word
+    where numpy may read a second one (from 2**32 atoms on, every one), a
+    zero mass, a repeated point.
     """
     lo, hi = cfg.support_range
     width = hi - lo
@@ -285,7 +293,8 @@ def _samples(cfg: SamplerConfig, role: int) -> Iterator[DiscreteDist]:
     we, ke = _exp_tables()
     per_pass = max(1, _PASS_CELLS // m)
     for start in range(0, cfg.trials, per_pass):
-        states = _states(cfg.seed, range(start, min(start + per_pass, cfg.trials)), role)
+        k = min(per_pass, cfg.trials - start)
+        states = _states(cfg.seed, range(start, start + k), roles)
         ns = np.ones((len(states), 1), np.int64)
         if m > 1:
             # from 2**32 atoms on every count word is gated; a gated trial draws no atoms here
@@ -323,12 +332,15 @@ def _samples(cfg: SamplerConfig, role: int) -> Iterator[DiscreteDist]:
         canon = np.abs(totals - 1.0) <= MASS_TOL
         canon &= np.all(((ps > 0.0) & (np.diff(levels, axis=1, prepend=0.0) > 0.0)) | ~filled, axis=1)
         canon &= np.all((xs[:, 1:] > xs[:, :-1]) | ~filled[:, 1:], axis=1)
-        rows = zip(ns[:, 0].tolist(), canon.tolist(), xs.tolist(), levels.tolist())
-        for i, (n, ok, xr, lr) in enumerate(rows):
-            if ok:
-                yield _trusted(tuple(xr[:n]), tuple(lr[:n]))
-            else:
-                yield _draw(np.random.Generator(np.random.PCG64(_SeedState(states[i]))), cfg)
+        # a row's live cells lead it once sorted, so row i's are cells
+        # ends[i] - ns[i] to ends[i] of the flat live cells
+        live_xs, live_levels = tuple(xs[filled].tolist()), tuple(levels[filled].tolist())
+        ends = np.cumsum(ns[:, 0])
+        cuts = zip((ends - ns[:, 0]).tolist(), ends.tolist(), canon.tolist())
+        dists = [_trusted(live_xs[a:b], live_levels[a:b]) if ok else None for a, b, ok in cuts]
+        for i in np.flatnonzero(~canon).tolist():
+            dists[i] = _draw(np.random.Generator(np.random.PCG64(_SeedState(states[i]))), cfg)
+        yield from zip(*(dists[r * k:(r + 1) * k] for r in range(len(roles))))
 
 
 def ext_gap(a: float, b: float) -> float:
@@ -439,7 +451,7 @@ def _check_pairs(
     """
     _check_tol(tol)
     tally = _Tally()
-    for trial, (F, G) in enumerate(zip(_samples(cfg, 0), _samples(cfg, 1))):
+    for trial, (F, G) in enumerate(_samples(cfg, (0, 1))):
         lhs = rho(combine(F, G))
         rhs = pick(rho(F), rho(G))
         gap = ext_gap(lhs, rhs)
@@ -503,7 +515,7 @@ def check_fsd_consistency(
     _check_tol(tol)
     tally = _Tally()
     variant_rngs = _generators(cfg.seed, range(cfg.trials), 2)
-    for trial, (F, rng) in enumerate(zip(_samples(cfg, 0), variant_rngs)):
+    for trial, ((F,), rng) in enumerate(zip(_samples(cfg, (0,)), variant_rngs)):
         G = _dominate(F, rng, trial)
         lhs = rho(F)
         rhs = rho(G)

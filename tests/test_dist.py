@@ -10,6 +10,7 @@ from fsdrisk.dist import (
     MASS_TOL,
     ContinuousCDF,
     DiscreteDist,
+    _trusted,
     discretize,
     fsd_join,
     fsd_leq,
@@ -151,6 +152,21 @@ class TestPublicConstructor:
         assert d == atoms((0.0, 0.25), (2.0, 0.75))
         assert type(d.xs) is tuple and type(d.cum) is tuple
         assert all(type(v) is float for v in d.xs + d.cum)
+
+    def test_both_constructors_give_slotted_frozen_equal_objects(self):
+        # the trusted builder writes the slots directly; what it makes is
+        # the public constructor's object in every observable way
+        public = DiscreteDist((-1.0, 2.0), (0.25, 1.0))
+        trusted = _trusted((-1.0, 2.0), (0.25, 1.0))
+        for d in (public, trusted):
+            assert type(d) is DiscreteDist
+            assert not hasattr(d, "__dict__")
+            for name in ("xs", "cum"):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(d, name, (3.0,))
+            assert (d.xs, d.cum) == ((-1.0, 2.0), (0.25, 1.0))
+        assert public == trusted and hash(public) == hash(trusted)
+        assert trusted != _trusted((-1.0, 2.0), (0.5, 1.0))
 
 
 class TestEvaluation:

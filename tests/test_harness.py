@@ -139,31 +139,33 @@ class TestSampler:
         cfg = SamplerConfig(seed=np.uint64(2**64 - 1), max_atoms=np.int8(4), trials=np.int64(3))
         assert cfg == SamplerConfig(seed=2**64 - 1, max_atoms=4, trials=3)
         assert {type(cfg.seed), type(cfg.max_atoms), type(cfg.trials)} == {int}
-        assert list(harness._samples(cfg, 0)) == [sample_distribution(cfg, t) for t in range(3)]
+        assert list(harness._samples(cfg, (0,))) == [(sample_distribution(cfg, t),) for t in range(3)]
 
     @pytest.mark.parametrize("role", [0, 1, 2])
     def test_check_stream_draws_the_reference_samples(self, role):
         cfg = SamplerConfig(seed=2**64 + 5, max_atoms=9, trials=2 * harness._BLOCK + 3)
-        got = list(harness._samples(cfg, role))
+        got = list(harness._samples(cfg, (role,)))
         assert len(got) == cfg.trials
-        for trial, F in enumerate(got):
+        for trial, (F,) in enumerate(got):
             assert F == sample_distribution(cfg, trial, role)
 
     @pytest.mark.parametrize("max_atoms", [1, 2, 6, 64, 300])
     def test_passes_draw_the_reference_bit_for_bit(self, max_atoms):
         # one trial, a pass but one, a pass, a pass and one, and many
-        # passes; a pass computes its rows in numpy, the reference one
-        # trial at a time, and no numpy warning may escape either
+        # passes; a pass computes both sides of its pairs in numpy, the
+        # reference one draw at a time, and no numpy warning may escape
+        # either
         per_pass = max(1, harness._PASS_CELLS // max_atoms)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for trials in sorted({1, max(1, per_pass - 1), per_pass, per_pass + 1, 2051}):
                 cfg = SamplerConfig(seed=trials * max_atoms, max_atoms=max_atoms,
                                     support_range=(-3.0, 7.5), trials=trials)
-                got = list(harness._samples(cfg, 1))
+                got = list(harness._samples(cfg, (0, 1)))
                 assert len(got) == trials
-                for trial, F in enumerate(got):
-                    assert hexes(F) == hexes(sample_distribution(cfg, trial, 1))
+                for trial, (F, G) in enumerate(got):
+                    assert hexes(F) == hexes(sample_distribution(cfg, trial, 0))
+                    assert hexes(G) == hexes(sample_distribution(cfg, trial, 1))
 
 
 _M64 = (1 << 64) - 1
@@ -222,32 +224,41 @@ def exponentials(rng: np.random.Generator, n: int) -> tuple[np.ndarray, int]:
     return es, words
 
 
-def route(monkeypatch, cfg, make):
-    """``_samples`` on the seed states ``make(trial)``, against ``_draw`` on them.
+def route(monkeypatch, cfg, make, roles=(0,)):
+    """``_samples(cfg, roles)`` on the seed states ``make(row)``, against ``_draw`` on them.
 
-    Returns the trials that took the reference draw.
+    Row ``k * cfg.trials + t`` is trial t of the k-th role, so with one
+    role a row is its trial.  Returns the rows that took the reference
+    draw, in the order they took it.
     """
-    states = [make(trial) for trial in range(cfg.trials)]
+    states = [make(row) for row in range(len(roles) * cfg.trials)]
 
     def key(rng):
         return tuple(rng.bit_generator.state["state"].values())
 
-    trial_of = {key(seeded(state)): trial for trial, state in enumerate(states)}
-    assert len(trial_of) == cfg.trials
+    row_of = {key(seeded(state)): row for row, state in enumerate(states)}
+    assert len(row_of) == len(states)
     fell_back = []
     draw = harness._draw
 
     def reference(rng, cfg):
-        fell_back.append(trial_of[key(rng)])
+        fell_back.append(row_of[key(rng)])
         return draw(rng, cfg)
 
-    monkeypatch.setattr(harness, "_states",
-                        lambda seed, trials, role: np.array(states[trials.start:trials.stop]))
+    def bulk(seed, trials, passed):
+        # role-major, as _states lays out a pass
+        assert passed == roles
+        return np.array([states[k * cfg.trials + t] for k in range(len(roles)) for t in trials])
+
+    monkeypatch.setattr(harness, "_states", bulk)
     monkeypatch.setattr(harness, "_draw", reference)
-    got = list(harness._samples(cfg, 0))
+    got = list(harness._samples(cfg, roles))
     monkeypatch.undo()
-    for trial, F in enumerate(got):
-        assert hexes(F) == hexes(draw(seeded(states[trial]), cfg))
+    assert len(got) == cfg.trials
+    for trial, sides in enumerate(got):
+        assert len(sides) == len(roles)
+        for k, F in enumerate(sides):
+            assert hexes(F) == hexes(draw(seeded(states[k * cfg.trials + trial]), cfg))
     return fell_back
 
 
@@ -260,10 +271,9 @@ class TestRawRoute:
         for support in ((-10.0, 10.0), (-3.0, 4.0), (1e15, 1e15 + 8), (-1e-300, 1e-300)):
             for seed in (0, 2**32 + 7, 2**64 - 1, -3):
                 cfg = SamplerConfig(seed, max_atoms, support, trials=40)
-                for role in (0, 1, 2):
-                    for trial, F in enumerate(harness._samples(cfg, role)):
-                        want = sample_distribution(cfg, trial, role)
-                        assert (F.xs, F.cum) == (want.xs, want.cum)
+                for trial, sides in enumerate(harness._samples(cfg, (0, 1, 2))):
+                    for role, F in enumerate(sides):
+                        assert hexes(F) == hexes(sample_distribution(cfg, trial, role))
                         cases += 1
         assert cases == 1920
 
@@ -333,19 +343,19 @@ class TestRawRoute:
 
     @pytest.mark.parametrize("max_atoms", [1, 2, 6, 12])
     def test_natural_rows_never_take_the_reference(self, monkeypatch, max_atoms):
-        # a count that does not depend on the machine: over 10,000 trials
-        # per role and seed no row runs the reference draw, and every row
-        # equals it
+        # a count that does not depend on the machine: over 10,000 pairs
+        # per seed no row runs the reference draw, and every row equals it
         fell_back = []
         draw = harness._draw
         monkeypatch.setattr(harness, "_draw", lambda rng, cfg: fell_back.append(rng) or draw(rng, cfg))
         cfgs = [SamplerConfig(seed, max_atoms, trials=10_000) for seed in (11, 2**40 + 3)]
-        got = [(cfg, role, list(harness._samples(cfg, role))) for cfg in cfgs for role in (0, 1)]
+        got = [(cfg, list(harness._samples(cfg, (0, 1)))) for cfg in cfgs]
         monkeypatch.undo()
         assert fell_back == []
-        for cfg, role, draws in got:
-            for trial, F in enumerate(draws):
-                assert hexes(F) == hexes(sample_distribution(cfg, trial, role))
+        for cfg, pairs in got:
+            for trial, sides in enumerate(pairs):
+                for role, F in enumerate(sides):
+                    assert hexes(F) == hexes(sample_distribution(cfg, trial, role))
 
     @pytest.mark.parametrize("max_atoms,lo32", [
         # leftover 0 sits under Lemire's threshold 4: numpy rejects the
@@ -496,6 +506,46 @@ class TestRawRoute:
         for t in tiny:
             assert harness._draw(seeded(make(t)), cfg).xs == (0.0,)
 
+    @pytest.mark.parametrize("last", ["slow", "gated"])
+    def test_the_second_side_of_a_shared_pass(self, monkeypatch, last):
+        # a pass draws both sides of its pairs, its rows role-major, so the
+        # G side's rows come after every F row; crafted G rows read an
+        # exponential off the fast path (they stay in the pass) or a gated
+        # count word (they take the reference), mid-pass and as the last
+        # row of a full pass and of the short last pass
+        per = harness._PASS_CELLS // 2
+        cfg = SamplerConfig(seed=1, max_atoms=2, trials=per + 3)
+        # a tail exponential, one word more than the fast path reads
+        tail = (2**53 - 1) << 11
+
+        def reads_two(rng):
+            return int(rng.integers(1, 3)) == 2
+
+        def crafted(kind, t):
+            if kind == "slow":  # the first exponential, after a count word of two atoms
+                return 4, tail, TestRawRoute.first_hi(4, tail, reads_two, t)
+            return 1, (t + 1) << 40, t << 48  # a low half of 0, under Lemire's threshold
+
+        other = "gated" if last == "slow" else "slow"
+        kinds = {per // 3: "slow", per // 2: "gated", per - 1: last, per + 1: other, per + 2: last}
+        g_rows = {cfg.trials + t: crafted(kind, t) for t, kind in kinds.items()}
+
+        def make(row):
+            if row in g_rows:
+                return crafted_state(*g_rows[row])
+            return np.random.SeedSequence([3, row]).generate_state(4, np.uint64)
+
+        for row, (position, _, _) in g_rows.items():
+            rng = seeded(make(row))
+            if position == 4:
+                assert reads_two(rng)
+                rng.bit_generator.advance(2)
+                assert exponentials(rng, 2)[1] > 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fell_back = route(monkeypatch, cfg, make, roles=(0, 1))
+        assert fell_back == sorted(cfg.trials + t for t, kind in kinds.items() if kind == "gated")
+
     def test_max_atoms_past_32_bits_takes_the_reference(self, monkeypatch):
         # numpy's count then reads the whole low half, and draws up to
         # 2**32 points; every count word is gated, and the stand-in
@@ -504,7 +554,7 @@ class TestRawRoute:
         want = [np.random.default_rng([1, t, 2]).bit_generator.state for t in range(3)]
         for max_atoms in (2**32, 2**32 + 1, 2**70):
             cfg = SamplerConfig(seed=1, max_atoms=max_atoms, trials=3)
-            assert list(harness._samples(cfg, 2)) == want
+            assert list(harness._samples(cfg, (2,))) == [(state,) for state in want]
 
 
 class TestExponentialTables:
@@ -573,11 +623,11 @@ class TestExponentialTables:
 
         monkeypatch.setattr(harness, "_draw", reference)
         monkeypatch.setattr(harness, "_SeedState", counted)
-        got = list(harness._samples(cfg, 1))
+        got = list(harness._samples(cfg, (1,)))
         monkeypatch.undo()
         assert fell_back == []
         assert 15 < len(seeded_rows) < 80
-        for trial, F in enumerate(got):
+        for trial, (F,) in enumerate(got):
             assert hexes(F) == hexes(sample_distribution(cfg, trial, 1))
 
     def test_tables_are_built_on_the_first_pass_not_at_import(self):
@@ -585,7 +635,7 @@ class TestExponentialTables:
         code = (
             "import fsdrisk.cli, fsdrisk.harness as h\n"
             "print(h._exp_tables.cache_info().currsize, len(h._JUMPS))\n"
-            "list(h._samples(h.SamplerConfig(trials=1), 0))\n"
+            "list(h._samples(h.SamplerConfig(trials=1), (0,)))\n"
             "print(h._exp_tables.cache_info().currsize, len(h._JUMPS))\n"
         )
         env = {**os.environ, "PYTHONPATH": src}
@@ -642,6 +692,17 @@ class TestBulkSeeding:
         for trial, rng in zip(trials, rngs):
             want = np.random.default_rng([seed & ((1 << 64) - 1), trial, 1])
             assert rng.bit_generator.state == want.bit_generator.state
+
+    @pytest.mark.parametrize("trials", [range(300, 310), range(2**32 - 3, 2**32 + 3)])
+    def test_states_of_several_roles_are_role_major(self, trials):
+        # in bulk, and past 2**32 by SeedSequence itself: every trial of
+        # the first role, then every trial of the next
+        for seed in self.SEEDS:
+            for roles in ((0, 1), (2, 0, 1)):
+                got = harness._states(seed, trials, roles)
+                want = [np.random.SeedSequence([seed & ((1 << 64) - 1), t, r]).generate_state(4, np.uint64)
+                        for r in roles for t in trials]
+                assert got.tolist() == np.array(want).tolist()
 
     def test_uint32_words(self):
         assert harness._uint32_words(0) == [0]
