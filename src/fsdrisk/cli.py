@@ -39,7 +39,6 @@ from .harness import (
     check_semicontinuity_probe,
 )
 from .jsonio import (
-    MAX_GRID_NODES,
     InputError,
     csv_num,
     distribution_to_obj,
@@ -53,9 +52,9 @@ from .jsonio import (
     parse_measure_obj,
     psi_grid_to_obj,  # not called here; perfbench/tracer.py patches this name
     report_to_json,
-    superlevel_rows,
     write_superlevel_csv,
 )
+from .kernels import MAX_GRID_NODES, superlevel_rows
 
 _ND_GRID_POINTS = 50
 

@@ -8,7 +8,8 @@ ends at its first dead node, and two equal nodes pin every node between
 them, so a row skips runs of equal values, starting each run's search
 at the run ends of the row above (its docstring holds the argument).
 The table can then be checked against the measure on arbitrary
-grid-snapped distributions, and its level curve read back off it.
+grid-snapped distributions, which it represents through ``left_sup``
+at F(x-) (see ``verify_representation``), and its level curve read back.
 The table builds each mixture in place and is returned as a
 ``kernels.PsiGrid`` through its trusted constructor, since the walk has
 made the grid's checks; ``two_point_eval`` and ``h_threshold``, a
@@ -248,27 +249,28 @@ def verify_representation(
     fall along p, so the value at (x, F(x)) never exceeds it.  Every atom
     must sit exactly on an x node: an off-grid atom is rejected by name
     rather than silently snapped, and so is a NaN, negative or infinite
-    tol.  One running-max read per atom a_j, at level F(a_{j-1}) with
-    F(a_0) = 0, covers the nodes in (a_{j-1}, a_j]; a node further left
-    is read at a level no lower than its own, so no read overshoots, and
-    past the last atom the level is 1, where the kernel is -inf.
+    tol.  With psi~ = ``psi.left_sup`` it is max_j psi~(a_j+, F(a_j-)),
+    a_j+ the next float above a_j: the running max through a_j's node
+    at level F(a_{j-1}), F(a_0) = 0, which covers the nodes in
+    (a_{j-1}, a_j]; a node further left is read at a level no lower than
+    its own, so no read overshoots, and past the last atom the level is
+    1, where the kernel is -inf.  This reading is the measure the table
+    represents; ``kernels.sup_psi_eval`` reads the sup form at F(x),
+    max_j psi~(a_{j+1}, F(a_j)), one x cell low on grid atoms.
     """
     _check_tol(tol)
-    node = {x: i for i, x in enumerate(psi.x_grid)}
+    nodes = set(psi.x_grid)
     for idx, F in enumerate(dists):
         for x in F.xs:
-            if x not in node:
+            if x not in nodes:
                 raise ValueError(f"distribution {idx} has an atom at {x!r} off the x-grid")
-    runmax = psi._runmax
     max_error = 0.0
     worst = None
     failures = []
     for idx, F in enumerate(dists):
         direct = rho(F)
         # max, like the running max, keeps the first of equal values in x order
-        recovered = max(
-            runmax[node[a]][psi.nearest_p_index(c)] for a, c in zip(F.xs, (0.0, *F.cum))
-        )
+        recovered = max(map(psi.left_sup, map(math.nextafter, F.xs, repeat(INF)), (0.0, *F.cum)))
         err = ext_gap(direct, recovered)
         if err > max_error:
             max_error = err

@@ -26,9 +26,9 @@ bisection over the cells' types splits the row into a live head of
 falling floats and a dead tail of "-inf", and each part is checked
 whole; the grid is then built through the grid type's trusted
 constructor in ``kernels``.  A grid not of that form is read again
-entry by entry, so the first bad entry is named with its code.  The
-superlevel CSV reads a grid's cells directly, each sampled p snapped to
-its column once.
+entry by entry, so the first bad entry is named with its code.  How a
+grid is read as a measure, and the superlevel rows this module writes
+as CSV, are ``kernels``' business.
 A PsiGrid is written straight from its float rows, each run of equal
 cells (a step kernel's row holds two or three) encoded once; 0.0 and
 -0.0 are equal but print apart, so a row holding a zero is not merged.
@@ -52,9 +52,6 @@ from .measures import FAMILIES, STEP, RiskMeasure
 from .steps import DEC, INC, MonotoneStep
 
 INF = math.inf
-# samples per axis for superlevel and nodes per construct-psi axis; a
-# finer request is refused before any list is built
-MAX_GRID_NODES = 10**6
 
 Distribution = Union[DiscreteDist, ContinuousCDF]
 
@@ -465,64 +462,6 @@ def report_to_obj(report: StabilityReport) -> dict:
 
 def report_to_json(report: StabilityReport) -> str:
     return dump_json(report_to_obj(report))
-
-
-# -- superlevel boundaries ------------------------------------------------
-
-
-def superlevel_rows(
-    kernel: PsiKernel,
-    threshold: float,
-    x_range: tuple[float, float],
-    resolution: int = 101,
-) -> list[tuple[float, float | None, bool]]:
-    """Boundary of the region where the kernel meets a threshold.
-
-    Both axes are sampled on regular grids of the given resolution, p
-    over [0, 1].  Each row holds the largest sampled p at which
-    psi(x, p) >= threshold, or None when no sampled level qualifies.
-    The boundary is found by bisection over the sampled p, which relies
-    on psi decreasing in p: every kernel the command line can build
-    does, as grid rows and family curves are checked at construction.
-    On a GridKernel (a PsiGrid is one) each sampled p is snapped to its
-    p node once per call and each sampled x floored to its row once; one
-    bisection finds the row's cells that meet the threshold, a prefix,
-    and a second counts the sampled columns inside it, the cells
-    ``eval`` would read.  Any other kernel is read through ``eval``.  A NaN
-    threshold is rejected, and so are an x range whose ends or width
-    are not finite and a resolution above ``MAX_GRID_NODES``.
-    """
-    if math.isnan(threshold):
-        raise ValueError("threshold must not be NaN")
-    lo, hi = (float(x_range[0]), float(x_range[1]))
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise ValueError(f"x range must be a finite interval, got {x_range}")
-    if not math.isfinite(hi - lo):  # the samples scale by the width
-        raise ValueError(f"x range must have a finite width, got {x_range}")
-    if not 2 <= resolution <= MAX_GRID_NODES:
-        raise ValueError(f"resolution must be from 2 to {MAX_GRID_NODES}, got {resolution}")
-    steps = resolution - 1
-    xs = [lo + (hi - lo) * k / steps for k in range(resolution)]
-    ps = [k / steps for k in range(resolution)]
-    # psi falls in p, so the levels that meet the threshold are a prefix of ps
-    if isinstance(kernel, GridKernel):
-        cols = [kernel.nearest_p_index(p) for p in ps]
-        # the row left of the grid reads -inf, as eval does there
-        by_x = ((-INF,) * len(kernel.p_grid), *kernel.table)
-
-        def cut(x: float) -> int:
-            # the row's cells >= threshold are a prefix; count the columns inside it
-            row = by_x[bisect_right(kernel.x_grid, x)]
-            return bisect_left(cols, bisect_right(row, -threshold, key=neg))
-    else:
-        def cut(x: float) -> int:
-            return bisect_left(ps, True, key=lambda p: not kernel.eval(x, p) >= threshold)
-    rows: list[tuple[float, float | None, bool]] = []
-    for x in xs:
-        k = cut(x)
-        boundary = ps[k - 1] if k else None
-        rows.append((x, boundary, boundary is not None))
-    return rows
 
 
 def csv_num(v: float) -> str:

@@ -10,6 +10,12 @@ this: inf over x of phi(x, F(x-)), read only through ``right_inf``, once
 at (-inf, 0) and once at each atom.  The kernel's own breakpoints are
 never needed.
 
+A grid table is read two ways.  ``sup_psi_eval`` reads the sup form at
+F(x), max_j psi~(a_{j+1}, F(a_j)).  The measure a ``construct_psi``
+table represents is max_j psi~(a_j+, F(a_j-)), read at atoms on x nodes
+(``engine.verify_representation``); on such atoms the sup form reads
+one x cell low.  ``superlevel_rows`` reads the table's cells directly.
+
 The grid kernels check their tables at construction, and ``PsiGrid``,
 the table ``engine.construct_psi`` builds, also checks that its p = 0
 column rises.  A caller that has made those checks builds a grid
@@ -25,7 +31,7 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable
 
 from .dist import DiscreteDist
@@ -38,6 +44,9 @@ from .steps import (
 )
 
 INF = math.inf
+# samples per axis for superlevel and nodes per construct-psi axis; a
+# finer request is refused before any list is built
+MAX_GRID_NODES = 10**6
 _ROW_RISES = "table rows must be decreasing along p"
 
 
@@ -174,12 +183,13 @@ def check_axes(x_grid, p_grid) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return xg, pg
 
 
+@dataclass(frozen=True)
 class _Tabulated:
-    """Float coercion, validation and p lookup shared by the grid kernels.
+    """The axes and table of a grid kernel, with float coercion, validation and p lookup."""
 
-    Subclasses are frozen dataclasses with ``x_grid``, ``p_grid`` and
-    ``table`` fields.
-    """
+    x_grid: tuple[float, ...]
+    p_grid: tuple[float, ...]
+    table: tuple[tuple[float, ...], ...]
 
     @classmethod
     def _trusted(cls, x_grid: tuple[float, ...], p_grid: tuple[float, ...], table):
@@ -237,22 +247,14 @@ class GridKernel(_Tabulated, PsiKernel):
     ``jsonio`` build their grids so.
     """
 
-    x_grid: tuple[float, ...]
-    p_grid: tuple[float, ...]
-    table: tuple[tuple[float, ...], ...]
-
     def __post_init__(self):
         self._check_grid(-1, -INF)
 
     @cached_property
     def _runmax(self) -> tuple[tuple[float, ...], ...]:
         """Running max of the rows over x, built on the first left_sup."""
-        run = []
-        best = [-INF] * len(self.p_grid)
-        for row in self.table:
-            best = [b if b >= v else v for b, v in zip(best, row)]
-            run.append(tuple(best))
-        return tuple(run)
+        # max keeps the first of equal cells; a checked row holds no NaN
+        return tuple(accumulate(self.table, lambda best, row: tuple(map(max, best, row))))
 
     def eval(self, x: float, p: float) -> float:
         i = bisect_right(self.x_grid, x) - 1
@@ -297,6 +299,61 @@ class PsiGrid(GridKernel):
         return self
 
 
+def superlevel_rows(
+    kernel: PsiKernel,
+    threshold: float,
+    x_range: tuple[float, float],
+    resolution: int = 101,
+) -> list[tuple[float, float | None, bool]]:
+    """Boundary of the region where the kernel meets a threshold.
+
+    Both axes are sampled on regular grids of the given resolution, p
+    over [0, 1].  Each row holds the largest sampled p at which
+    psi(x, p) >= threshold, or None when no sampled level qualifies.
+    The boundary is found by bisection over the sampled p, which relies
+    on psi decreasing in p: every kernel the command line can build
+    does, as grid rows and family curves are checked at construction.
+    On a GridKernel (a PsiGrid is one) each sampled p is snapped to its
+    p node once per call and each sampled x floored to its row once; one
+    bisection finds the row's cells that meet the threshold, a prefix,
+    and a second counts the sampled columns inside it, the cells
+    ``eval`` would read.  Any other kernel is read through ``eval``.  A NaN
+    threshold is rejected, and so are an x range whose ends or width
+    are not finite and a resolution above ``MAX_GRID_NODES``.
+    """
+    if math.isnan(threshold):
+        raise ValueError("threshold must not be NaN")
+    lo, hi = (float(x_range[0]), float(x_range[1]))
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"x range must be a finite interval, got {x_range}")
+    if not math.isfinite(hi - lo):  # the samples scale by the width
+        raise ValueError(f"x range must have a finite width, got {x_range}")
+    if not 2 <= resolution <= MAX_GRID_NODES:
+        raise ValueError(f"resolution must be from 2 to {MAX_GRID_NODES}, got {resolution}")
+    steps = resolution - 1
+    xs = [lo + (hi - lo) * k / steps for k in range(resolution)]
+    ps = [k / steps for k in range(resolution)]
+    # psi falls in p, so the levels that meet the threshold are a prefix of ps
+    if isinstance(kernel, GridKernel):
+        cols = [kernel.nearest_p_index(p) for p in ps]
+        # the row left of the grid reads -inf, as eval does there
+        by_x = ((-INF,) * len(kernel.p_grid), *kernel.table)
+
+        def cut(x: float) -> int:
+            # the row's cells >= threshold are a prefix; count the columns inside it
+            row = by_x[bisect_right(kernel.x_grid, x)]
+            return bisect_left(cols, bisect_right(row, -threshold, key=operator.neg))
+    else:
+        def cut(x: float) -> int:
+            return bisect_left(ps, True, key=lambda p: not kernel.eval(x, p) >= threshold)
+    rows: list[tuple[float, float | None, bool]] = []
+    for x in xs:
+        k = cut(x)
+        boundary = ps[k - 1] if k else None
+        rows.append((x, boundary, boundary is not None))
+    return rows
+
+
 def sup_psi_eval(psi: PsiKernel, F: DiscreteDist) -> float:
     """Exact sup over all real x of psi(x, F(x)), read through left_sup alone.
 
@@ -305,6 +362,8 @@ def sup_psi_eval(psi: PsiKernel, F: DiscreteDist) -> float:
     the constant F(a_j).  Each piece is one read left_sup(a_{j+1}, F(a_j)),
     m + 1 reads in all.  A read also covers every t left of the piece, at
     a level no lower than F(t); psi decreases in p, so no read overshoots.
+    On a ``construct_psi`` table this is not the measure, which reads
+    left_sup(a_j+, F(a_j-)) (see the module docstring).
     """
     return max(map(psi.left_sup, (*F.xs, INF), (0.0, *F.cum)))
 
@@ -421,22 +480,14 @@ class DualGridKernel(_Tabulated, PhiKernel):
     identically +inf.
     """
 
-    x_grid: tuple[float, ...]
-    p_grid: tuple[float, ...]
-    table: tuple[tuple[float, ...], ...]
-
     def __post_init__(self):
         self._check_grid(0, INF)
 
     @cached_property
     def _runmin(self) -> tuple[tuple[float, ...], ...]:
         """Running min of the rows from the right, built on the first right_inf."""
-        run: list[tuple[float, ...]] = []
-        best = [INF] * len(self.p_grid)
-        for row in reversed(self.table):
-            best = [b if b <= v else v for b, v in zip(best, row)]
-            run.append(tuple(best))
-        return tuple(reversed(run))
+        run = accumulate(reversed(self.table), lambda best, row: tuple(map(min, best, row)))
+        return tuple(run)[::-1]
 
     def eval(self, x: float, p: float) -> float:
         i = bisect_left(self.x_grid, x)

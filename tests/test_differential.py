@@ -88,7 +88,6 @@ from fsdrisk.jsonio import (
     _parse_grid,
     parse_distribution_obj,
     parse_num,
-    superlevel_rows,
 )
 from fsdrisk.kernels import (
     BenchmarkLossKernel,
@@ -100,6 +99,7 @@ from fsdrisk.kernels import (
     VarKernel,
     inf_phi_eval,
     sup_psi_eval,
+    superlevel_rows,
 )
 from fsdrisk.measures import (
     affine_benchmark,

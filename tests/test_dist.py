@@ -549,3 +549,29 @@ class TestDiscretize:
         # both ends are finite, but hi - lo is not
         with pytest.raises(ValueError, match=r"^support width inf must be finite"):
             ContinuousCDF.uniform(-1e308, 1e308)
+
+
+class TestRefusalsOffTheCommonPath:
+    def test_left_quantile_refuses_level_zero(self):
+        with pytest.raises(ValueError, match=r"left quantile level must lie in \(0, 1\]"):
+            point_mass(1.0).left_quantile(0.0)
+
+    def test_point_mass_refuses_an_infinite_point(self):
+        with pytest.raises(ValueError, match="support point must be finite"):
+            point_mass(math.inf)
+
+    def test_two_point_refuses_a_weight_above_one(self):
+        with pytest.raises(ValueError, match=r"mixing weight must lie in \[0, 1\]"):
+            two_point(0.0, 1.0, 1.5)
+
+    def test_uniform_refuses_an_unbounded_support(self):
+        with pytest.raises(ValueError, match="support must be a finite interval"):
+            ContinuousCDF((0.0, math.inf))
+
+    def test_discretize_refuses_zero_cells(self):
+        with pytest.raises(ValueError, match="need at least one cell"):
+            discretize(ContinuousCDF.uniform(0.0, 1.0), 0)
+
+    def test_repr_lists_mass_and_point_per_atom(self):
+        F = DiscreteDist.from_atoms([(0.0, 0.25), (1.5, 0.75)])
+        assert repr(F) == "DiscreteDist(0.25*d[0] + 0.75*d[1.5])"

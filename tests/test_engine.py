@@ -489,3 +489,9 @@ class TestRecoverLambda:
         rho, psi = self.build()
         with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
             recover_lambda(rho, psi, tol=tol)
+
+
+def test_recover_lambda_needs_a_p_cell_inside_the_grid_for_default_probes():
+    psi = PsiGrid((0.0, 1.0), (0.0, 1.0), ((0.0, -math.inf), (1.0, -math.inf)))
+    with pytest.raises(ValueError, match="grids too coarse for default probes"):
+        recover_lambda(var_measure(0.3), psi)

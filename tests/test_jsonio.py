@@ -13,7 +13,6 @@ from fsdrisk.dist import ContinuousCDF, DiscreteDist
 from fsdrisk.engine import PsiGrid, construct_psi
 from fsdrisk.harness import SamplerConfig, check_max_stability
 from fsdrisk.jsonio import (
-    MAX_GRID_NODES,
     InputError,
     _grid_to_obj,
     csv_num,
@@ -32,15 +31,16 @@ from fsdrisk.jsonio import (
     psi_grid_to_obj,
     report_to_obj,
     step_to_obj,
-    superlevel_rows,
+    witness_to_obj,
     write_superlevel_csv,
 )
-from fsdrisk.kernels import GridKernel, VarKernel
+from fsdrisk.kernels import MAX_GRID_NODES, GridKernel, VarKernel, superlevel_rows
 from fsdrisk.measures import (
     FAMILIES,
     affine_benchmark,
     benchmark_loss_measure,
     expected_shortfall_measure,
+    transform_measure,
     var_measure,
 )
 from fsdrisk.steps import DEC, MonotoneStep
@@ -633,3 +633,28 @@ class TestSuperlevel:
         # finite ends whose width hi - lo overflows would sample NaN and inf
         with pytest.raises(ValueError, match="x range must have a finite width"):
             superlevel_rows(VarKernel(0.3), 0.0, (-1e308, 1e308), resolution=3)
+
+
+class TestRefusalsOffTheCommonPath:
+    def test_a_table_short_of_rows_is_read_again_and_refused_by_its_shape(self):
+        obj = {"x_grid": [0.0, 1.0], "p_grid": [0.0, 1.0], "table": [[0.0, "-inf"]]}
+        with pytest.raises(InputError, match="table shape must be") as exc:
+            parse_kernel_obj(obj)
+        assert exc.value.code == "BAD_SCHEMA"
+
+    def test_a_psi_grid_must_be_an_object(self):
+        with pytest.raises(InputError, match="kernel grid must be a JSON object") as exc:
+            parse_psi_grid_obj([])
+        assert exc.value.code == "BAD_SCHEMA"
+
+    def test_a_callable_benchmark_curve_has_no_json_form(self):
+        with pytest.raises(ValueError, match="parameter 'h' has no JSON form"):
+            measure_to_obj(benchmark_loss_measure(affine_benchmark(2.0)))
+
+    def test_a_transformed_measure_has_no_json_form(self):
+        with pytest.raises(ValueError, match=r"no JSON form for measure 'transformed\(var\)'"):
+            measure_to_obj(transform_measure(var_measure(0.3), lambda v: 2.0 * v))
+
+    def test_a_foreign_witness_has_no_json_form(self):
+        with pytest.raises(ValueError, match="no JSON form for witness type dict"):
+            witness_to_obj({})

@@ -569,3 +569,8 @@ class TestEvaluationAgainstPointReads:
 
         want = min(x - g(F.cdf(x)) for x in F.xs)
         assert inf_phi_eval(DualBenchmarkKernel(g), F) == want
+
+
+def test_a_benchmark_curve_that_reads_nan_is_refused():
+    with pytest.raises(ValueError, match="benchmark curve evaluated to NaN"):
+        BenchmarkLossKernel(lambda p: INF if p >= 1.0 else math.nan)

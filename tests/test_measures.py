@@ -222,3 +222,17 @@ def test_the_pure_python_core_imports_without_numpy():
 def test_grid_files_are_read_without_the_engine():
     # jsonio takes the grid types and their trusted constructor from kernels
     assert loaded_after("import fsdrisk.jsonio", ("fsdrisk.engine", "fsdrisk.jsonio")) == ["fsdrisk.jsonio"]
+
+
+class TestRefusalsOffTheCommonPath:
+    def test_transform_refuses_a_map_that_leaves_the_reals(self):
+        with pytest.raises(ValueError, match="transform must be finite on the probe grid"):
+            transform_measure(var_measure(0.3), lambda v: INF if v > 0.0 else v)
+
+    def test_affine_benchmark_refuses_a_negative_slope(self):
+        with pytest.raises(ValueError, match="benchmark slope must be nonnegative"):
+            affine_benchmark(-1.0)
+
+    def test_repr_names_the_measure_and_its_parameters(self):
+        assert repr(var_measure(0.3)) == "RiskMeasure(var, alpha=0.3)"
+        assert repr(RiskMeasure("mean", lambda F: 0.0)) == "RiskMeasure(mean)"
