@@ -394,6 +394,8 @@ def discretize(f: ContinuousCDF, n: int) -> DiscreteDist:
     CDF value at its right end, placed at its left end.  The result's CDF
     therefore sits at or above ``f`` everywhere, i.e. the approximation is
     dominated by ``f``, and refining ``n -> 2n`` moves it up towards ``f``.
+    Cells whose left ends round to one float point merge there at the
+    last one's level, ``f`` at the next left end, so domination holds.
     """
     if n < 1:
         raise ValueError(f"need at least one cell, got n={n}")
@@ -407,11 +409,9 @@ def discretize(f: ContinuousCDF, n: int) -> DiscreteDist:
         raise ValueError(f"cell count n of {n.bit_length()} bits is past the float range") from None
     if wide:
         raise ValueError(f"support width {span!r} is too wide to cut into n={n} cells")
-    xs = []
-    levels = []
+    starts: dict[float, float] = {}
     for k in range(1, n + 1):
-        xs.append(lo + (k - 1) * span / n)
         right = hi if k == n else lo + k * span / n
-        levels.append(f(right))
-    return DiscreteDist.from_levels(xs, levels)
+        starts[lo + (k - 1) * span / n] = f(right)
+    return _rising(starts.items())
 

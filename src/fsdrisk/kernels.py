@@ -16,6 +16,10 @@ table represents is max_j psi~(a_j+, F(a_j-)), read at atoms on x nodes
 (``engine.verify_representation``); on such atoms the sup form reads
 one x cell low.  ``superlevel_rows`` reads the table's cells directly.
 
+Each grid kernel states its outside once, as a padded row: the empty
+sup, -inf, left of a ``GridKernel`` and the empty inf, +inf, right of a
+``DualGridKernel``.  Every cell read is one index into the padded rows.
+
 The grid kernels check their tables at construction, and ``PsiGrid``,
 the table ``engine.construct_psi`` builds, also checks that its p = 0
 column rises.  A caller that has made those checks builds a grid
@@ -235,10 +239,13 @@ class _Tabulated:
 class GridKernel(_Tabulated, PsiKernel):
     """Tabulated kernel on an x-grid times p-grid.
 
-    Lookups floor x to the grid (-inf to the left of it) and take the
-    nearest p node, ties resolved downward.  Each row must be decreasing
-    along p and the p = 1 column identically -inf; both are checked at
-    construction, matching what the constructive engine produces.
+    Lookups floor x to the grid and take the nearest p node, ties
+    resolved downward.  ``_rows`` puts a -inf row left of the grid, and
+    ``eval``, ``left_sup`` (through its running max) and
+    ``superlevel_rows`` read it by one index, with no end test.  Each row
+    must be decreasing along p and the p = 1 column identically -inf;
+    both are checked at construction, matching what the constructive
+    engine produces.
 
     ``_trusted`` skips those checks and trusts its caller to have made
     them: axes from ``check_axes``, and a float row per x node, one cell
@@ -251,22 +258,21 @@ class GridKernel(_Tabulated, PsiKernel):
         self._check_grid(-1, -INF)
 
     @cached_property
+    def _rows(self) -> tuple[tuple[float, ...], ...]:
+        """The -inf row left of the grid, then the table: row i + 1 is x node i."""
+        return ((-INF,) * len(self.p_grid), *self.table)
+
+    @cached_property
     def _runmax(self) -> tuple[tuple[float, ...], ...]:
-        """Running max of the rows over x, built on the first left_sup."""
+        """Running max of ``_rows`` over x, built on the first left_sup."""
         # max keeps the first of equal cells; a checked row holds no NaN
-        return tuple(accumulate(self.table, lambda best, row: tuple(map(max, best, row))))
+        return tuple(accumulate(self._rows, lambda best, row: tuple(map(max, best, row))))
 
     def eval(self, x: float, p: float) -> float:
-        i = bisect_right(self.x_grid, x) - 1
-        if i < 0:
-            return -INF
-        return self.table[i][self.nearest_p_index(p)]
+        return self._rows[bisect_right(self.x_grid, x)][self.nearest_p_index(p)]
 
     def left_sup(self, x: float, p: float) -> float:
-        i = bisect_left(self.x_grid, x) - 1
-        if i < 0:
-            return -INF
-        return self._runmax[i][self.nearest_p_index(p)]
+        return self._runmax[bisect_left(self.x_grid, x)][self.nearest_p_index(p)]
 
 
 @dataclass(frozen=True)
@@ -314,11 +320,11 @@ def superlevel_rows(
     on psi decreasing in p: every kernel the command line can build
     does, as grid rows and family curves are checked at construction.
     On a GridKernel (a PsiGrid is one) each sampled p is snapped to its
-    p node once per call and each sampled x floored to its row once; one
-    bisection finds the row's cells that meet the threshold, a prefix,
-    and a second counts the sampled columns inside it, the cells
-    ``eval`` would read.  Any other kernel is read through ``eval``.  A NaN
-    threshold is rejected, and so are an x range whose ends or width
+    p node once per call and each sampled x floored to its padded row
+    once; one bisection finds the row's cells that meet the threshold, a
+    prefix, and a second counts the sampled columns inside it, the cells
+    ``eval`` would read.  Any other kernel is read through ``eval``.  A
+    NaN threshold is rejected, and so are an x range whose ends or width
     are not finite and a resolution above ``MAX_GRID_NODES``.
     """
     if math.isnan(threshold):
@@ -336,12 +342,10 @@ def superlevel_rows(
     # psi falls in p, so the levels that meet the threshold are a prefix of ps
     if isinstance(kernel, GridKernel):
         cols = [kernel.nearest_p_index(p) for p in ps]
-        # the row left of the grid reads -inf, as eval does there
-        by_x = ((-INF,) * len(kernel.p_grid), *kernel.table)
 
         def cut(x: float) -> int:
             # the row's cells >= threshold are a prefix; count the columns inside it
-            row = by_x[bisect_right(kernel.x_grid, x)]
+            row = kernel._rows[bisect_right(kernel.x_grid, x)]
             return bisect_left(cols, bisect_right(row, -threshold, key=operator.neg))
     else:
         def cut(x: float) -> int:
@@ -475,28 +479,28 @@ class DualPinnedKernel(PhiKernel):
 class DualGridKernel(_Tabulated, PhiKernel):
     """Tabulated inf-form kernel.
 
-    Mirror of GridKernel: lookups ceil x to the grid (+inf to the right
-    of it), rows must be decreasing along p with the p = 0 column
-    identically +inf.
+    Mirror of GridKernel: lookups ceil x to the grid, ``_rows`` puts a
+    +inf row right of it, and ``eval`` and ``right_inf`` (through its
+    running min from the right) read it by one index.  Rows must be
+    decreasing along p with the p = 0 column identically +inf.
     """
 
     def __post_init__(self):
         self._check_grid(0, INF)
 
     @cached_property
+    def _rows(self) -> tuple[tuple[float, ...], ...]:
+        """The table, then the +inf row right of the grid: row i is x node i."""
+        return (*self.table, (INF,) * len(self.p_grid))
+
+    @cached_property
     def _runmin(self) -> tuple[tuple[float, ...], ...]:
-        """Running min of the rows from the right, built on the first right_inf."""
-        run = accumulate(reversed(self.table), lambda best, row: tuple(map(min, best, row)))
+        """Running min of ``_rows`` from the right, built on the first right_inf."""
+        run = accumulate(reversed(self._rows), lambda best, row: tuple(map(min, best, row)))
         return tuple(run)[::-1]
 
     def eval(self, x: float, p: float) -> float:
-        i = bisect_left(self.x_grid, x)
-        if i == len(self.x_grid):
-            return INF
-        return self.table[i][self.nearest_p_index(p)]
+        return self._rows[bisect_left(self.x_grid, x)][self.nearest_p_index(p)]
 
     def right_inf(self, x: float, p: float) -> float:
-        i = bisect_right(self.x_grid, x)
-        if i == len(self.x_grid):
-            return INF
-        return self._runmin[i][self.nearest_p_index(p)]
+        return self._runmin[bisect_right(self.x_grid, x)][self.nearest_p_index(p)]

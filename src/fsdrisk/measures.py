@@ -73,7 +73,8 @@ def benchmark_loss_var(F: DiscreteDist, h: Callable[[float], float]) -> float:
     """Largest gap between a quantile and the benchmark curve h.
 
     ``h`` is increasing on [0, 1] with h(1) = +inf (anything finite
-    there is rejected); it may be a MonotoneStep or a plain callable.
+    there is rejected) and h(0) neither NaN nor -inf; it may be a
+    MonotoneStep or a plain callable.
     For a step CDF the sup over levels collapses to a max over atoms:
     the i-th atom contributes x_i - h(P_{i-1}), with P_0 = 0, because
     the quantile sits at x_i exactly on the level interval left of P_i
@@ -205,13 +206,14 @@ def transform_measure(rho: RiskMeasure, f: Callable[[float], float]) -> RiskMeas
     )
 
 
-def affine_benchmark(slope: float, intercept: float = 0.0) -> Callable[[float], float]:
-    """Benchmark curve slope * p + intercept on [0, 1), +inf at 1."""
-    if not slope >= 0.0:
-        raise ValueError(f"benchmark slope must be nonnegative, got {slope}")
+def affine_benchmark(slope: float) -> Callable[[float], float]:
+    """Benchmark curve slope * p on [0, 1), +inf at 1, for a finite slope."""
+    # an infinite slope would make inf * 0, NaN, at p = 0
+    if not 0.0 <= slope < INF:
+        raise ValueError(f"benchmark slope must be nonnegative and finite, got {slope}")
 
     def h(p: float) -> float:
-        return INF if p >= 1.0 else slope * p + intercept
+        return INF if p >= 1.0 else slope * p
 
     return h
 

@@ -10,7 +10,9 @@ at the jump, which is the evaluation convention the supremum formulas need.
 
 The parameter checks at the bottom are shared by closed forms, measure
 families and kernels; ``DualVarKernel``, ``DualBenchmarkKernel`` and
-``DualPinnedKernel`` also check their own conditions inline.
+``DualPinnedKernel`` also check their own conditions inline.  A rising
+benchmark curve takes -inf exactly when it does at 0, so one read there
+refuses it, in the words of ``BenchmarkLossKernel``'s coarse probe.
 """
 
 from __future__ import annotations
@@ -107,8 +109,14 @@ def check_level(a: float) -> None:
 
 
 def check_benchmark_curve(h: Callable[[float], float]) -> None:
+    """+inf at 1, and neither NaN nor -inf at 0; a rising h takes -inf iff h(0) does."""
     if h(1.0) != math.inf:
         raise ValueError("benchmark curve must be +inf at 1")
+    h0 = h(0.0)
+    if math.isnan(h0):
+        raise ValueError("benchmark curve evaluated to NaN")
+    if h0 == -math.inf:
+        raise ValueError("benchmark curve must not take -inf")
 
 
 def check_level_curve(lam: MonotoneStep, positive: bool = False) -> None:

@@ -422,6 +422,16 @@ class TestCheck:
         assert captured.err == (
             "error [BAD_SCHEMA]: uniform needs bounds a finite width apart, got -1e+308, 1e+308\n")
 
+    def test_limit_probe_takes_a_uniform_whose_cells_round_to_one_point(self, capsys):
+        # a support four units wide at 1e16 spans two float gaps, so most
+        # cell ends of the 16-cell reference merge; the probe still runs
+        code = main(["check", "--measure", VAR03, "--axiom", "ls", "--trials", "16",
+                     "--dist", '{"family": "uniform", "a": 1e16, "b": 1.0000000000000004e16}'])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "verdict: pass  violations: 0/16" in captured.out
+
     @pytest.mark.parametrize("axiom", ["maxs", "mins", "nd", "fsd"])
     def test_dist_off_the_limit_probe_is_an_input_error(self, axiom, tmp_path, capsys):
         # refused before either file is read: neither exists
@@ -633,9 +643,14 @@ class TestErrorReporting:
             (["check", "--measure", VAR03, "--axiom", "ls", "--trials", "3",
               "--dist", '{"family": "uniform", "a": 1e308, "b": 1.7e308}'],
              "error [BAD_SCHEMA]: support width 6.999999999999999e+307 is too wide to cut into n=12 cells\n"),
+            # a rising curve at -inf from 0 takes -inf, which its kernel refuses too
+            (["eval", "--measure", '{"kind": "benchmark_loss", "h": {"breakpoints": [0.5], "values":'
+              ' ["-inf", 0.0], "direction": "inc", "at_one": "inf"}}', "--dist", F3],
+             "error [BAD_SCHEMA]: measure 'benchmark_loss': benchmark curve must not take -inf\n"),
         ],
         ids=["lambda-not-object", "lambda-no-breakpoints", "lambda-direction", "measure-list",
-             "kernel-list", "grid-no-x", "p-grid-repeat", "measure-dir", "uniform-too-wide"],
+             "kernel-list", "grid-no-x", "p-grid-repeat", "measure-dir", "uniform-too-wide",
+             "benchmark-minus-inf"],
     )
     def test_schema_errors_exit_two_with_stdout_empty(self, argv, err, tmp_path, capsys):
         (tmp_path / "list.json").write_text("[1]")

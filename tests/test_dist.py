@@ -538,6 +538,29 @@ class TestDiscretize:
                                              r"to cut into n=4 cells$"):
             discretize(u, 4)
 
+    @pytest.mark.parametrize("n", [4, 16])
+    def test_cells_that_round_to_one_point_merge_there(self, n):
+        # the cell ends of [1e16, 1e16 + 4] fall on the float grid 2 apart,
+        # so several left ends round to one point; each keeps the last level
+        u = ContinuousCDF.uniform(1e16, 1.0000000000000004e16)
+        d = discretize(u, n)
+        assert d == atoms((1e16, 0.5), (1.0000000000000002e16, 0.5))
+        assert all(d.cdf(x) >= u(x) for x in d.xs)
+
+    def test_distinct_cells_keep_the_level_route(self):
+        # left ends that stay apart give the from_levels result bit for bit
+        for lo, hi in [(0.0, 1.0), (-3.0, 5.0), (0.1, 0.7), (1e16, 1.0000000000000004e16)]:
+            u = ContinuousCDF.uniform(lo, hi)
+            for n in (1, 2, 3, 7, 64):
+                span = hi - lo
+                xs = [lo + (k - 1) * span / n for k in range(1, n + 1)]
+                if len(set(xs)) < n:
+                    continue
+                levels = [u(hi if k == n else lo + k * span / n) for k in range(1, n + 1)]
+                want = DiscreteDist.from_levels(xs, levels)
+                got = discretize(u, n)
+                assert (repr(got.xs), repr(got.cum)) == (repr(want.xs), repr(want.cum))
+
     def test_a_cell_count_past_the_float_range_is_named(self):
         # n - 1 has no float, so the width guard cannot scale by it; 10**5000
         # has more digits than Python will convert to a string

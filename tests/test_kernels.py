@@ -201,6 +201,13 @@ class TestGridKernel:
         assert k.eval(0.3, 0.0) == 0.0
         assert k.eval(1.0, 0.0) == 1.0
         assert k.eval(5.0, 0.0) == 2.0
+        # the grid's ends: the padded row left of it, then the end nodes
+        assert k.eval(-INF, 0.0) == -INF
+        assert k.eval(math.nextafter(0.0, -INF), 0.0) == -INF
+        assert k.eval(0.0, 0.0) == 0.0
+        assert k.eval(2.0, 0.0) == 2.0
+        assert k.eval(math.nextafter(2.0, INF), 0.0) == 2.0
+        assert k.eval(INF, 0.0) == 2.0
 
     def test_nearest_p_ties_go_down(self):
         k = self.small()
@@ -218,6 +225,13 @@ class TestGridKernel:
         assert k.left_sup(1.5, 0.5) == 1.0
         assert k.left_sup(2.0, 0.5) == 1.0
         assert k.left_sup(2.5, 0.5) == 2.0
+        # the grid's ends, at p = 0 where every node is live
+        assert k.left_sup(-INF, 0.0) == -INF
+        assert k.left_sup(math.nextafter(0.0, -INF), 0.0) == -INF
+        assert k.left_sup(2.0, 0.0) == 1.0
+        assert k.left_sup(math.nextafter(2.0, INF), 0.0) == 2.0
+        assert k.left_sup(INF, 0.0) == 2.0
+        assert k.left_sup(INF, 1.0) == -INF
 
     def test_running_max_is_built_on_first_read_outside_eq_and_repr(self):
         k, fresh = self.small(), self.small()
@@ -265,6 +279,8 @@ class TestGridKernel:
         table = ((0.0, -0.0, 0.0, -INF), (-0.0, 0.0, -0.0, -INF))
         k = GridKernel((0.0, 1.0), (0.0, 0.25, 0.5, 1.0), table)
         assert repr(k.table) == repr(table)
+        # the running max over the -inf row keeps the first of equal cells
+        assert [repr(k.left_sup(INF, p)) for p in (0.0, 0.25, 0.5)] == ["0.0", "-0.0", "0.0"]
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -369,11 +385,24 @@ class TestDualGridKernel:
         assert k.eval(-1.0, 0.5) == 0.0
         assert k.eval(0.5, 0.5) == 1.0
         assert k.eval(2.0, 0.5) == INF
+        # the grid's ends: the end nodes, then the padded row right of it
+        assert k.eval(-INF, 0.5) == 0.0
+        assert k.eval(math.nextafter(0.0, -INF), 0.5) == 0.0
+        assert k.eval(0.0, 0.5) == 0.0
+        assert k.eval(1.0, 0.5) == 1.0
+        assert k.eval(math.nextafter(1.0, INF), 0.5) == INF
+        assert k.eval(INF, 0.5) == INF
 
     def test_right_inf_strictly_above(self):
         k = self.small()
         assert k.right_inf(0.0, 0.5) == 1.0
         assert k.right_inf(1.0, 0.5) == INF
+        # the grid's ends
+        assert k.right_inf(-INF, 0.5) == 0.0
+        assert k.right_inf(math.nextafter(0.0, -INF), 0.5) == 0.0
+        assert k.right_inf(math.nextafter(1.0, INF), 0.5) == INF
+        assert k.right_inf(INF, 0.5) == INF
+        assert k.right_inf(-INF, 0.0) == INF
 
     def test_running_min_is_built_on_first_read_outside_eq_and_repr(self):
         k, fresh = self.small(), self.small()

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from fsdrisk.dist import ContinuousCDF, DiscreteDist, point_mass
 from fsdrisk.harness import SamplerConfig, dominating_variant, sample_distribution
+from fsdrisk.kernels import BenchmarkLossKernel
 from fsdrisk.measures import (
     RiskMeasure,
     affine_benchmark,
@@ -63,6 +65,20 @@ class TestVar:
 
 
 class TestBenchmarkLoss:
+    @pytest.mark.parametrize(
+        "h,message",
+        [
+            (MonotoneStep((0.5,), (-INF, 0.0), at_one=INF), "must not take -inf"),
+            (lambda p: INF if p >= 1.0 else math.nan, "evaluated to NaN"),
+        ],
+        ids=["minus-inf-at-zero", "nan-at-zero"],
+    )
+    def test_curve_refused_at_zero_by_closed_form_measure_and_kernel(self, h, message):
+        # a rising curve takes -inf somewhere exactly when it does at 0
+        for build in (partial(benchmark_loss_var, HALF), benchmark_loss_measure, BenchmarkLossKernel):
+            with pytest.raises(ValueError, match=f"^benchmark curve {message}$"):
+                build(h)
+
     def test_identity_benchmark(self):
         h = affine_benchmark(1.0)
         assert benchmark_loss_var(HALF, h) == 0.5  # max(0 - 0, 1 - 0.5)
@@ -232,6 +248,12 @@ class TestRefusalsOffTheCommonPath:
     def test_affine_benchmark_refuses_a_negative_slope(self):
         with pytest.raises(ValueError, match="benchmark slope must be nonnegative"):
             affine_benchmark(-1.0)
+
+    @pytest.mark.parametrize("slope", [INF, math.nan])
+    def test_affine_benchmark_refuses_a_slope_that_is_not_finite(self, slope):
+        # inf * 0 is NaN, so an infinite slope has no value at p = 0
+        with pytest.raises(ValueError, match="benchmark slope must be nonnegative and finite"):
+            affine_benchmark(slope)
 
     def test_repr_names_the_measure_and_its_parameters(self):
         assert repr(var_measure(0.3)) == "RiskMeasure(var, alpha=0.3)"
